@@ -20,6 +20,7 @@ from .core import (
     Matrix,
     Scalar,
     ScalarLike,
+    VariationReport,
     Vector,
     ensure_type_one,
     is_zero,
@@ -58,7 +59,9 @@ class ConvergenceAnalysis:
     """Full convergence report for a type-1 square matrix.
 
     ``variation_per_power`` holds the variation of M^k for k = 1 up to the
-    contraction power, or up to ``p_max`` when no contraction was found.
+    contraction power, or up to ``p_max`` when no contraction was found;
+    ``first_variation`` is the full report for M itself, column pair
+    included.
     ``stationary`` and ``projection`` are present only on convergence.
     A missing contraction power is never a divergence proof, only failure
     to certify convergence within the search bound.
@@ -69,6 +72,7 @@ class ConvergenceAnalysis:
     contraction_power: Optional[int]
     variation_at_p: Optional[Scalar]
     variation_per_power: tuple[Scalar, ...]
+    first_variation: VariationReport
     stationary: Optional[Vector]
     projection: Optional[Matrix]
     decay_bounds: tuple[tuple[int, Scalar], ...] = ()
@@ -121,20 +125,25 @@ def _require_square(m: Matrix) -> None:
         raise NotSquareError(f"expected a square matrix, got {m.rows}x{m.cols}")
 
 
-def _variation_scan(m: Matrix, p_max: int) -> tuple[Optional[int], list[Scalar]]:
-    """Variations of M^1..M^p, stopping at the first power with variation < 1."""
+def _variation_scan(
+    m: Matrix, p_max: int
+) -> tuple[Optional[int], list[Scalar], VariationReport]:
+    """Variations of M^1..M^p, stopping at the first power with variation < 1.
+
+    Also returns the full variation report of M^1, so callers that need
+    its column pair do not compute it again.
+    """
     if not isinstance(p_max, int) or p_max < 1:
         raise ValueError("p_max must be a positive integer")
-    history: list[Scalar] = []
+    first = variation(m)
+    history: list[Scalar] = [first.value]
     power = m
-    for p in range(1, p_max + 1):
-        value = variation(power).value
-        history.append(value)
-        if strictly_less(value, one_of(m.domain), m.domain):
-            return p, history
-        if p < p_max:
-            power = mat_mul(power, m)
-    return None, history
+    while not strictly_less(history[-1], one_of(m.domain), m.domain):
+        if len(history) == p_max:
+            return None, history, first
+        power = mat_mul(power, m)
+        history.append(variation(power).value)
+    return len(history), history, first
 
 
 def find_contraction_power(
@@ -148,7 +157,7 @@ def find_contraction_power(
     """
     _require_square(m)
     ensure_type_one(m)
-    p, history = _variation_scan(m, p_max)
+    p, history, _ = _variation_scan(m, p_max)
     if p is None:
         return None
     return p, history[-1]
@@ -339,7 +348,7 @@ def analyze(
     ensure_type_one(m)
     if not isinstance(k_report, int) or k_report < 1:
         raise ValueError("k_report must be a positive integer")
-    p, history = _variation_scan(m, p_max)
+    p, history, first = _variation_scan(m, p_max)
     if p is None:
         return ConvergenceAnalysis(
             verdict=Verdict.NO_CONTRACTION_FOUND,
@@ -347,6 +356,7 @@ def analyze(
             contraction_power=None,
             variation_at_p=None,
             variation_per_power=tuple(history),
+            first_variation=first,
             stationary=None,
             projection=None,
         )
@@ -361,6 +371,7 @@ def analyze(
         contraction_power=p,
         variation_at_p=history[-1],
         variation_per_power=tuple(history),
+        first_variation=first,
         stationary=e,
         projection=limit_projection(e),
         decay_bounds=bounds,

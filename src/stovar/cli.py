@@ -254,13 +254,18 @@ def analysis_report(
 ) -> dict:
     """JSON-ready report for the analyze command."""
     domain = m.domain
+    stationary = (
+        None
+        if result.stationary is None
+        else [format_scalar(v, domain) for v in result.stationary]
+    )
     report = {
         "schema": SCHEMA,
         "command": "analyze",
         "input": _input_echo(m, path),
         "parameters": {"p_max": result.p_max, "k_report": k_report},
         "type": _type_dict(type_of(m), domain),
-        "variation": _variation_dict(variation(m), domain),
+        "variation": _variation_dict(result.first_variation, domain),
         "variation_per_power": [
             format_scalar(v, domain) for v in result.variation_per_power
         ],
@@ -270,18 +275,10 @@ def analysis_report(
             if result.variation_at_p is None
             else format_scalar(result.variation_at_p, domain)
         ),
-        "stationary": (
-            None
-            if result.stationary is None
-            else [format_scalar(v, domain) for v in result.stationary]
-        ),
+        "stationary": stationary,
+        # the projection is E times the all-ones row: row i repeats E_i
         "projection": (
-            None
-            if result.projection is None
-            else [
-                [format_scalar(result.projection.entry(i, j), domain) for j in range(m.cols)]
-                for i in range(m.rows)
-            ]
+            None if stationary is None else [[v] * m.cols for v in stationary]
         ),
         "decay_bounds": [
             {"k": k, "bound": format_scalar(v, domain), "decimal": float(v)}

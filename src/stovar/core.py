@@ -3,9 +3,9 @@
 Values are immutable after construction and every operation is a pure
 function, so they can be shared freely between threads.  Two scalar
 domains are supported: exact rationals backed by ``fractions.Fraction``
-and IEEE floats guarded by a module-level tolerance.  A vector or matrix
-belongs to exactly one domain, chosen at construction; mixing domains in
-a single operation raises :class:`DomainMismatchError`.
+and finite IEEE floats guarded by a module-level tolerance.  A vector or
+matrix belongs to exactly one domain, chosen at construction; mixing
+domains in a single operation raises :class:`DomainMismatchError`.
 """
 
 from __future__ import annotations
@@ -13,7 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Union
+from math import isfinite, lcm
+from operator import mul, sub
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import (
     DimensionError,
@@ -97,9 +99,12 @@ def _coerce(value: ScalarLike, domain: Domain) -> Scalar:
         except (ValueError, TypeError, ZeroDivisionError) as exc:
             raise DomainMismatchError(f"cannot interpret {value!r} as a rational") from exc
     try:
-        return float(value)
+        result = float(value)
     except (ValueError, TypeError) as exc:
         raise DomainMismatchError(f"cannot interpret {value!r} as a float") from exc
+    if not isfinite(result):
+        raise DomainMismatchError(f"non-finite entry {value!r} in a float-domain value")
+    return result
 
 
 def _infer_domain(values: Iterable[ScalarLike]) -> Domain:
@@ -271,6 +276,13 @@ class Matrix:
         self._domain = dom
 
     @classmethod
+    def _of(cls, rows: int, cols: int, entries: Iterable[Scalar], domain: Domain) -> "Matrix":
+        """Matrix over row-major entries already in the domain; no coercion."""
+        m = object.__new__(cls)
+        m._rows, m._cols, m._entries, m._domain = rows, cols, tuple(entries), domain
+        return m
+
+    @classmethod
     def identity(cls, n: int, domain: Domain = Domain.RATIONAL) -> "Matrix":
         one = one_of(domain)
         zero = zero_of(domain)
@@ -324,20 +336,14 @@ class Matrix:
         return tuple(self.column(j) for j in range(self._cols))
 
     def col_sums(self) -> tuple[Scalar, ...]:
-        sums = []
-        for j in range(self._cols):
-            total = zero_of(self._domain)
-            for i in range(self._rows):
-                total = total + self._entries[i * self._cols + j]
-            sums.append(total)
-        return tuple(sums)
+        cols = _column_slices(self._entries, self._cols)
+        if self._domain is Domain.RATIONAL:
+            return tuple(Fraction(sum(c), d) for c, d in map(_over_lcm, cols))
+        return tuple(map(sum, cols))
 
     def row_lists(self) -> list[list[Scalar]]:
         """Mutable row-major copy, for elimination-style algorithms."""
-        return [
-            list(self._entries[i * self._cols : (i + 1) * self._cols])
-            for i in range(self._rows)
-        ]
+        return [list(row) for row in _row_slices(self._entries, self._cols)]
 
     def transpose(self) -> "Matrix":
         return Matrix(
@@ -463,21 +469,31 @@ def l1_norm(x: Union[Vector, RowVector]) -> Scalar:
 
 
 def variation(a: Matrix) -> VariationReport:
-    """Column variation: half the maximum l1 distance between two columns."""
+    """Column variation: half the maximum l1 distance between two columns.
+
+    Rational matrices are scaled once to integer numerators over the lcm
+    d of all their denominators; the integer distances are compared and
+    the result is the same exact fraction, ``best / (2 d)``.  Float
+    distances are summed row by row, left to right (CPython 3.12+ sums
+    floats with compensation, so the last bits may differ across
+    interpreters).
+    """
     n = a.cols
     if n == 1:
         return VariationReport(value=zero_of(a.domain), arg_j=1, arg_k=1)
-    best: Optional[Scalar] = None
-    best_pair = (1, 2)
-    for j in range(n):
-        for k in range(j + 1, n):
-            dist = zero_of(a.domain)
-            for i in range(a.rows):
-                dist = dist + abs(a.entry(i, j) - a.entry(i, k))
-            if best is None or dist > best:
-                best = dist
-                best_pair = (j + 1, k + 1)
-    return VariationReport(value=best / 2, arg_j=best_pair[0], arg_k=best_pair[1])
+    entries: Sequence = a.entries
+    if a.domain is Domain.RATIONAL:
+        entries, d = _over_lcm(entries)
+    cols = _column_slices(entries, n)
+    best, best_pair = -1, (1, 2)  # any distance, being >= 0, beats -1
+    for j in range(n - 1):
+        cj = cols[j]
+        dists = [sum(map(abs, map(sub, cj, ck))) for ck in cols[j + 1 :]]
+        top = max(dists)
+        if top > best:
+            best, best_pair = top, (j + 1, j + 2 + dists.index(top))
+    value = Fraction(best, 2 * d) if a.domain is Domain.RATIONAL else best / 2
+    return VariationReport(value=value, arg_j=best_pair[0], arg_k=best_pair[1])
 
 
 def row_variation(z: RowVector) -> Scalar:
@@ -524,24 +540,53 @@ def ensure_type_one(a: Matrix) -> TypeReport:
     return report
 
 
+def _row_slices(entries: Sequence, width: int) -> list[Sequence]:
+    return [entries[i : i + width] for i in range(0, len(entries), width)]
+
+
+def _column_slices(entries: Sequence, width: int) -> list[Sequence]:
+    return [entries[j::width] for j in range(width)]
+
+
+def _over_lcm(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of the values over the lcm of their denominators."""
+    d = lcm(*{v.denominator for v in values})
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
+def _dots(rows: list[Sequence], cols: list[Sequence], domain: Domain) -> list[Scalar]:
+    """Row-major list of the dot product of every row with every column.
+
+    Rational rows and columns are each scaled to integers by their own
+    lcm, so an entry costs one integer dot product and one normalization.
+    """
+    if domain is Domain.RATIONAL:
+        scaled_rows = [_over_lcm(r) for r in rows]
+        scaled_cols = [_over_lcm(c) for c in cols]
+        return [
+            Fraction(sum(map(mul, r, c)), dr * dc)
+            for r, dr in scaled_rows
+            for c, dc in scaled_cols
+        ]
+    return [sum(map(mul, r, c)) for r in rows for c in cols]
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Standard matrix product; exact in the rational domain."""
+    """Standard matrix product; exact in the rational domain.
+
+    Rational entries are integer dot products over the row and column
+    denominators, normalized once, so they are the same exact fractions
+    as a product computed in ``Fraction`` arithmetic.  Float entries are
+    summed left to right, with the same last-bit caveat as
+    :func:`variation`.
+    """
     _require_same_domain(a.domain, b.domain)
     if a.cols != b.rows:
         raise DimensionError(
             f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}"
         )
-    zero = zero_of(a.domain)
-    out = []
-    for i in range(a.rows):
-        row = []
-        for k in range(b.cols):
-            total = zero
-            for j in range(a.cols):
-                total = total + a.entry(i, j) * b.entry(j, k)
-            row.append(total)
-        out.append(row)
-    return Matrix(out, domain=a.domain)
+    out = _dots(_row_slices(a.entries, a.cols), _column_slices(b.entries, b.cols), a.domain)
+    return Matrix._of(a.rows, b.cols, out, a.domain)
 
 
 def mat_vec(a: Matrix, x: Vector) -> Vector:
@@ -549,13 +594,7 @@ def mat_vec(a: Matrix, x: Vector) -> Vector:
     _require_same_domain(a.domain, x.domain)
     if a.cols != len(x):
         raise DimensionError(f"cannot apply {a.rows}x{a.cols} matrix to length-{len(x)} vector")
-    zero = zero_of(a.domain)
-    out = []
-    for i in range(a.rows):
-        total = zero
-        for j in range(a.cols):
-            total = total + a.entry(i, j) * x[j]
-        out.append(total)
+    out = _dots(_row_slices(a.entries, a.cols), [x.entries], a.domain)
     return Vector(out, domain=a.domain)
 
 
@@ -564,13 +603,7 @@ def row_mat_mul(z: RowVector, a: Matrix) -> RowVector:
     _require_same_domain(z.domain, a.domain)
     if len(z) != a.rows:
         raise DimensionError(f"cannot apply length-{len(z)} row to {a.rows}x{a.cols} matrix")
-    zero = zero_of(a.domain)
-    out = []
-    for j in range(a.cols):
-        total = zero
-        for i in range(a.rows):
-            total = total + z[i] * a.entry(i, j)
-        out.append(total)
+    out = _dots([z.entries], _column_slices(a.entries, a.cols), a.domain)
     return RowVector(out, domain=a.domain)
 
 

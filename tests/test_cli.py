@@ -174,6 +174,15 @@ class TestAnalyzeCommand:
         result = runner.invoke(main, ["analyze", path])
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize("command", ["analyze", "variation"])
+    @pytest.mark.parametrize("text", ["inf\n", "0.5,nan\n0.5,0.5\n"], ids=["inf", "nan"])
+    def test_non_finite_entry_is_a_parse_error(self, runner, tmp_path, command, text):
+        path = write(tmp_path, "m.csv", text)
+        result = runner.invoke(main, [command, path])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("error: non-finite entry")
+
     def test_rational_report_is_reproducible(self, runner, tmp_path):
         path = write(tmp_path, "m.csv", EX_M_CSV)
         first = runner.invoke(main, ["analyze", path, "--json"])

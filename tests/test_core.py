@@ -1,5 +1,6 @@
 """Unit and property tests for the scalar-domain and variation primitives."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -58,6 +59,15 @@ class TestConstruction:
     def test_string_entries_are_exact(self):
         m = Matrix([["0.24", "1/3"]], domain=Domain.RATIONAL)
         assert m.entries == (F(6, 25), F(1, 3))
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan"), "inf", "nan"])
+    def test_non_finite_float_rejected(self, bad):
+        with pytest.raises(DomainMismatchError):
+            Matrix([[0.5, bad]], domain=Domain.FLOAT)
+        with pytest.raises(DomainMismatchError):
+            Vector([bad], domain=Domain.FLOAT)
+        with pytest.raises(DomainMismatchError):
+            Matrix([[1.0]]).scale(bad)
 
     def test_mixed_domain_operations_rejected(self):
         a = Matrix([[1, 0], [0, 1]])
@@ -253,3 +263,132 @@ class TestPseudoNormLaws:
     def test_zero_iff_identical_columns(self, a):
         identical = all(a.column(j) == a.column(0) for j in range(a.cols))
         assert (variation(a).value == 0) == identical
+
+
+# ---------------------------------------------------------------------------
+# kernels against naive loops over Fraction or float scalars
+
+
+def _ref_dot(xs, ys, zero):
+    total = zero
+    for x, y in zip(xs, ys):
+        total = total + x * y
+    return total
+
+
+def _ref_columns(m):
+    rows = m.row_lists()
+    return [[row[j] for row in rows] for j in range(m.cols)]
+
+
+def _ref_variation(m, zero):
+    cols = _ref_columns(m)
+    best, pair = None, (1, 1)
+    for j in range(m.cols):
+        for k in range(j + 1, m.cols):
+            dist = zero
+            for x, y in zip(cols[j], cols[k]):
+                dist = dist + abs(x - y)
+            if best is None or dist > best:
+                best, pair = dist, (j + 1, k + 1)
+    return (zero if best is None else best / 2), pair
+
+
+_ZERO = {Domain.RATIONAL: F(0), Domain.FLOAT: 0.0}
+_SCALARS = {
+    # signed, zero, and with many distinct denominators
+    Domain.RATIONAL: st.one_of(
+        st.just(F(0)),
+        small_fractions,
+        st.fractions(min_value=-10, max_value=10, max_denominator=10**6),
+    ),
+    Domain.FLOAT: st.floats(min_value=-100, max_value=100, allow_nan=False),
+}
+
+
+@st.composite
+def _matrices(draw, domain, rows=None, cols=None):
+    m = rows if rows is not None else draw(st.integers(1, 5))
+    n = cols if cols is not None else draw(st.integers(1, 5))
+    values = draw(st.lists(_SCALARS[domain], min_size=m * n, max_size=m * n))
+    return Matrix([values[i * n : (i + 1) * n] for i in range(m)], domain=domain)
+
+
+def _assert_same(got, want, domain):
+    """Exact for rationals; bit for bit for floats summed left to right.
+
+    CPython 3.12+ sums floats with compensation, so there the float
+    kernels need only agree within rounding.
+    """
+    if domain is Domain.RATIONAL or sys.version_info < (3, 12):
+        assert [repr(v) for v in got] == [repr(v) for v in want]
+    else:
+        assert list(got) == pytest.approx(list(want), rel=1e-12, abs=1e-9)
+
+
+_domains = st.sampled_from([Domain.RATIONAL, Domain.FLOAT])
+
+
+class TestKernelsMatchNaiveLoops:
+    @given(_domains, st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_variation(self, domain, data):
+        a = data.draw(_matrices(domain))
+        value, pair = _ref_variation(a, _ZERO[domain])
+        report = variation(a)
+        _assert_same([report.value], [value], domain)
+        assert (report.arg_j, report.arg_k) == pair
+
+    @given(_domains, st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_mat_mul_any_shape(self, domain, data):
+        a = data.draw(_matrices(domain))
+        b = data.draw(_matrices(domain, rows=a.cols))
+        want = [
+            _ref_dot(row, col, _ZERO[domain])
+            for row in a.row_lists()
+            for col in _ref_columns(b)
+        ]
+        product = mat_mul(a, b)
+        assert (product.rows, product.cols, product.domain) == (a.rows, b.cols, domain)
+        _assert_same(product.entries, want, domain)
+        rebuilt = Matrix(product.row_lists(), domain=domain)
+        assert product == rebuilt
+        assert hash(product) == hash(rebuilt)
+
+    @given(_domains, st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_col_sums(self, domain, data):
+        a = data.draw(_matrices(domain))
+        want = [_ref_dot(col, [1] * a.rows, _ZERO[domain]) for col in _ref_columns(a)]
+        _assert_same(a.col_sums(), want, domain)
+
+    @given(_domains, st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_mat_vec_and_row_mat_mul(self, domain, data):
+        a = data.draw(_matrices(domain))
+        scalars = _SCALARS[domain]
+        x = Vector(data.draw(st.lists(scalars, min_size=a.cols, max_size=a.cols)), domain=domain)
+        z = RowVector(data.draw(st.lists(scalars, min_size=a.rows, max_size=a.rows)), domain=domain)
+        zero = _ZERO[domain]
+        _assert_same(mat_vec(a, x), [_ref_dot(row, x, zero) for row in a.row_lists()], domain)
+        _assert_same(
+            row_mat_mul(z, a), [_ref_dot(z, col, zero) for col in _ref_columns(a)], domain
+        )
+
+    def test_errors_still_raised(self):
+        rational = Matrix([[F(1, 2), F(1, 3)], [F(1, 2), F(2, 3)]])
+        floats = rational.to_float()
+        for mixed in ((rational, floats), (floats, rational)):
+            with pytest.raises(DomainMismatchError):
+                mat_mul(*mixed)
+        with pytest.raises(DomainMismatchError):
+            mat_vec(rational, Vector([0.5, 0.5]))
+        with pytest.raises(DomainMismatchError):
+            row_mat_mul(RowVector([0.5, 0.5]), rational)
+        with pytest.raises(DimensionError):
+            mat_mul(rational, Matrix([[1, 2, 3]]))
+        with pytest.raises(DimensionError):
+            mat_vec(floats, Vector([1.0, 2.0, 3.0]))
+        with pytest.raises(DimensionError):
+            row_mat_mul(RowVector([1, 2, 3]), rational)
