@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Optional
 
 from .core import (
@@ -166,64 +168,104 @@ def find_contraction_power(
 def _solve_square(
     rows: list[list[Scalar]], rhs: list[Scalar], domain: Domain
 ) -> Optional[list[Scalar]]:
-    """Gaussian elimination with partial pivoting; None when singular.
+    """Solve ``rows · x = rhs`` for a square system; None when singular.
 
-    Rational systems pivot on the first nonzero entry and are exact.
-    Float systems pivot on the largest magnitude and declare singularity
-    when no candidate exceeds tolerance * max(1, largest input entry).
+    Rational systems are solved exactly in integers.  Column j is scaled
+    by the lcm c_j of its denominators (x_j = c_j y_j), then each row and
+    its right-hand side by the lcm of the denominators left in it, and the
+    integer system goes through Bareiss's fraction-free elimination with
+    first-nonzero pivoting (Bareiss, Math. Comp. 22, 1968).  Integer
+    back-substitution gives det * y_i exactly, so x_i is the fraction
+    c_i * (det * y_i) / det, normalized once.  When a column holds integer
+    weights over their sum, c_j divides that sum and the scaled entries
+    stay small.
+
+    Float systems use Gaussian elimination with partial pivoting and
+    declare singularity when no candidate exceeds
+    tolerance * max(1, largest input entry).
     """
+    if domain is Domain.RATIONAL:
+        return _bareiss_solve(rows, rhs)
     n = len(rows)
-    aug = [list(rows[i]) + [rhs[i]] for i in range(n)]
-    limit: float = 0.0
-    if domain is Domain.FLOAT:
-        scale = max(1.0, max(abs(aug[i][j]) for i in range(n) for j in range(n)))
-        limit = tolerance() * scale
+    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
+    limit = tolerance() * max(1.0, max(abs(v) for row in rows for v in row))
     for col in range(n):
         pivot_row = None
-        if domain is Domain.RATIONAL:
-            for r in range(col, n):
-                if aug[r][col] != 0:
-                    pivot_row = r
-                    break
-        else:
-            best = limit
-            for r in range(col, n):
-                magnitude = abs(aug[r][col])
-                if magnitude > best:
-                    best = magnitude
-                    pivot_row = r
+        best = limit
+        for r in range(col, n):
+            magnitude = abs(aug[r][col])
+            if magnitude > best:
+                best = magnitude
+                pivot_row = r
         if pivot_row is None:
             return None
-        if pivot_row != col:
-            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
+        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
         pivot = aug[col][col]
-        for r in range(col + 1, n):
-            if aug[r][col] == 0:
+        tail = aug[col][col + 1 :]
+        for row in aug[col + 1 :]:
+            if row[col] == 0:
                 continue
-            factor = aug[r][col] / pivot
-            aug[r][col] = zero_of(domain)
-            for c in range(col + 1, n + 1):
-                aug[r][c] = aug[r][c] - factor * aug[col][c]
-    solution: list[Scalar] = [zero_of(domain)] * n
+            factor = row[col] / pivot
+            row[col + 1 :] = [a - factor * p for a, p in zip(row[col + 1 :], tail)]
+    solution = [0.0] * n
     for i in range(n - 1, -1, -1):
-        acc = aug[i][n]
-        for j in range(i + 1, n):
-            acc = acc - aug[i][j] * solution[j]
-        solution[i] = acc / aug[i][i]
+        row = aug[i]
+        acc = row[n]
+        for a, x in zip(row[i + 1 : n], solution[i + 1 :]):
+            acc = acc - a * x
+        solution[i] = acc / row[i]
     return solution
+
+
+def _bareiss_solve(
+    rows: list[list[Fraction]], rhs: list[Fraction]
+) -> Optional[list[Fraction]]:
+    n = len(rows)
+    scales = [lcm(*{v.denominator for v in col}) for col in zip(*rows)]
+    aug = []
+    for row, b in zip(rows, rhs):
+        # column scaling leaves integers, so the row's lcm is b's denominator
+        d = b.denominator
+        aug.append(
+            [v.numerator * (c // v.denominator) * d for v, c in zip(row, scales)]
+            + [b.numerator]
+        )
+    previous = 1
+    for k in range(n):
+        pivot_row = next((r for r in range(k, n) if aug[r][k]), None)
+        if pivot_row is None:
+            return None
+        aug[k], aug[pivot_row] = aug[pivot_row], aug[k]
+        pivot = aug[k][k]
+        tail = aug[k][k + 1 :]
+        for row in aug[k + 1 :]:
+            factor = row[k]
+            # Bareiss: the division by the previous pivot is exact
+            row[k + 1 :] = [
+                (pivot * a - factor * p) // previous for a, p in zip(row[k + 1 :], tail)
+            ]
+        previous = pivot
+    det = previous
+    scaled: list[int] = [0] * n  # det * y_i
+    for i in range(n - 1, -1, -1):
+        row = aug[i]
+        acc = det * row[n] - sum(map(mul, row[i + 1 : n], scaled[i + 1 :]))
+        scaled[i] = acc // row[i]
+    return [Fraction(c * v, det) for c, v in zip(scales, scaled)]
 
 
 def stationary_vector(m: Matrix) -> Vector:
     """The unique vector E with M E = E and entry sum one.
 
     The rows of M - I sum to zero for a type-1 matrix, so the kernel
-    equation is solved by replacing one row of M - I with the all-ones row
-    and putting a one on the right-hand side of that row.  The last row is
-    replaced first; when the resulting system is singular every other row
-    is tried once before giving up.  A matrix whose eigenvalue 1 has
-    multiplicity two or more leaves every replacement singular and raises
-    :class:`NonUniqueFixedVectorError`; so does a solution that fails the
-    fixed-point verification M E = E.
+    equation is solved by replacing the last row of M - I with the
+    all-ones row and putting a one on the right-hand side of that row.
+    Every row of M - I is minus the sum of the others, so replacing any
+    other row gives a system with the same row space: one solve decides.
+    The system is singular exactly when the eigenvalue 1 has geometric
+    multiplicity two or more, or its eigenvector has entry sum zero; both
+    raise :class:`NonUniqueFixedVectorError`, and so does a solution that
+    fails the fixed-point verification M E = E.
     """
     _require_square(m)
     ensure_type_one(m)
@@ -231,33 +273,31 @@ def stationary_vector(m: Matrix) -> Vector:
     domain = m.domain
     one = one_of(domain)
     zero = zero_of(domain)
-    shifted = (m - Matrix.identity(n, domain=domain)).row_lists()
-    for replaced in [n - 1] + list(range(n - 1)):
-        rows = [list(row) for row in shifted]
-        rows[replaced] = [one] * n
-        rhs = [zero] * n
-        rhs[replaced] = one
-        solution = _solve_square(rows, rhs, domain)
-        if solution is None:
-            continue
-        candidate = Vector(solution, domain=domain)
-        image = mat_vec(m, candidate)
-        if domain is Domain.RATIONAL:
-            fixed = image == candidate and vsum(candidate) == 1
-        else:
-            fixed = all(
-                scalars_close(float(u), float(v))
-                for u, v in zip(image, candidate)
-            ) and scalars_close(float(vsum(candidate)), 1.0)
-        if not fixed:
-            raise NonUniqueFixedVectorError(
-                "solved system's result is not a fixed vector of the matrix"
-            )
-        return candidate
-    raise NonUniqueFixedVectorError(
-        "no unique fixed vector with entry sum one "
-        "(eigenvalue 1 appears with multiplicity two or more)"
-    )
+    rows = m.row_lists()
+    for i in range(n - 1):
+        rows[i][i] -= one
+    rows[-1] = [one] * n
+    rhs = [zero] * (n - 1) + [one]
+    solution = _solve_square(rows, rhs, domain)
+    if solution is None:
+        raise NonUniqueFixedVectorError(
+            "no unique fixed vector with entry sum one "
+            "(eigenvalue 1 appears with multiplicity two or more)"
+        )
+    candidate = Vector(solution, domain=domain)
+    image = mat_vec(m, candidate)
+    if domain is Domain.RATIONAL:
+        fixed = image == candidate and vsum(candidate) == 1
+    else:
+        fixed = all(
+            scalars_close(float(u), float(v))
+            for u, v in zip(image, candidate)
+        ) and scalars_close(float(vsum(candidate)), 1.0)
+    if not fixed:
+        raise NonUniqueFixedVectorError(
+            "solved system's result is not a fixed vector of the matrix"
+        )
+    return candidate
 
 
 def limit_projection(e: Vector) -> Matrix:

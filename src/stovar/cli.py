@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
+from math import isfinite
 from pathlib import Path
 from typing import Optional, Union
 
@@ -153,16 +154,22 @@ def _parse_json_matrix(text: str) -> Matrix:
     return _entries_to_matrix(cleaned)
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise MatrixParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise MatrixParseError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def parse_matrix(path: str, fmt: Optional[str] = None) -> Matrix:
     """Load a matrix from a CSV or JSON file.
 
     The format is taken from the extension unless ``fmt`` is given.
     Raises :class:`MatrixParseError` for unreadable or malformed files.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise MatrixParseError(f"cannot read {path}: {exc}") from exc
+    text = _read_text(path)
     if _detect_format(path, fmt) == "json":
         return _parse_json_matrix(text)
     return _parse_csv_matrix(text)
@@ -193,10 +200,7 @@ def serialize_matrix(m: Matrix, fmt: str = "csv") -> str:
 
 def parse_pattern(path: str) -> SignPattern:
     """Load a sign pattern from a CSV-style file of 0 and + entries."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise MatrixParseError(f"cannot read {path}: {exc}") from exc
+    text = _read_text(path)
     rows = []
     for line in text.splitlines():
         if not line.strip():
@@ -571,6 +575,8 @@ def classify_cmd(a: str, b: str, as_json: bool) -> None:
             pair = (float(a), float(b))
     except (ValueError, ZeroDivisionError) as exc:
         _fail(f"bad scalar: {exc}", EXIT_PARSE)
+    if not rational and not all(map(isfinite, pair)):
+        _fail(f"non-finite scalar: A={a}, B={b}", EXIT_PARSE)
     result = classify_2x2(*pair)
     report = classification_report_dict(result)
     _emit(report, classification_text(report), as_json)

@@ -345,12 +345,6 @@ class Matrix:
         """Mutable row-major copy, for elimination-style algorithms."""
         return [list(row) for row in _row_slices(self._entries, self._cols)]
 
-    def transpose(self) -> "Matrix":
-        return Matrix(
-            [[self.entry(i, j) for i in range(self._rows)] for j in range(self._cols)],
-            domain=self._domain,
-        )
-
     def to_float(self) -> "Matrix":
         """The same matrix converted to the float domain."""
         return Matrix(

@@ -38,6 +38,8 @@ from stovar import (
     variation,
     vsum,
 )
+from stovar.analysis import _solve_square
+from stovar.core import tolerance
 
 F = Fraction
 
@@ -98,6 +100,123 @@ class TestStationaryVector:
             oracle = support.kernel_fixed_vector(m)
             assert oracle is not None
             assert stationary_vector(m) == oracle
+
+    def test_large_identity_fails_with_one_solve(self):
+        with pytest.raises(NonUniqueFixedVectorError):
+            stationary_vector(Matrix.identity(30))
+
+
+# ---------------------------------------------------------------------------
+# the elimination kernel against naive Gaussian elimination
+
+
+def _naive_solve(rows, rhs, domain):
+    """Gaussian elimination in plain scalar arithmetic; None when singular.
+
+    Rationals pivot on the first nonzero entry; floats on the largest
+    magnitude above the tolerance guard band, updating entry by entry.
+    """
+    n = len(rows)
+    aug = [list(rows[i]) + [rhs[i]] for i in range(n)]
+    limit = 0.0
+    if domain is Domain.FLOAT:
+        limit = tolerance() * max(1.0, max(abs(v) for row in rows for v in row))
+    for col in range(n):
+        pivot_row = None
+        if domain is Domain.RATIONAL:
+            for r in range(col, n):
+                if aug[r][col] != 0:
+                    pivot_row = r
+                    break
+        else:
+            best = limit
+            for r in range(col, n):
+                if abs(aug[r][col]) > best:
+                    best, pivot_row = abs(aug[r][col]), r
+        if pivot_row is None:
+            return None
+        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
+        for r in range(col + 1, n):
+            if aug[r][col] == 0:
+                continue
+            factor = aug[r][col] / aug[col][col]
+            for c in range(col + 1, n + 1):
+                aug[r][c] = aug[r][c] - factor * aug[col][c]
+    solution = [None] * n
+    for i in range(n - 1, -1, -1):
+        acc = aug[i][n]
+        for j in range(i + 1, n):
+            acc = acc - aug[i][j] * solution[j]
+        solution[i] = acc / aug[i][i]
+    return solution
+
+
+_SYSTEM_ENTRIES = {
+    Domain.RATIONAL: st.one_of(
+        st.sampled_from([F(0), F(1)]),
+        st.fractions(min_value=-10, max_value=10, max_denominator=10**6),
+    ),
+    Domain.FLOAT: st.one_of(
+        st.sampled_from([0.0, 1.0]),
+        st.floats(min_value=-100, max_value=100, allow_nan=False),
+    ),
+}
+
+
+@st.composite
+def _type_one_systems(draw, domain):
+    """A square system built from a signed type-1 matrix M, n = 1..8.
+
+    ``stationary`` is the system stationary_vector solves (M - I with its
+    last row replaced by ones), ``matrix`` is M itself with a drawn
+    right-hand side, ``shifted`` is M - I (always singular: its rows sum
+    to zero) and ``repeated`` copies a row of M over another.  With
+    ``zero_lead`` the first entry of the system is zero, so the first
+    column needs a row swap.
+    """
+    one = F(1) if domain is Domain.RATIONAL else 1.0
+    entries = _SYSTEM_ENTRIES[domain]
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["stationary", "matrix", "shifted", "repeated"]))
+    body = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n - 1)]
+    if n > 1 and draw(st.booleans()):  # zero_lead
+        body[0][0] = one if kind in ("stationary", "shifted") else 0 * one
+    m = body + [[one - sum(col) for col in zip(*body)] if body else [one]]
+    shifted = [[v - one if i == j else v for j, v in enumerate(row)] for i, row in enumerate(m)]
+    rhs = draw(st.lists(entries, min_size=n, max_size=n))
+    if kind == "stationary":
+        return shifted[:-1] + [[one] * n], [0 * one] * (n - 1) + [one]
+    if kind == "shifted":
+        return shifted, rhs
+    if kind == "repeated" and n > 1:
+        m[-1] = list(m[0])
+    return m, rhs
+
+
+class TestSolveSquareMatchesNaiveElimination:
+    @given(_type_one_systems(Domain.RATIONAL))
+    @settings(max_examples=150, deadline=None)
+    def test_rational_solution_is_exact(self, system):
+        rows, rhs = system
+        got = _solve_square([list(r) for r in rows], list(rhs), Domain.RATIONAL)
+        assert got == _naive_solve(rows, rhs, Domain.RATIONAL)
+
+    @given(_type_one_systems(Domain.FLOAT))
+    @settings(max_examples=150, deadline=None)
+    def test_float_solution_is_bit_identical(self, system):
+        rows, rhs = system
+        got = _solve_square([list(r) for r in rows], list(rhs), Domain.FLOAT)
+        want = _naive_solve(rows, rhs, Domain.FLOAT)
+        if want is None:
+            assert got is None
+        else:
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    def test_row_swap_and_singular_systems(self):
+        rows = [[F(0), F(1, 3)], [F(2, 7), F(-1)]]
+        assert _solve_square(rows, [F(1), F(2)], Domain.RATIONAL) == [F(35, 2), F(3)]
+        singular = [[F(1, 2), F(1, 3)], [F(3, 2), F(1)]]
+        assert _solve_square(singular, [F(1), F(0)], Domain.RATIONAL) is None
 
 
 class TestLimitProjection:

@@ -183,6 +183,16 @@ class TestAnalyzeCommand:
         assert isinstance(result.exception, SystemExit)
         assert result.stderr.startswith("error: non-finite entry")
 
+    @pytest.mark.parametrize("command", ["analyze", "variation", "pattern"])
+    def test_non_utf8_file_is_a_parse_error(self, runner, tmp_path, command):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"\xff\xfe")
+        result = runner.invoke(main, [command, str(path)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("error: ")
+        assert "not UTF-8" in result.stderr
+
     def test_rational_report_is_reproducible(self, runner, tmp_path):
         path = write(tmp_path, "m.csv", EX_M_CSV)
         first = runner.invoke(main, ["analyze", path, "--json"])
@@ -285,3 +295,10 @@ class TestClassifyCommand:
     def test_bad_scalar(self, runner):
         result = runner.invoke(main, ["classify2x2", "x", "0"])
         assert result.exit_code == 1
+
+    @pytest.mark.parametrize("pair", [("inf", "nan"), ("nan", "0.5")], ids=["inf-nan", "nan"])
+    def test_non_finite_scalar(self, runner, pair):
+        result = runner.invoke(main, ["classify2x2", *pair])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("error: non-finite scalar")
