@@ -10,10 +10,11 @@ decay and iterate error bounds that the contraction provides.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from operator import mul
 from typing import Optional
 
@@ -49,6 +50,9 @@ from .errors import (
 
 DEFAULT_P_MAX = 64
 DEFAULT_K_REPORT = 200
+
+# powers of M, besides M itself, that each new power is compared with
+_REPEAT_WINDOW = 8
 
 
 class Verdict(Enum):
@@ -134,16 +138,41 @@ def _variation_scan(
 
     Also returns the full variation report of M^1, so callers that need
     its column pair do not compute it again.
+
+    Each new power is compared with M and with the last
+    ``_REPEAT_WINDOW`` powers.  When it equals the power at history index
+    j, every later power repeats with period ``len(history) - j``, since
+    a product depends only on the values of its factors, and none of the
+    repeated variations is below one; the history is filled up to p_max
+    by copying and the scan ends inconclusive with no further products.
+    So the scan holds M and at most ``_REPEAT_WINDOW`` powers, whatever
+    p_max is.
     """
     if not isinstance(p_max, int) or p_max < 1:
         raise ValueError("p_max must be a positive integer")
     first = variation(m)
     history: list[Scalar] = [first.value]
     power = m
+    recent: deque[tuple[int, tuple[Scalar, ...]]] = deque(maxlen=_REPEAT_WINDOW)
     while not strictly_less(history[-1], one_of(m.domain), m.domain):
         if len(history) == p_max:
             return None, history, first
         power = mat_mul(power, m)
+        # Value equality lets only signed zeros differ, and a signed zero
+        # changes neither a sum that starts at 0 nor an abs, so equal
+        # powers have equal products and variations.  A nan never matches.
+        entries = power.entries
+        start = (
+            0
+            if entries == m.entries
+            else next((j for j, seen in recent if seen == entries), None)
+        )
+        if start is not None:
+            period = len(history) - start
+            while len(history) < p_max:
+                history.append(history[-period])
+            return None, history, first
+        recent.append((len(history), entries))
         history.append(variation(power).value)
     return len(history), history, first
 
@@ -217,25 +246,31 @@ def _solve_square(
     return solution
 
 
-def _bareiss_solve(
-    rows: list[list[Fraction]], rhs: list[Fraction]
-) -> Optional[list[Fraction]]:
-    n = len(rows)
+def _scale_columns(rows: list[list[Fraction]]) -> tuple[list[int], list[list[int]]]:
+    """Column lcms c_j and the integer rows of ``rows`` with column j times c_j."""
     scales = [lcm(*{v.denominator for v in col}) for col in zip(*rows)]
-    aug = []
-    for row, b in zip(rows, rhs):
-        # column scaling leaves integers, so the row's lcm is b's denominator
-        d = b.denominator
-        aug.append(
-            [v.numerator * (c // v.denominator) * d for v, c in zip(row, scales)]
-            + [b.numerator]
-        )
+    return scales, [
+        [v.numerator * (c // v.denominator) for v, c in zip(row, scales)] for row in rows
+    ]
+
+
+def _bareiss_eliminate(aug: list[list[int]], n: int) -> int:
+    """Bareiss forward elimination of the first n columns, in place.
+
+    Pivots on the first nonzero entry of each column.  Returns the sign of
+    the row permutation, so that the determinant of the leading n x n
+    block is the sign times ``aug[n - 1][n - 1]``; returns 0 when a
+    column has no pivot (the block is singular).
+    """
+    sign = 1
     previous = 1
     for k in range(n):
         pivot_row = next((r for r in range(k, n) if aug[r][k]), None)
         if pivot_row is None:
-            return None
-        aug[k], aug[pivot_row] = aug[pivot_row], aug[k]
+            return 0
+        if pivot_row != k:
+            aug[k], aug[pivot_row] = aug[pivot_row], aug[k]
+            sign = -sign
         pivot = aug[k][k]
         tail = aug[k][k + 1 :]
         for row in aug[k + 1 :]:
@@ -245,7 +280,22 @@ def _bareiss_solve(
                 (pivot * a - factor * p) // previous for a, p in zip(row[k + 1 :], tail)
             ]
         previous = pivot
-    det = previous
+    return sign
+
+
+def _bareiss_solve(
+    rows: list[list[Fraction]], rhs: list[Fraction]
+) -> Optional[list[Fraction]]:
+    n = len(rows)
+    scales, scaled_rows = _scale_columns(rows)
+    # column scaling leaves integers, so a row's lcm is its b's denominator
+    aug = [
+        (row if b.denominator == 1 else [a * b.denominator for a in row]) + [b.numerator]
+        for row, b in zip(scaled_rows, rhs)
+    ]
+    if not _bareiss_eliminate(aug, n):
+        return None
+    det = aug[n - 1][n - 1]
     scaled: list[int] = [0] * n  # det * y_i
     for i in range(n - 1, -1, -1):
         row = aug[i]
@@ -314,7 +364,8 @@ def limit_projection(e: Vector) -> Matrix:
     if not ok:
         raise VsumNotOneError(f"entry sum is {total}, expected 1")
     n = len(e)
-    return Matrix([[e[i]] * n for i in range(n)], domain=e.domain)
+    # the entries are already in the domain: row i repeats e_i
+    return Matrix._of(n, n, [v for v in e for _ in range(n)], e.domain)
 
 
 def decay_bound(var_m: Scalar, var_mp: Scalar, p: int, k: int) -> Scalar:
@@ -383,6 +434,12 @@ def analyze(
     which is deliberately inconclusive: the variation function is
     continuous, so failure below a finite bound proves nothing about
     divergence (outside the fully classified 2x2 case).
+
+    Once a power equals M or one of the 8 powers before it, the later
+    powers repeat with a fixed period, so the scan forms no further
+    products and copies the variations up to p_max; the report is the
+    same as if every power had been formed.  The scan keeps M and at
+    most 8 powers in memory, whatever p_max is.
     """
     _require_square(m)
     ensure_type_one(m)
@@ -419,26 +476,30 @@ def analyze(
 
 
 def determinant(m: Matrix) -> Scalar:
-    """Determinant by elimination; exact in the rational domain."""
+    """Determinant by elimination; exact in the rational domain.
+
+    A rational matrix is scaled to integers column by column (column j
+    times the lcm c_j of its denominators) and goes through Bareiss's
+    fraction-free elimination, so det M is the signed last pivot over the
+    product of the c_j.
+    """
     _require_square(m)
     n = m.rows
     domain = m.domain
     work = m.row_lists()
+    if domain is Domain.RATIONAL:
+        scales, scaled_rows = _scale_columns(work)
+        sign = _bareiss_eliminate(scaled_rows, n)  # 0 when singular
+        return Fraction(sign * scaled_rows[-1][-1], prod(scales))
     det = one_of(domain)
     for col in range(n):
         pivot_row = None
-        if domain is Domain.RATIONAL:
-            for r in range(col, n):
-                if work[r][col] != 0:
-                    pivot_row = r
-                    break
-        else:
-            best = 0.0
-            for r in range(col, n):
-                magnitude = abs(work[r][col])
-                if magnitude > best:
-                    best = magnitude
-                    pivot_row = r
+        best = 0.0
+        for r in range(col, n):
+            magnitude = abs(work[r][col])
+            if magnitude > best:
+                best = magnitude
+                pivot_row = r
         if pivot_row is None:
             return zero_of(domain)
         if pivot_row != col:

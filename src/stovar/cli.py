@@ -71,10 +71,49 @@ EXIT_INCONCLUSIVE = 3
 
 
 def format_scalar(value: Scalar, domain: Domain) -> str:
-    """Report form of a scalar: exact fraction string, or 17 digits."""
+    """Report form of a scalar: exact fraction string, or 17 digits.
+
+    Raises :class:`StovarError` for a fraction whose numerator or
+    denominator has more digits than Python's int-string limit
+    (``sys.get_int_max_str_digits()``) lets ``str`` print.
+    """
     if domain is Domain.RATIONAL:
-        return str(Fraction(value))
+        try:
+            return str(Fraction(value))
+        except ValueError as exc:
+            raise StovarError(f"a report value is too long to print: {exc}") from exc
     return format(float(value), ".17g")
+
+
+def _decimal(value: Scalar) -> float:
+    """Float form of a report value; StovarError when it overflows a float."""
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise StovarError(f"a report value is too large for a float: {exc}") from exc
+
+
+# Python's int-string limit is either 0 (no limit) or at least this many digits
+_MIN_INT_STR_LIMIT = 640
+
+
+def _check_printable(tokens: list[Union[int, str]], values: tuple[Fraction, ...]) -> None:
+    """Raise :class:`MatrixParseError` if ``str`` cannot print some value.
+
+    A token without an exponent has no fewer characters than its reduced
+    numerator or denominator has digits, so the values are printed on
+    trial only when some token has an exponent or is longer than the
+    smallest limit Python allows.
+    """
+    pieces = list(map(str, tokens))
+    text = "".join(pieces)
+    if "e" not in text and "E" not in text and max(map(len, pieces)) <= _MIN_INT_STR_LIMIT:
+        return
+    for value in values:
+        try:
+            str(value)
+        except ValueError as exc:
+            raise MatrixParseError(f"entry too long to print: {exc}") from exc
 
 
 def _fraction_file_token(value: Fraction) -> str:
@@ -93,10 +132,12 @@ def _entries_to_matrix(rows: list[list[Union[int, str]]]) -> Matrix:
     rational = any(isinstance(tok, str) and "/" in tok for tok in tokens)
     try:
         if rational:
-            return Matrix(
+            m = Matrix(
                 [[Fraction(tok) for tok in row] for row in rows],
                 domain=Domain.RATIONAL,
             )
+            _check_printable(tokens, m.entries)
+            return m
         return Matrix([[float(tok) for tok in row] for row in rows], domain=Domain.FLOAT)
     except (ValueError, ZeroDivisionError) as exc:
         raise MatrixParseError(f"bad matrix entry: {exc}") from exc
@@ -125,7 +166,7 @@ def _parse_json_matrix(text: str) -> Matrix:
         # parse_float=str keeps the literal digits so rational conversion
         # can be exact when a fraction elsewhere forces that domain
         payload = json.loads(text, parse_float=str)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int over the int-string limit
         raise MatrixParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise MatrixParseError("JSON matrix must be an object with rows, cols, data")
@@ -135,6 +176,8 @@ def _parse_json_matrix(text: str) -> Matrix:
         data = payload["data"]
     except KeyError as exc:
         raise MatrixParseError(f"JSON matrix is missing the {exc.args[0]!r} field") from exc
+    if any(isinstance(v, bool) or not isinstance(v, int) for v in (rows_n, cols_n)):
+        raise MatrixParseError("the rows and cols fields must be integers")
     if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
         raise MatrixParseError("the data field must be an array of arrays")
     if len(data) != rows_n or any(len(row) != cols_n for row in data):
@@ -239,7 +282,7 @@ def _type_dict(report: TypeReport, domain: Domain) -> dict:
 def _variation_dict(report: VariationReport, domain: Domain) -> dict:
     return {
         "value": format_scalar(report.value, domain),
-        "decimal": float(report.value),
+        "decimal": _decimal(report.value),
         "columns": [report.arg_j, report.arg_k],
     }
 
@@ -285,7 +328,7 @@ def analysis_report(
             None if stationary is None else [[v] * m.cols for v in stationary]
         ),
         "decay_bounds": [
-            {"k": k, "bound": format_scalar(v, domain), "decimal": float(v)}
+            {"k": k, "bound": format_scalar(v, domain), "decimal": _decimal(v)}
             for k, v in result.decay_bounds
         ],
         "verdict": _verdict_string(result),
@@ -507,9 +550,9 @@ def analyze_cmd(path: str, pmax: int, tol: float, k_report: int, as_json: bool, 
         _fail(str(exc), EXIT_PARSE)
     try:
         result = _analysis.analyze(m, p_max=pmax, k_report=k_report)
+        report = analysis_report(m, result, path=path, k_report=k_report)
     except StovarError as exc:
         _fail(str(exc), EXIT_PRECONDITION)
-    report = analysis_report(m, result, path=path, k_report=k_report)
     _emit(report, analysis_text(report), as_json)
     sys.exit(EXIT_OK if result.converged else EXIT_INCONCLUSIVE)
 
@@ -524,7 +567,10 @@ def variation_cmd(path: str, as_json: bool, fmt: Optional[str]) -> None:
         m = parse_matrix(path, fmt)
     except MatrixParseError as exc:
         _fail(str(exc), EXIT_PARSE)
-    report = variation_report_dict(m, path=path)
+    try:
+        report = variation_report_dict(m, path=path)
+    except StovarError as exc:
+        _fail(str(exc), EXIT_PRECONDITION)
     _emit(report, variation_text(report), as_json)
 
 
@@ -577,8 +623,15 @@ def classify_cmd(a: str, b: str, as_json: bool) -> None:
         _fail(f"bad scalar: {exc}", EXIT_PARSE)
     if not rational and not all(map(isfinite, pair)):
         _fail(f"non-finite scalar: A={a}, B={b}", EXIT_PARSE)
-    result = classify_2x2(*pair)
-    report = classification_report_dict(result)
+    if rational:
+        try:
+            _check_printable([a, b], pair)
+        except MatrixParseError as exc:
+            _fail(str(exc), EXIT_PARSE)
+    try:
+        report = classification_report_dict(classify_2x2(*pair))
+    except StovarError as exc:
+        _fail(str(exc), EXIT_PRECONDITION)
     _emit(report, classification_text(report), as_json)
 
 

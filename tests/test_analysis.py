@@ -38,8 +38,9 @@ from stovar import (
     variation,
     vsum,
 )
-from stovar.analysis import _solve_square
-from stovar.core import tolerance
+from stovar import analysis
+from stovar.analysis import _solve_square, _variation_scan
+from stovar.core import strictly_less, tolerance
 
 F = Fraction
 
@@ -68,6 +69,120 @@ class TestFindContractionPower:
     def test_float_guard_band_near_one(self):
         # variation exactly 1.0 must stay inconclusive in the float domain
         assert find_contraction_power(Matrix.identity(2).to_float(), p_max=5) is None
+
+
+# ---------------------------------------------------------------------------
+# the repeat-aware scan against a scan that forms every power
+
+
+def _naive_scan(m, p_max):
+    """Variations of M^1..M^p up to the first below one, forming every power."""
+    one = F(1) if m.domain is Domain.RATIONAL else 1.0
+    first = variation(m)
+    history = [first.value]
+    power = m
+    while not strictly_less(history[-1], one, m.domain):
+        if len(history) == p_max:
+            return None, history, first
+        power = mat_mul(power, m)
+        history.append(variation(power).value)
+    return len(history), history, first
+
+
+@st.composite
+def _recurring_matrices(draw, domain):
+    """Type-1 matrices whose powers often recur exactly, n = 1..7.
+
+    Permutations return to M; block-diagonal rank-one projections are
+    idempotent; a 0/1 matrix with one 1 per column (a map of the states)
+    enters a cycle after a tail; a periodic chain alternates between two
+    classes of states; a random signed matrix rarely recurs.
+    """
+    kind = draw(st.sampled_from(["permutation", "idempotent", "map", "periodic", "signed"]))
+    n = draw(st.integers(2 if kind == "periodic" else 1, 7))
+    states = range(n)
+    if kind == "signed":
+        entries = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+        body = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n - 1)]
+        rows = body + [[1 - sum(col) for col in zip(*body)] if body else [F(1)]]
+        if domain is Domain.FLOAT:
+            rows = [[float(v) for v in row] for row in rows]
+        return Matrix(rows, domain=domain)
+    weights = [[0] * n for _ in states]
+    if kind == "permutation":
+        for j, i in enumerate(draw(st.permutations(states))):
+            weights[i][j] = 1
+    elif kind == "map":
+        for j in states:
+            weights[draw(st.integers(0, n - 1))][j] = 1
+    elif kind == "idempotent":
+        block = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        mass = draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+        for i in states:
+            for j in states:
+                if block[i] == block[j]:
+                    weights[i][j] = mass[i]
+    else:
+        split = draw(st.integers(1, n - 1))
+        for i in states:
+            for j in states:
+                if (i < split) != (j < split):
+                    weights[i][j] = draw(st.integers(1, 3))
+    totals = [sum(col) for col in zip(*weights)]
+    if domain is Domain.RATIONAL:
+        return Matrix([[F(w, t) for w, t in zip(row, totals)] for row in weights])
+    return Matrix([[w / t for w, t in zip(row, totals)] for row in weights], domain=domain)
+
+
+class TestVariationScanMatchesNaiveScan:
+    @pytest.mark.parametrize("domain", [Domain.RATIONAL, Domain.FLOAT], ids=lambda d: d.value)
+    @given(data=st.data(), p_max=st.integers(1, 70))
+    @settings(max_examples=120, deadline=None)
+    def test_same_power_history_and_first_report(self, domain, data, p_max):
+        m = data.draw(_recurring_matrices(domain))
+        p, history, first = _variation_scan(m, p_max)
+        want_p, want_history, want_first = _naive_scan(m, p_max)
+        assert (p, first) == (want_p, want_first)
+        assert list(map(repr, history)) == list(map(repr, want_history))
+
+    @staticmethod
+    def _count_calls(monkeypatch):
+        calls = {"mat_mul": 0, "variation": 0}
+
+        def counting(name, function):
+            def wrapper(*args):
+                calls[name] += 1
+                return function(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(analysis, name, counting(name, getattr(analysis, name)))
+        return calls
+
+    def test_permutation_cycle_forms_one_product_per_step(self, monkeypatch):
+        n = 24
+        cycle = Matrix([[int(i == (j + 1) % n) for j in range(n)] for i in range(n)])
+        calls = self._count_calls(monkeypatch)
+        p, history, first = _variation_scan(cycle, 100000)
+        assert p is None
+        assert calls == {"mat_mul": 24, "variation": 24}
+        assert len(history) == 100000
+        assert all(v == 1 for v in history)
+        assert first.value == 1
+
+    @pytest.mark.parametrize("domain", [Domain.RATIONAL, Domain.FLOAT], ids=lambda d: d.value)
+    def test_late_cycle_of_eight_is_found_at_its_first_repeat(self, monkeypatch, domain):
+        # states 0..7 form a cycle and 8 -> 9 -> 10 -> 0 is a tail, so
+        # M^11 = M^3 is the first repeat and M is never repeated
+        step = [(j + 1) % 8 for j in range(8)] + [9, 10, 0]
+        rows = [[int(step[j] == i) for j in range(11)] for i in range(11)]
+        m = Matrix(rows, domain=domain)
+        calls = self._count_calls(monkeypatch)
+        p, history, _ = _variation_scan(m, 64)
+        assert p is None
+        assert calls == {"mat_mul": 10, "variation": 10}
+        assert history == [1] * 64
 
 
 class TestStationaryVector:
@@ -403,7 +518,65 @@ class TestTypeEigenvalueCertificate:
         assert type_eigenvalue_certificate(m) == t
 
 
+def _naive_determinant(rows):
+    """Fraction Gaussian elimination with first-nonzero pivots."""
+    work = [list(row) for row in rows]
+    n = len(work)
+    det = F(1)
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if work[r][col] != 0), None)
+        if pivot_row is None:
+            return F(0)
+        if pivot_row != col:
+            work[col], work[pivot_row] = work[pivot_row], work[col]
+            det = -det
+        det *= work[col][col]
+        for r in range(col + 1, n):
+            factor = work[r][col] / work[col][col]
+            for c in range(col, n):
+                work[r][c] -= factor * work[col][c]
+    return det
+
+
+@st.composite
+def _determinant_matrices(draw):
+    """Square rational matrices, n = 1..8, often singular or needing row swaps.
+
+    Entries are 0, +-1 or fractions with denominators up to 10**6;
+    ``repeated`` copies a row and ``combined`` adds a multiple of one row
+    to another (both singular), and ``zero_lead`` zeroes the top of the
+    first column.
+    """
+    entries = st.one_of(
+        st.sampled_from([F(0), F(1), F(-1)]),
+        st.fractions(min_value=-10, max_value=10, max_denominator=10**6),
+    )
+    n = draw(st.integers(1, 8))
+    rows = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n)]
+    kind = draw(st.sampled_from(["plain", "repeated", "combined", "zero_lead"]))
+    if n > 1 and kind == "repeated":
+        rows[-1] = list(rows[0])
+    elif n > 1 and kind == "combined":
+        a, b = draw(entries), draw(entries)
+        rows[-1] = [a * u + b * v for u, v in zip(rows[0], rows[1])]
+    elif kind == "zero_lead":
+        for row in rows[: draw(st.integers(1, n))]:
+            row[0] = F(0)
+    return rows
+
+
 class TestDeterminant:
+    @given(_determinant_matrices())
+    @settings(max_examples=100, deadline=None)
+    def test_rational_matches_naive_elimination(self, rows):
+        assert determinant(Matrix(rows)) == _naive_determinant(rows)
+
+    def test_row_swaps_flip_the_sign(self):
+        assert determinant(Matrix([[0, 1], [1, 0]])) == -1
+        assert determinant(Matrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])) == 1
+        assert determinant(Matrix([[0, F(1, 3)], [F(2, 7), 5]])) == F(-2, 21)
+        assert determinant(Matrix([[0, 1], [0, F(1, 2)]])) == 0
+
     def test_worked_eigenvalues(self):
         identity = Matrix.identity(3)
         for eig in (F(1), F(2, 5), F(1, 5)):

@@ -1,6 +1,7 @@
 """Tests for matrix file parsing, serialization, and the command front end."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -213,12 +214,83 @@ class TestAnalyzeCommand:
         report = json.loads(result.output)
         assert [row["k"] for row in report["decay_bounds"]] == [1, 2, 3, 4, 5, 7]
 
+    def test_recurring_float_powers_report_every_power(self, runner, tmp_path):
+        path = write(tmp_path, "m.csv", "0,0,1\n1,0,0\n0,1,0\n")
+        result = runner.invoke(main, ["analyze", path, "--pmax", "5000", "--json"])
+        assert result.exit_code == 3
+        report = json.loads(result.output)
+        assert report["variation_per_power"] == ["1"] * 5000
+        assert report["contraction_power"] is None
+
+    def test_report_value_over_the_int_string_limit(self, runner, tmp_path):
+        # a signed 8x8 type-1 matrix whose power variations pass 4300 digits
+        rng = random.Random(0)
+        body = [
+            [F(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)) for _ in range(8)]
+            for _ in range(7)
+        ]
+        rows = body + [[1 - sum(col) for col in zip(*body)]]
+        path = write(tmp_path, "m.csv", serialize_matrix(Matrix(rows)))
+        result = runner.invoke(main, ["analyze", path, "--pmax", "32"])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("error: a report value is too long to print")
+
     def test_tol_flag_loosens_type_detection(self, runner, tmp_path):
         path = write(tmp_path, "m.csv", "0.5,0.500001\n0.5,0.5\n")
         strict = runner.invoke(main, ["analyze", path])
         assert strict.exit_code == 2
         loose = runner.invoke(main, ["analyze", path, "--tol", "1e-3"])
         assert loose.exit_code == 0
+
+
+class TestOversizedInput:
+    @pytest.mark.parametrize("field", ["rows", "cols"])
+    def test_boolean_dimension_is_a_parse_error(self, runner, tmp_path, field):
+        payload = {"rows": 1, "cols": 1, "data": [["1"]]}
+        payload[field] = True
+        path = write(tmp_path, "m.json", json.dumps(payload))
+        result = runner.invoke(main, ["analyze", path])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: the rows and cols fields must be integers")
+
+    def test_json_integer_over_the_int_string_limit(self, runner, tmp_path):
+        path = write(tmp_path, "m.json", '{"rows": 1, "cols": 1, "data": [[%s]]}' % ("1" * 5000))
+        result = runner.invoke(main, ["analyze", path])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("error: invalid JSON")
+
+    @pytest.mark.parametrize("command", ["analyze", "variation"])
+    def test_rational_entry_over_the_int_string_limit(self, runner, tmp_path, command):
+        path = write(tmp_path, "m.csv", "1e-300000,1/2\n1/2,1/2\n")
+        result = runner.invoke(main, [command, path])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("error: entry too long to print")
+
+    def test_exponent_entry_under_the_limit_still_loads(self, runner, tmp_path):
+        path = write(tmp_path, "m.csv", "1e-700,1/2\n0,1/2\n")
+        result = runner.invoke(main, ["variation", path, "--json"])
+        assert result.exit_code == 0
+        assert json.loads(result.output)["type"]["max_deviation"] == f"{10**700 - 1}/{10**700}"
+
+    def test_variation_too_large_for_a_float(self, runner, tmp_path):
+        path = write(tmp_path, "m.csv", "1e400,1/2\n1/2,1/2\n")
+        result = runner.invoke(main, ["variation", path])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("error: a report value is too large for a float")
+
+    def test_classify_scalars_over_the_int_string_limit(self, runner):
+        result = runner.invoke(main, ["classify2x2", "1e-300000", "1/2"])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: entry too long to print")
+        # each input prints, but c = a + b has a denominator of 4401 digits
+        a, b = f"1/{10**2200 + 1}", f"1/{10**2200 + 3}"
+        result = runner.invoke(main, ["classify2x2", a, b])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: a report value is too long to print")
 
 
 class TestVariationCommand:
