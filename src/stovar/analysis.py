@@ -32,7 +32,7 @@ from .core import (
     mat_pow,
     mat_vec,
     one_of,
-    scalars_close,
+    scalars_equal,
     strictly_less,
     tolerance,
     type_of,
@@ -194,6 +194,11 @@ def find_contraction_power(
     return p, history[-1]
 
 
+def _guard_band(rows: list[list[float]]) -> float:
+    """Float pivots no larger than this count as zero."""
+    return tolerance() * max(1.0, max(abs(v) for row in rows for v in row))
+
+
 def _solve_square(
     rows: list[list[Scalar]], rhs: list[Scalar], domain: Domain
 ) -> Optional[list[Scalar]]:
@@ -202,40 +207,36 @@ def _solve_square(
     Rational systems are solved exactly in integers.  Column j is scaled
     by the lcm c_j of its denominators (x_j = c_j y_j), then each row and
     its right-hand side by the lcm of the denominators left in it, and the
-    integer system goes through Bareiss's fraction-free elimination with
-    first-nonzero pivoting (Bareiss, Math. Comp. 22, 1968).  Integer
+    integer system goes through :func:`_bareiss_eliminate`.  Integer
     back-substitution gives det * y_i exactly, so x_i is the fraction
     c_i * (det * y_i) / det, normalized once.  When a column holds integer
     weights over their sum, c_j divides that sum and the scaled entries
     stay small.
 
-    Float systems use Gaussian elimination with partial pivoting and
-    declare singularity when no candidate exceeds
+    Float systems go through :func:`_float_eliminate` and are singular
+    when some column has no candidate above the guard band
     tolerance * max(1, largest input entry).
     """
-    if domain is Domain.RATIONAL:
-        return _bareiss_solve(rows, rhs)
     n = len(rows)
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    limit = tolerance() * max(1.0, max(abs(v) for row in rows for v in row))
-    for col in range(n):
-        pivot_row = None
-        best = limit
-        for r in range(col, n):
-            magnitude = abs(aug[r][col])
-            if magnitude > best:
-                best = magnitude
-                pivot_row = r
-        if pivot_row is None:
+    if domain is Domain.RATIONAL:
+        scales, scaled_rows = _scale_columns(rows)
+        # column scaling leaves integers, so a row's lcm is its b's denominator
+        aug = [
+            (row if b.denominator == 1 else [a * b.denominator for a in row]) + [b.numerator]
+            for row, b in zip(scaled_rows, rhs)
+        ]
+        if _bareiss_eliminate(aug, n)[1] < n:
             return None
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        pivot = aug[col][col]
-        tail = aug[col][col + 1 :]
-        for row in aug[col + 1 :]:
-            if row[col] == 0:
-                continue
-            factor = row[col] / pivot
-            row[col + 1 :] = [a - factor * p for a, p in zip(row[col + 1 :], tail)]
+        det = aug[n - 1][n - 1]
+        scaled: list[int] = [0] * n  # det * y_i
+        for i in range(n - 1, -1, -1):
+            row = aug[i]
+            acc = det * row[n] - sum(map(mul, row[i + 1 : n], scaled[i + 1 :]))
+            scaled[i] = acc // row[i]
+        return [Fraction(c * v, det) for c, v in zip(scales, scaled)]
+    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
+    if _float_eliminate(aug, n, _guard_band(rows))[1] < n:
+        return None
     solution = [0.0] * n
     for i in range(n - 1, -1, -1):
         row = aug[i]
@@ -254,54 +255,68 @@ def _scale_columns(rows: list[list[Fraction]]) -> tuple[list[int], list[list[int
     ]
 
 
-def _bareiss_eliminate(aug: list[list[int]], n: int) -> int:
-    """Bareiss forward elimination of the first n columns, in place.
+def _bareiss_eliminate(aug: list[list[int]], ncols: int) -> tuple[int, int]:
+    """Bareiss row echelon form of the first ncols columns, in place.
 
-    Pivots on the first nonzero entry of each column.  Returns the sign of
-    the row permutation, so that the determinant of the leading n x n
-    block is the sign times ``aug[n - 1][n - 1]``; returns 0 when a
-    column has no pivot (the block is singular).
+    Pivots on the first nonzero entry at or below the next pivot row and
+    skips a column that has none (Bareiss, Math. Comp. 22, 1968).  Every
+    entry below and right of a pivot stays a minor of the input, so the
+    division by the previous pivot is exact and the pivot count is the
+    rank.  Returns ``(sign, rank)``, with sign the sign of the row
+    permutation; for a square block of full rank n the determinant is
+    sign times ``aug[n - 1][n - 1]``.
     """
-    sign = 1
-    previous = 1
-    for k in range(n):
-        pivot_row = next((r for r in range(k, n) if aug[r][k]), None)
+    sign, rank, previous = 1, 0, 1
+    for k in range(ncols):
+        pivot_row = next((r for r in range(rank, len(aug)) if aug[r][k]), None)
         if pivot_row is None:
-            return 0
-        if pivot_row != k:
-            aug[k], aug[pivot_row] = aug[pivot_row], aug[k]
+            continue
+        if pivot_row != rank:
+            aug[rank], aug[pivot_row] = aug[pivot_row], aug[rank]
             sign = -sign
-        pivot = aug[k][k]
-        tail = aug[k][k + 1 :]
-        for row in aug[k + 1 :]:
+        pivot = aug[rank][k]
+        tail = aug[rank][k + 1 :]
+        for row in aug[rank + 1 :]:
             factor = row[k]
-            # Bareiss: the division by the previous pivot is exact
             row[k + 1 :] = [
                 (pivot * a - factor * p) // previous for a, p in zip(row[k + 1 :], tail)
             ]
         previous = pivot
-    return sign
+        rank += 1
+    return sign, rank
 
 
-def _bareiss_solve(
-    rows: list[list[Fraction]], rhs: list[Fraction]
-) -> Optional[list[Fraction]]:
-    n = len(rows)
-    scales, scaled_rows = _scale_columns(rows)
-    # column scaling leaves integers, so a row's lcm is its b's denominator
-    aug = [
-        (row if b.denominator == 1 else [a * b.denominator for a in row]) + [b.numerator]
-        for row, b in zip(scaled_rows, rhs)
-    ]
-    if not _bareiss_eliminate(aug, n):
-        return None
-    det = aug[n - 1][n - 1]
-    scaled: list[int] = [0] * n  # det * y_i
-    for i in range(n - 1, -1, -1):
-        row = aug[i]
-        acc = det * row[n] - sum(map(mul, row[i + 1 : n], scaled[i + 1 :]))
-        scaled[i] = acc // row[i]
-    return [Fraction(c * v, det) for c, v in zip(scales, scaled)]
+def _float_eliminate(aug: list[list[float]], ncols: int, limit: float) -> tuple[int, int]:
+    """Gaussian row echelon form of the first ncols columns, in place.
+
+    Partial pivoting: the pivot is the first largest magnitude above
+    ``limit`` at or below the next pivot row, and a column with none is
+    skipped.  Returns ``(sign, rank)`` as :func:`_bareiss_eliminate` does;
+    the pivots are on the diagonal when the rank equals ncols.
+    """
+    sign, rank = 1, 0
+    for k in range(ncols):
+        pivot_row = None
+        best = limit
+        for r in range(rank, len(aug)):
+            magnitude = abs(aug[r][k])
+            if magnitude > best:
+                best = magnitude
+                pivot_row = r
+        if pivot_row is None:
+            continue
+        if pivot_row != rank:
+            aug[rank], aug[pivot_row] = aug[pivot_row], aug[rank]
+            sign = -sign
+        pivot = aug[rank][k]
+        tail = aug[rank][k + 1 :]
+        for row in aug[rank + 1 :]:
+            if row[k] == 0:
+                continue
+            factor = row[k] / pivot
+            row[k + 1 :] = [a - factor * p for a, p in zip(row[k + 1 :], tail)]
+        rank += 1
+    return sign, rank
 
 
 def stationary_vector(m: Matrix) -> Vector:
@@ -336,13 +351,9 @@ def stationary_vector(m: Matrix) -> Vector:
         )
     candidate = Vector(solution, domain=domain)
     image = mat_vec(m, candidate)
-    if domain is Domain.RATIONAL:
-        fixed = image == candidate and vsum(candidate) == 1
-    else:
-        fixed = all(
-            scalars_close(float(u), float(v))
-            for u, v in zip(image, candidate)
-        ) and scalars_close(float(vsum(candidate)), 1.0)
+    fixed = all(
+        scalars_equal(u, v, domain) for u, v in zip(image, candidate)
+    ) and scalars_equal(vsum(candidate), 1, domain)
     if not fixed:
         raise NonUniqueFixedVectorError(
             "solved system's result is not a fixed vector of the matrix"
@@ -357,11 +368,7 @@ def limit_projection(e: Vector) -> Matrix:
     P P = P and P x = (entry sum of x) * e for every vector x.
     """
     total = vsum(e)
-    if e.domain is Domain.RATIONAL:
-        ok = total == 1
-    else:
-        ok = scalars_close(float(total), 1.0)
-    if not ok:
+    if not scalars_equal(total, 1, e.domain):
         raise VsumNotOneError(f"entry sum is {total}, expected 1")
     n = len(e)
     # the entries are already in the domain: row i repeats e_i
@@ -402,11 +409,7 @@ def iterate_error_bound(
         raise DimensionError("vector lengths must match the matrix dimension")
     for vec, name in ((x, "x"), (e, "e")):
         total = vsum(vec)
-        if m.domain is Domain.RATIONAL:
-            ok = total == 1
-        else:
-            ok = scalars_close(float(total), 1.0)
-        if not ok:
+        if not scalars_equal(total, 1, m.domain):
             raise VsumNotOneError(f"entry sum of {name} is {total}, expected 1")
     mk = mat_pow(m, k)
     actual = l1_norm(mat_vec(mk, x) - e)
@@ -481,81 +484,30 @@ def determinant(m: Matrix) -> Scalar:
     A rational matrix is scaled to integers column by column (column j
     times the lcm c_j of its denominators) and goes through Bareiss's
     fraction-free elimination, so det M is the signed last pivot over the
-    product of the c_j.
+    product of the c_j.  A float matrix goes through partial pivoting,
+    and det M is the signed product of the pivots, left to right.
     """
     _require_square(m)
     n = m.rows
-    domain = m.domain
     work = m.row_lists()
-    if domain is Domain.RATIONAL:
-        scales, scaled_rows = _scale_columns(work)
-        sign = _bareiss_eliminate(scaled_rows, n)  # 0 when singular
-        return Fraction(sign * scaled_rows[-1][-1], prod(scales))
-    det = one_of(domain)
-    for col in range(n):
-        pivot_row = None
-        best = 0.0
-        for r in range(col, n):
-            magnitude = abs(work[r][col])
-            if magnitude > best:
-                best = magnitude
-                pivot_row = r
-        if pivot_row is None:
-            return zero_of(domain)
-        if pivot_row != col:
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-            det = -det
-        pivot = work[col][col]
-        det = det * pivot
-        for r in range(col + 1, n):
-            if work[r][col] == 0:
-                continue
-            factor = work[r][col] / pivot
-            for c in range(col, n):
-                work[r][c] = work[r][c] - factor * work[col][c]
-    return det
+    if m.domain is Domain.RATIONAL:
+        scales, work = _scale_columns(work)
+        sign, rank = _bareiss_eliminate(work, n)
+        return Fraction(sign * work[-1][-1] if rank == n else 0, prod(scales))
+    sign, rank = _float_eliminate(work, n, 0.0)
+    if rank < n:
+        return 0.0
+    return prod((row[i] for i, row in enumerate(work)), start=float(sign))
 
 
 def _rank(rows: list[list[Scalar]], domain: Domain) -> int:
-    """Row rank by forward elimination (float pivots gated by tolerance)."""
-    work = [list(row) for row in rows]
-    m = len(work)
-    n = len(work[0]) if m else 0
-    limit = 0.0
-    if domain is Domain.FLOAT:
-        scale = max(1.0, max((abs(v) for row in work for v in row), default=0.0))
-        limit = tolerance() * scale
-    rank = 0
-    pivot_row = 0
-    for col in range(n):
-        if pivot_row >= m:
-            break
-        chosen = None
-        if domain is Domain.RATIONAL:
-            for r in range(pivot_row, m):
-                if work[r][col] != 0:
-                    chosen = r
-                    break
-        else:
-            best = limit
-            for r in range(pivot_row, m):
-                magnitude = abs(work[r][col])
-                if magnitude > best:
-                    best = magnitude
-                    chosen = r
-        if chosen is None:
-            continue
-        work[pivot_row], work[chosen] = work[chosen], work[pivot_row]
-        pivot = work[pivot_row][col]
-        for r in range(pivot_row + 1, m):
-            if work[r][col] == 0:
-                continue
-            factor = work[r][col] / pivot
-            for c in range(col, n):
-                work[r][c] = work[r][c] - factor * work[pivot_row][c]
-        pivot_row += 1
-        rank += 1
-    return rank
+    """Row rank: the pivot count of an echelon form of ``rows``.
+
+    Float pivots must clear the same guard band as in :func:`_solve_square`.
+    """
+    if domain is Domain.RATIONAL:
+        return _bareiss_eliminate(_scale_columns(rows)[1], len(rows[0]))[1]
+    return _float_eliminate([list(row) for row in rows], len(rows[0]), _guard_band(rows))[1]
 
 
 def type_eigenvalue_certificate(m: Matrix) -> Scalar:
@@ -572,21 +524,26 @@ def type_eigenvalue_certificate(m: Matrix) -> Scalar:
             f"column sums are not constant (max deviation {report.max_deviation})"
         )
     c = report.type_value
-    shifted = m - Matrix.identity(m.rows, domain=m.domain).scale(c)
-    if _rank(shifted.row_lists(), m.domain) >= m.rows:
+    shifted = m.row_lists()
+    for i in range(m.rows):
+        shifted[i][i] -= c
+    if _rank(shifted, m.domain) >= m.rows:
         raise RuntimeError(
             "internal certificate failure: M - cI reports full rank for a typed matrix"
         )
     return c
 
 
+def _weights_2x2(a: ScalarLike, b: ScalarLike) -> tuple[Scalar, Scalar, Domain]:
+    """a and b as floats when either is a float, else as fractions."""
+    if isinstance(a, float) or isinstance(b, float):
+        return float(a), float(b), Domain.FLOAT
+    return Fraction(a), Fraction(b), Domain.RATIONAL
+
+
 def matrix_2x2(a: ScalarLike, b: ScalarLike) -> Matrix:
     """The 2x2 type-1 matrix [[1-a, b], [a, 1-b]]."""
-    domain = Domain.FLOAT if isinstance(a, float) or isinstance(b, float) else Domain.RATIONAL
-    if domain is Domain.FLOAT:
-        a, b = float(a), float(b)
-    else:
-        a, b = Fraction(a), Fraction(b)
+    a, b, domain = _weights_2x2(a, b)
     one = one_of(domain)
     return Matrix([[one - a, b], [a, one - b]], domain=domain)
 
@@ -598,11 +555,7 @@ def classify_2x2(a: ScalarLike, b: ScalarLike) -> Classification2x2:
     tolerance of zero counts as zero, and the convergent window requires c
     clearly inside (0, 2).
     """
-    domain = Domain.FLOAT if isinstance(a, float) or isinstance(b, float) else Domain.RATIONAL
-    if domain is Domain.FLOAT:
-        a, b = float(a), float(b)
-    else:
-        a, b = Fraction(a), Fraction(b)
+    a, b, domain = _weights_2x2(a, b)
     c = a + b
     one = one_of(domain)
     var_value = abs(one - c)

@@ -22,6 +22,7 @@ Exit codes: 0 success (analysis converged), 1 parse error,
 from __future__ import annotations
 
 import json
+import re
 import sys
 from fractions import Fraction
 from math import isfinite
@@ -96,9 +97,33 @@ def _decimal(value: Scalar) -> float:
 # Python's int-string limit is either 0 (no limit) or at least this many digits
 _MIN_INT_STR_LIMIT = 640
 
+# a decimal literal with an exponent, in the syntax that Fraction accepts
+_EXPONENT_LITERAL = re.compile(
+    r"\s*[-+]?(?=\d|\.\d)(?P<mantissa>\d*(?:_\d+)*(?:\.(?:\d+(?:_\d+)*)?)?)"
+    r"[eE](?P<exponent>[-+]?\d+(?:_\d+)*)\s*"
+)
 
-def _check_printable(tokens: list[Union[int, str]], values: tuple[Fraction, ...]) -> None:
-    """Raise :class:`MatrixParseError` if ``str`` cannot print some value.
+
+def _exact(token: Union[int, str]) -> Fraction:
+    """``Fraction(token)``, deciding a decimal with a huge exponent first.
+
+    ``Fraction`` builds ``10**e`` for an exponent e before anything can
+    look at the value.  A nonzero mantissa times ``10**e`` with |e| above
+    the int-string limit plus the token's length has a reduced numerator
+    or denominator longer than that limit, which ``str`` cannot print, so
+    such a token is a parse error at once; a zero mantissa gives 0.
+    """
+    limit = sys.get_int_max_str_digits()
+    match = limit and isinstance(token, str) and _EXPONENT_LITERAL.fullmatch(token)
+    if not match or abs(int(match["exponent"])) <= limit + len(token):
+        return Fraction(token)
+    if match["mantissa"].strip("0._"):
+        raise MatrixParseError(f"entry too long to print: its exponent gives over {limit} digits")
+    return Fraction(0)
+
+
+def _fractions(tokens: list[Union[int, str]]) -> list[Fraction]:
+    """Exact values of the tokens; MatrixParseError if ``str`` cannot print one.
 
     A token without an exponent has no fewer characters than its reduced
     numerator or denominator has digits, so the values are printed on
@@ -108,12 +133,14 @@ def _check_printable(tokens: list[Union[int, str]], values: tuple[Fraction, ...]
     pieces = list(map(str, tokens))
     text = "".join(pieces)
     if "e" not in text and "E" not in text and max(map(len, pieces)) <= _MIN_INT_STR_LIMIT:
-        return
+        return list(map(Fraction, tokens))
+    values = list(map(_exact, tokens))
     for value in values:
         try:
             str(value)
         except ValueError as exc:
             raise MatrixParseError(f"entry too long to print: {exc}") from exc
+    return values
 
 
 def _fraction_file_token(value: Fraction) -> str:
@@ -132,12 +159,7 @@ def _entries_to_matrix(rows: list[list[Union[int, str]]]) -> Matrix:
     rational = any(isinstance(tok, str) and "/" in tok for tok in tokens)
     try:
         if rational:
-            m = Matrix(
-                [[Fraction(tok) for tok in row] for row in rows],
-                domain=Domain.RATIONAL,
-            )
-            _check_printable(tokens, m.entries)
-            return m
+            return Matrix._of(len(rows), len(rows[0]), _fractions(tokens), Domain.RATIONAL)
         return Matrix([[float(tok) for tok in row] for row in rows], domain=Domain.FLOAT)
     except (ValueError, ZeroDivisionError) as exc:
         raise MatrixParseError(f"bad matrix entry: {exc}") from exc
@@ -543,16 +565,19 @@ def main() -> None:
 @_format_option
 def analyze_cmd(path: str, pmax: int, tol: float, k_report: int, as_json: bool, fmt: Optional[str]) -> None:
     """Full convergence analysis of a square matrix file."""
-    set_tolerance(tol)
     try:
         m = parse_matrix(path, fmt)
     except MatrixParseError as exc:
         _fail(str(exc), EXIT_PARSE)
+    # --tol holds for this command only; sys.exit raises, so finally runs
+    previous = set_tolerance(tol)
     try:
         result = _analysis.analyze(m, p_max=pmax, k_report=k_report)
         report = analysis_report(m, result, path=path, k_report=k_report)
     except StovarError as exc:
         _fail(str(exc), EXIT_PRECONDITION)
+    finally:
+        set_tolerance(previous)
     _emit(report, analysis_text(report), as_json)
     sys.exit(EXIT_OK if result.converged else EXIT_INCONCLUSIVE)
 
@@ -615,19 +640,13 @@ def classify_cmd(a: str, b: str, as_json: bool) -> None:
     """
     rational = "/" in a or "/" in b
     try:
-        if rational:
-            pair = (Fraction(a), Fraction(b))
-        else:
-            pair = (float(a), float(b))
+        pair = tuple(_fractions([a, b])) if rational else (float(a), float(b))
     except (ValueError, ZeroDivisionError) as exc:
         _fail(f"bad scalar: {exc}", EXIT_PARSE)
+    except MatrixParseError as exc:
+        _fail(str(exc), EXIT_PARSE)
     if not rational and not all(map(isfinite, pair)):
         _fail(f"non-finite scalar: A={a}, B={b}", EXIT_PARSE)
-    if rational:
-        try:
-            _check_printable([a, b], pair)
-        except MatrixParseError as exc:
-            _fail(str(exc), EXIT_PARSE)
     try:
         report = classification_report_dict(classify_2x2(*pair))
     except StovarError as exc:

@@ -66,17 +66,20 @@ def scalars_close(x: float, y: float) -> bool:
     return abs(x - y) <= _tolerance * max(1.0, abs(x), abs(y))
 
 
-def is_zero(value: Scalar, domain: Domain) -> bool:
+def scalars_equal(x: Scalar, y: Scalar, domain: Domain) -> bool:
+    """Equality in the domain: exact for rationals, within tolerance for floats."""
     if domain is Domain.RATIONAL:
-        return value == 0
-    return scalars_close(float(value), 0.0)
+        return x == y
+    return scalars_close(float(x), float(y))
+
+
+def is_zero(value: Scalar, domain: Domain) -> bool:
+    return scalars_equal(value, 0, domain)
 
 
 def strictly_less(x: Scalar, y: Scalar, domain: Domain) -> bool:
     """Strict comparison; float values within tolerance of each other tie."""
-    if domain is Domain.RATIONAL:
-        return x < y
-    return x < y and not scalars_close(float(x), float(y))
+    return x < y and not scalars_equal(x, y, domain)
 
 
 def zero_of(domain: Domain) -> Scalar:
@@ -122,15 +125,20 @@ def _require_same_domain(a: Domain, b: Domain) -> Domain:
     return a
 
 
-class Vector:
-    """Column vector with at least one entry, fixed at construction."""
+class _Entries:
+    """Immutable one-domain sequence with at least one entry.
+
+    The shared body of :class:`Vector` and :class:`RowVector`; a value
+    equals only a value of its own class.
+    """
 
     __slots__ = ("_entries", "_domain")
+    _noun = "vector"
 
     def __init__(self, entries: Iterable[ScalarLike], domain: Optional[Domain] = None):
         items = list(entries)
         if not items:
-            raise DimensionError("a vector needs at least one entry")
+            raise DimensionError(f"a {self._noun} needs at least one entry")
         dom = domain if domain is not None else _infer_domain(items)
         self._entries = tuple(_coerce(v, dom) for v in items)
         self._domain = dom
@@ -151,6 +159,24 @@ class Vector:
 
     def __getitem__(self, index: int) -> Scalar:
         return self._entries[index]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._domain is other._domain and self._entries == other._entries
+
+    def __hash__(self) -> int:
+        return hash((type(self).__name__, self._domain, self._entries))
+
+    def __repr__(self) -> str:
+        inner = ", ".join(str(v) for v in self._entries)
+        return f"{type(self).__name__}([{inner}])"
+
+
+class Vector(_Entries):
+    """Column vector with at least one entry, fixed at construction."""
+
+    __slots__ = ()
 
     def __add__(self, other: "Vector") -> "Vector":
         self._check_peer(other)
@@ -178,48 +204,12 @@ class Vector:
         if len(self) != len(other):
             raise DimensionError(f"vector lengths differ: {len(self)} vs {len(other)}")
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Vector):
-            return NotImplemented
-        return self._domain is other._domain and self._entries == other._entries
 
-    def __hash__(self) -> int:
-        return hash((self._domain, self._entries))
-
-    def __repr__(self) -> str:
-        inner = ", ".join(str(v) for v in self._entries)
-        return f"Vector([{inner}])"
-
-
-class RowVector:
+class RowVector(_Entries):
     """Row vector with at least one entry, fixed at construction."""
 
-    __slots__ = ("_entries", "_domain")
-
-    def __init__(self, entries: Iterable[ScalarLike], domain: Optional[Domain] = None):
-        items = list(entries)
-        if not items:
-            raise DimensionError("a row vector needs at least one entry")
-        dom = domain if domain is not None else _infer_domain(items)
-        self._entries = tuple(_coerce(v, dom) for v in items)
-        self._domain = dom
-
-    @property
-    def entries(self) -> tuple[Scalar, ...]:
-        return self._entries
-
-    @property
-    def domain(self) -> Domain:
-        return self._domain
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self) -> Iterator[Scalar]:
-        return iter(self._entries)
-
-    def __getitem__(self, index: int) -> Scalar:
-        return self._entries[index]
+    __slots__ = ()
+    _noun = "row vector"
 
     def __matmul__(self, other: "Matrix") -> "RowVector":
         if not isinstance(other, Matrix):
@@ -229,18 +219,6 @@ class RowVector:
     def as_matrix(self) -> "Matrix":
         """This row as a 1-by-m matrix."""
         return Matrix([list(self._entries)], domain=self._domain)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RowVector):
-            return NotImplemented
-        return self._domain is other._domain and self._entries == other._entries
-
-    def __hash__(self) -> int:
-        return hash(("row", self._domain, self._entries))
-
-    def __repr__(self) -> str:
-        inner = ", ".join(str(v) for v in self._entries)
-        return f"RowVector([{inner}])"
 
 
 def ones_row(length: int, domain: Domain = Domain.RATIONAL) -> RowVector:
@@ -509,10 +487,7 @@ def type_of(a: Matrix) -> TypeReport:
         dev = abs(s - reference)
         if dev > max_dev:
             max_dev = dev
-        if a.domain is Domain.RATIONAL:
-            if s != reference:
-                typed = False
-        elif not scalars_close(float(s), float(reference)):
+        if not scalars_equal(s, reference, a.domain):
             typed = False
     return TypeReport(has_type=typed, type_value=reference, max_deviation=max_dev)
 
@@ -525,11 +500,7 @@ def ensure_type_one(a: Matrix) -> TypeReport:
             f"column sums are not constant (max deviation {report.max_deviation})"
         )
     value = report.type_value
-    if a.domain is Domain.RATIONAL:
-        ok = value == 1
-    else:
-        ok = scalars_close(float(value), 1.0)
-    if not ok:
+    if not scalars_equal(value, 1, a.domain):
         raise NotTypeOneError(f"matrix is of type {value}, expected type 1")
     return report
 

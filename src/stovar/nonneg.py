@@ -19,8 +19,8 @@ from .core import (
     Scalar,
     ensure_type_one,
     mat_pow,
+    scalars_equal,
     strictly_less,
-    scalars_close,
     tolerance,
     type_of,
     variation,
@@ -241,9 +241,7 @@ def variation_type_bound_check(a: Matrix) -> bool:
     _ensure_nonnegative(a)
     t = report.type_value
     value = variation(a).value
-    if a.domain is Domain.RATIONAL:
-        return value <= t
-    return value <= t or scalars_close(float(value), float(t))
+    return value <= t or scalars_equal(value, t, a.domain)
 
 
 def criterion_3x3(m: Matrix) -> bool:

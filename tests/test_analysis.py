@@ -590,6 +590,150 @@ class TestDeterminant:
         assert determinant(Matrix([[a, b], [c, d]])) == a * d - b * c
 
 
+# ---------------------------------------------------------------------------
+# the echelon kernels against the elimination loops they replaced
+
+
+def _reference_rank(rows, domain):
+    """Row rank by entry-by-entry forward elimination, skipping pivotless columns."""
+    work = [list(row) for row in rows]
+    m = len(work)
+    n = len(work[0]) if m else 0
+    limit = 0.0
+    if domain is Domain.FLOAT:
+        scale = max(1.0, max((abs(v) for row in work for v in row), default=0.0))
+        limit = tolerance() * scale
+    rank = 0
+    pivot_row = 0
+    for col in range(n):
+        if pivot_row >= m:
+            break
+        chosen = None
+        if domain is Domain.RATIONAL:
+            for r in range(pivot_row, m):
+                if work[r][col] != 0:
+                    chosen = r
+                    break
+        else:
+            best = limit
+            for r in range(pivot_row, m):
+                magnitude = abs(work[r][col])
+                if magnitude > best:
+                    best = magnitude
+                    chosen = r
+        if chosen is None:
+            continue
+        work[pivot_row], work[chosen] = work[chosen], work[pivot_row]
+        pivot = work[pivot_row][col]
+        for r in range(pivot_row + 1, m):
+            if work[r][col] == 0:
+                continue
+            factor = work[r][col] / pivot
+            for c in range(col, n):
+                work[r][c] = work[r][c] - factor * work[pivot_row][c]
+        pivot_row += 1
+        rank += 1
+    return rank
+
+
+def _reference_float_determinant(rows):
+    """Float determinant by partial pivoting, multiplying in each pivot as found."""
+    work = [list(row) for row in rows]
+    n = len(work)
+    det = 1.0
+    for col in range(n):
+        pivot_row = None
+        best = 0.0
+        for r in range(col, n):
+            magnitude = abs(work[r][col])
+            if magnitude > best:
+                best = magnitude
+                pivot_row = r
+        if pivot_row is None:
+            return 0.0
+        if pivot_row != col:
+            work[col], work[pivot_row] = work[pivot_row], work[col]
+            det = -det
+        pivot = work[col][col]
+        det = det * pivot
+        for r in range(col + 1, n):
+            if work[r][col] == 0:
+                continue
+            factor = work[r][col] / pivot
+            for c in range(col, n):
+                work[r][c] = work[r][c] - factor * work[col][c]
+    return det
+
+
+_ECHELON_ENTRIES = {
+    Domain.RATIONAL: _SYSTEM_ENTRIES[Domain.RATIONAL],
+    # entries at and around the guard band, and a huge one that widens it
+    Domain.FLOAT: st.one_of(
+        _SYSTEM_ENTRIES[Domain.FLOAT], st.sampled_from([1e-12, -1e-9, 1e-7, 1e6])
+    ),
+}
+
+
+@st.composite
+def _echelon_matrices(draw, domain, square=False):
+    """Matrices of 1..8 rows by 1..8 columns, often rank-deficient.
+
+    ``repeated`` copies the first row over the last, ``combined`` makes
+    the last row a combination of the first two, and some columns may be
+    zeroed, so elimination finds columns without a pivot.
+    """
+    entries = _ECHELON_ENTRIES[domain]
+    m = draw(st.integers(1, 8))
+    n = m if square else draw(st.integers(1, 8))
+    rows = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(m)]
+    kind = draw(st.sampled_from(["plain", "repeated", "combined"]))
+    if m > 1 and kind == "repeated":
+        rows[-1] = list(rows[0])
+    elif m > 2 and kind == "combined":
+        a, b = draw(entries), draw(entries)
+        rows[-1] = [a * u + b * v for u, v in zip(rows[0], rows[1])]
+    for j in draw(st.sets(st.integers(0, n - 1), max_size=n)):
+        for row in rows:
+            row[j] = 0 * row[j]
+    return rows
+
+
+class TestEchelonKernels:
+    @given(st.sampled_from(list(Domain)), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_rank_matches_reference_elimination(self, domain, data):
+        rows = data.draw(_echelon_matrices(domain))
+        snapshot = [list(row) for row in rows]
+        assert analysis._rank(rows, domain) == _reference_rank(snapshot, domain)
+        assert rows == snapshot
+
+    def test_rank_skips_columns_without_a_pivot(self):
+        rows = [[F(0), F(1), F(2)], [F(0), F(2), F(4)], [F(0), F(0), F(3)]]
+        assert analysis._rank(rows, Domain.RATIONAL) == 2
+        floats = [[0.0, 1.0, 2.0, 5.0], [0.0, 2.0, 4.0, 1.0]]
+        assert analysis._rank(floats, Domain.FLOAT) == 2
+        assert analysis._rank([[1e-12, 0.0], [0.0, 1e-12]], Domain.FLOAT) == 0
+
+    @given(_echelon_matrices(Domain.FLOAT, square=True))
+    @settings(max_examples=200, deadline=None)
+    def test_float_determinant_is_bit_identical(self, rows):
+        got = determinant(Matrix(rows, domain=Domain.FLOAT))
+        assert got.hex() == _reference_float_determinant(rows).hex()
+
+    @given(st.integers(1, 7), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_certificate_on_float_typed_matrices(self, n, data):
+        entries = st.floats(min_value=-100, max_value=100, allow_nan=False)
+        t = data.draw(entries)
+        body = [data.draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n - 1)]
+        rows = body + [[t - sum(col) for col in zip(*body)] if body else [t]]
+        m = Matrix(rows, domain=Domain.FLOAT)
+        c = type_eigenvalue_certificate(m)
+        assert c == m.col_sums()[0]
+        shifted = [[v - c if i == j else v for j, v in enumerate(row)] for i, row in enumerate(rows)]
+        assert _reference_rank(shifted, Domain.FLOAT) < n
+
+
 class TestClassify2x2:
     def test_convergent_case(self):
         result = classify_2x2(0.3, 0.2)

@@ -6,9 +6,12 @@ from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from support import EX_M, EX_M_CSV
-from stovar import Domain, Matrix, MatrixParseError
+from stovar import DEFAULT_TOLERANCE, Domain, Matrix, MatrixParseError, tolerance
+from stovar import cli
 from stovar.cli import (
     main,
     parse_matrix,
@@ -243,6 +246,15 @@ class TestAnalyzeCommand:
         loose = runner.invoke(main, ["analyze", path, "--tol", "1e-3"])
         assert loose.exit_code == 0
 
+    @pytest.mark.parametrize(
+        "text, code", [("0.5,0.25\n0.5,0.75\n", 0), ("0.5,0.5\n0.5,0.6\n", 2)]
+    )
+    def test_tol_flag_holds_for_the_command_only(self, runner, tmp_path, text, code):
+        path = write(tmp_path, "m.csv", text)
+        result = runner.invoke(main, ["analyze", path, "--tol", "1e-3"])
+        assert result.exit_code == code
+        assert tolerance() == DEFAULT_TOLERANCE
+
 
 class TestOversizedInput:
     @pytest.mark.parametrize("field", ["rows", "cols"])
@@ -291,6 +303,81 @@ class TestOversizedInput:
         result = runner.invoke(main, ["classify2x2", a, b])
         assert result.exit_code == 2
         assert result.stderr.startswith("error: a report value is too long to print")
+
+
+@pytest.fixture
+def fraction_calls(monkeypatch):
+    """Arguments of every ``Fraction(...)`` call the CLI module makes.
+
+    A string with a ten-million exponent raises ValueError at once
+    instead of building ``10**10000000``, so code that hands such a token
+    to ``Fraction`` fails the test quickly rather than stalling it.
+    """
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        if any(isinstance(a, str) and "e-10000000" in a for a in args):
+            raise ValueError("Fraction was handed a ten-million exponent")
+        return Fraction(*args)
+
+    monkeypatch.setattr(cli, "Fraction", recording)
+    return calls
+
+
+class TestDecimalExponentBound:
+    def test_huge_exponent_is_a_parse_error_before_fraction(
+        self, runner, tmp_path, fraction_calls
+    ):
+        path = write(tmp_path, "m.csv", "1/2,1e-10000000\n1/2,1\n")
+        result = runner.invoke(main, ["analyze", path])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("error: entry too long to print")
+        assert ("1e-10000000",) not in fraction_calls
+
+    def test_zero_mantissa_loads_as_zero(self, tmp_path, fraction_calls):
+        m = parse_matrix(write(tmp_path, "m.csv", "1/2,0e-10000000\n1/2,1\n"))
+        assert m == Matrix([[F(1, 2), 0], [F(1, 2), 1]])
+        assert ("0e-10000000",) not in fraction_calls
+
+    def test_classify_rejects_a_huge_exponent(self, runner, fraction_calls):
+        result = runner.invoke(main, ["classify2x2", "1e-10000000", "1/2"])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: entry too long to print")
+        assert ("1e-10000000",) not in fraction_calls
+
+    def test_no_bound_when_the_int_string_limit_is_off(self, monkeypatch):
+        with pytest.raises(MatrixParseError):
+            cli._exact("1e-5000")
+        monkeypatch.setattr(cli.sys, "get_int_max_str_digits", lambda: 0)
+        assert cli._exact("1e-5000") == F(1, 10**5000)
+
+    def test_a_mantissa_with_factors_of_ten_may_pass_the_limit(self):
+        # 50000e-4302 = 1/(2 * 10**4297): the exponent passes the 4300-digit
+        # limit, the reduced denominator does not
+        assert cli._fractions(["50000e-4302"]) == [F(1, 2 * 10**4297)]
+
+    @given(
+        st.from_regex(r"-?[0-9]{1,5}(\.[0-9]{0,5})?", fullmatch=True),
+        st.sampled_from(["e", "E", "e+", "e-"]),
+        st.integers(4280, 4330),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_early_rejection_agrees_with_printing(self, mantissa, marker, exponent):
+        # exponents near the default 4300-digit limit; 10**4330 builds quickly
+        token = f"{mantissa}{marker}{exponent}"
+        try:
+            str(Fraction(token))
+            printable = True
+        except ValueError:
+            printable = False
+        try:
+            value = cli._fractions([token])
+        except MatrixParseError:
+            assert not printable
+        else:
+            assert printable and value == [Fraction(token)]
 
 
 class TestVariationCommand:
