@@ -23,8 +23,11 @@ from .core import (
     Matrix,
     Scalar,
     ScalarLike,
+    TypeReport,
     VariationReport,
     Vector,
+    _ensure_typed,
+    _finite,
     ensure_type_one,
     is_zero,
     l1_norm,
@@ -35,7 +38,6 @@ from .core import (
     scalars_equal,
     strictly_less,
     tolerance,
-    type_of,
     variation,
     vsum,
     zero_of,
@@ -44,7 +46,6 @@ from .errors import (
     DimensionError,
     NonUniqueFixedVectorError,
     NotSquareError,
-    NotTypedError,
     VsumNotOneError,
 )
 
@@ -67,7 +68,7 @@ class ConvergenceAnalysis:
     ``variation_per_power`` holds the variation of M^k for k = 1 up to the
     contraction power, or up to ``p_max`` when no contraction was found;
     ``first_variation`` is the full report for M itself, column pair
-    included.
+    included, and ``type_report`` the type check that admitted M.
     ``stationary`` and ``projection`` are present only on convergence.
     A missing contraction power is never a divergence proof, only failure
     to certify convergence within the search bound.
@@ -79,6 +80,7 @@ class ConvergenceAnalysis:
     variation_at_p: Optional[Scalar]
     variation_per_power: tuple[Scalar, ...]
     first_variation: VariationReport
+    type_report: TypeReport
     stationary: Optional[Vector]
     projection: Optional[Matrix]
     decay_bounds: tuple[tuple[int, Scalar], ...] = ()
@@ -349,7 +351,7 @@ def stationary_vector(m: Matrix) -> Vector:
             "no unique fixed vector with entry sum one "
             "(eigenvalue 1 appears with multiplicity two or more)"
         )
-    candidate = Vector(solution, domain=domain)
+    candidate = Vector._of(_finite(solution, domain), domain)
     image = mat_vec(m, candidate)
     fixed = all(
         scalars_equal(u, v, domain) for u, v in zip(image, candidate)
@@ -445,7 +447,7 @@ def analyze(
     most 8 powers in memory, whatever p_max is.
     """
     _require_square(m)
-    ensure_type_one(m)
+    type_report = ensure_type_one(m)
     if not isinstance(k_report, int) or k_report < 1:
         raise ValueError("k_report must be a positive integer")
     p, history, first = _variation_scan(m, p_max)
@@ -457,6 +459,7 @@ def analyze(
             variation_at_p=None,
             variation_per_power=tuple(history),
             first_variation=first,
+            type_report=type_report,
             stationary=None,
             projection=None,
         )
@@ -472,6 +475,7 @@ def analyze(
         variation_at_p=history[-1],
         variation_per_power=tuple(history),
         first_variation=first,
+        type_report=type_report,
         stationary=e,
         projection=limit_projection(e),
         decay_bounds=bounds,
@@ -518,12 +522,7 @@ def type_eigenvalue_certificate(m: Matrix) -> Scalar:
     RuntimeError rather than returning a wrong certificate.
     """
     _require_square(m)
-    report = type_of(m)
-    if not report.has_type:
-        raise NotTypedError(
-            f"column sums are not constant (max deviation {report.max_deviation})"
-        )
-    c = report.type_value
+    c = _ensure_typed(m).type_value
     shifted = m.row_lists()
     for i in range(m.rows):
         shifted[i][i] -= c
@@ -545,7 +544,7 @@ def matrix_2x2(a: ScalarLike, b: ScalarLike) -> Matrix:
     """The 2x2 type-1 matrix [[1-a, b], [a, 1-b]]."""
     a, b, domain = _weights_2x2(a, b)
     one = one_of(domain)
-    return Matrix([[one - a, b], [a, one - b]], domain=domain)
+    return Matrix._of(2, 2, _finite([one - a, b, a, one - b], domain), domain)
 
 
 def classify_2x2(a: ScalarLike, b: ScalarLike) -> Classification2x2:
@@ -569,7 +568,7 @@ def classify_2x2(a: ScalarLike, b: ScalarLike) -> Classification2x2:
         stationary = None
     elif strictly_less(zero_of(domain), c, domain) and strictly_less(c, 2 * one, domain):
         case = Case2x2.CONVERGES_GENERIC
-        stationary = Vector([b / c, a / c], domain=domain)
+        stationary = Vector._of(_finite([b / c, a / c], domain), domain)
     else:
         case = Case2x2.DIVERGES_GENERIC
         stationary = None

@@ -47,6 +47,7 @@ from .core import (
     Scalar,
     TypeReport,
     VariationReport,
+    _finite,
     set_tolerance,
     type_of,
     variation,
@@ -160,8 +161,10 @@ def _entries_to_matrix(rows: list[list[Union[int, str]]]) -> Matrix:
     try:
         if rational:
             return Matrix._of(len(rows), len(rows[0]), _fractions(tokens), Domain.RATIONAL)
-        return Matrix([[float(tok) for tok in row] for row in rows], domain=Domain.FLOAT)
-    except (ValueError, ZeroDivisionError) as exc:
+        values = _finite(list(map(float, tokens)), Domain.FLOAT)
+        return Matrix._of(len(rows), len(rows[0]), values, Domain.FLOAT)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        # OverflowError: a JSON integer too large for a float
         raise MatrixParseError(f"bad matrix entry: {exc}") from exc
     except StovarError as exc:
         raise MatrixParseError(str(exc)) from exc
@@ -242,25 +245,14 @@ def parse_matrix(path: str, fmt: Optional[str] = None) -> Matrix:
 
 def serialize_matrix(m: Matrix, fmt: str = "csv") -> str:
     """Render a matrix so that parsing the result reproduces it exactly."""
+    rows = m.row_lists()
+    if m.domain is Domain.RATIONAL:
+        rows = [list(map(_fraction_file_token, row)) for row in rows]
     if fmt == "json":
-        if m.domain is Domain.RATIONAL:
-            data = [
-                [_fraction_file_token(m.entry(i, j)) for j in range(m.cols)]
-                for i in range(m.rows)
-            ]
-        else:
-            data = [[m.entry(i, j) for j in range(m.cols)] for i in range(m.rows)]
-        return json.dumps({"rows": m.rows, "cols": m.cols, "data": data})
+        return json.dumps({"rows": m.rows, "cols": m.cols, "data": rows})
     if fmt != "csv":
         raise ValueError(f"unknown format {fmt!r}")
-    lines = []
-    for i in range(m.rows):
-        if m.domain is Domain.RATIONAL:
-            cells = [_fraction_file_token(m.entry(i, j)) for j in range(m.cols)]
-        else:
-            cells = [repr(m.entry(i, j)) for j in range(m.cols)]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return "".join(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def parse_pattern(path: str) -> SignPattern:
@@ -333,7 +325,7 @@ def analysis_report(
         "command": "analyze",
         "input": _input_echo(m, path),
         "parameters": {"p_max": result.p_max, "k_report": k_report},
-        "type": _type_dict(type_of(m), domain),
+        "type": _type_dict(result.type_report, domain),
         "variation": _variation_dict(result.first_variation, domain),
         "variation_per_power": [
             format_scalar(v, domain) for v in result.variation_per_power
@@ -366,19 +358,26 @@ def _matrix_lines(cells: list[list[str]], indent: str = "  ") -> list[str]:
     ]
 
 
-def analysis_text(report: dict) -> str:
-    """Human-readable rendering of an analyze report."""
-    lines = []
+def _header_lines(report: dict) -> list[str]:
+    """The input, type and variation lines of an analyze or variation report."""
     echo = report["input"]
-    lines.append(f"input: {echo['rows']}x{echo['cols']} matrix, {echo['domain']} domain")
     t = report["type"]
+    var = report["variation"]
+    lines = [f"input: {echo['rows']}x{echo['cols']} matrix, {echo['domain']} domain"]
     if t["has_type"]:
         lines.append(f"type: {t['value']} (max column-sum deviation {t['max_deviation']})")
-    var = report["variation"]
+    else:
+        lines.append("type: none (column sums are not constant)")
     lines.append(
         f"variation: {var['value']} (~{var['decimal']:.6g}) "
         f"between columns {var['columns'][0]} and {var['columns'][1]}"
     )
+    return lines
+
+
+def analysis_text(report: dict) -> str:
+    """Human-readable rendering of an analyze report."""
+    lines = _header_lines(report)
     per_power = ", ".join(
         f"p={i + 1}: {v}" for i, v in enumerate(report["variation_per_power"])
     )
@@ -410,19 +409,7 @@ def variation_report_dict(m: Matrix, path: Optional[str] = None) -> dict:
 
 
 def variation_text(report: dict) -> str:
-    echo = report["input"]
-    t = report["type"]
-    var = report["variation"]
-    lines = [f"input: {echo['rows']}x{echo['cols']} matrix, {echo['domain']} domain"]
-    if t["has_type"]:
-        lines.append(f"type: {t['value']} (max column-sum deviation {t['max_deviation']})")
-    else:
-        lines.append("type: none (column sums are not constant)")
-    lines.append(
-        f"variation: {var['value']} (~{var['decimal']:.6g}) "
-        f"between columns {var['columns'][0]} and {var['columns'][1]}"
-    )
-    return "\n".join(lines)
+    return "\n".join(_header_lines(report))
 
 
 def pattern_report_dict(p: SignPattern, k_max: int) -> dict:
@@ -472,9 +459,7 @@ def classification_report_dict(result: Classification2x2) -> dict:
         "a": format_scalar(result.a, domain),
         "b": format_scalar(result.b, domain),
         "c": format_scalar(result.c, domain),
-        "matrix": [
-            [format_scalar(m.entry(i, j), domain) for j in range(2)] for i in range(2)
-        ],
+        "matrix": [[format_scalar(v, domain) for v in row] for row in m.row_lists()],
         "variation": format_scalar(result.variation, domain),
         "eigenvalues": [format_scalar(v, domain) for v in result.eigenvalues],
         "eigenvectors": (

@@ -14,13 +14,14 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import isfinite, lcm
-from operator import mul, sub
+from operator import add, mul, sub
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import (
     DimensionError,
     DomainMismatchError,
     NotSquareError,
+    NotTypedError,
     NotTypeOneError,
 )
 
@@ -110,6 +111,14 @@ def _coerce(value: ScalarLike, domain: Domain) -> Scalar:
     return result
 
 
+def _finite(values: list[Scalar], domain: Domain) -> list[Scalar]:
+    """The computed values, after checking that float ones are finite."""
+    if domain is Domain.FLOAT and not all(map(isfinite, values)):
+        bad = next(v for v in values if not isfinite(v))
+        raise DomainMismatchError(f"non-finite entry {bad!r} in a float-domain value")
+    return values
+
+
 def _infer_domain(values: Iterable[ScalarLike]) -> Domain:
     for value in values:
         if isinstance(value, float):
@@ -142,6 +151,17 @@ class _Entries:
         dom = domain if domain is not None else _infer_domain(items)
         self._entries = tuple(_coerce(v, dom) for v in items)
         self._domain = dom
+
+    @classmethod
+    def _of(cls, entries: Iterable[Scalar], domain: Domain):
+        """Value over entries already in the domain; no coercion."""
+        v = object.__new__(cls)
+        v._entries, v._domain = tuple(entries), domain
+        return v
+
+    def _computed(self, entries: Iterable[Scalar]):
+        """Value of this class and domain over entries computed from its own."""
+        return self._of(_finite(list(entries), self._domain), self._domain)
 
     @property
     def entries(self) -> tuple[Scalar, ...]:
@@ -180,22 +200,22 @@ class Vector(_Entries):
 
     def __add__(self, other: "Vector") -> "Vector":
         self._check_peer(other)
-        return Vector([a + b for a, b in zip(self, other)], domain=self._domain)
+        return self._computed(map(add, self._entries, other._entries))
 
     def __sub__(self, other: "Vector") -> "Vector":
         self._check_peer(other)
-        return Vector([a - b for a, b in zip(self, other)], domain=self._domain)
+        return self._computed(map(sub, self._entries, other._entries))
 
     def __rmul__(self, scalar: ScalarLike) -> "Vector":
         factor = _coerce(scalar, self._domain)
-        return Vector([factor * v for v in self], domain=self._domain)
+        return self._computed(factor * v for v in self._entries)
 
     def scale(self, scalar: ScalarLike) -> "Vector":
         return scalar * self
 
     def as_matrix(self) -> "Matrix":
         """This vector as an n-by-1 matrix."""
-        return Matrix([[v] for v in self], domain=self._domain)
+        return Matrix._of(len(self), 1, self._entries, self._domain)
 
     def _check_peer(self, other: "Vector") -> None:
         if not isinstance(other, Vector):
@@ -218,12 +238,14 @@ class RowVector(_Entries):
 
     def as_matrix(self) -> "Matrix":
         """This row as a 1-by-m matrix."""
-        return Matrix([list(self._entries)], domain=self._domain)
+        return Matrix._of(1, len(self), self._entries, self._domain)
 
 
 def ones_row(length: int, domain: Domain = Domain.RATIONAL) -> RowVector:
     """Row vector of the given length with every entry equal to one."""
-    return RowVector([one_of(domain)] * length, domain=domain)
+    if length < 1:
+        raise DimensionError("a row vector needs at least one entry")
+    return RowVector._of([one_of(domain)] * length, domain)
 
 
 class Matrix:
@@ -262,12 +284,11 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int, domain: Domain = Domain.RATIONAL) -> "Matrix":
-        one = one_of(domain)
-        zero = zero_of(domain)
-        return cls(
-            [[one if i == j else zero for j in range(n)] for i in range(n)],
-            domain=domain,
-        )
+        if n < 1:
+            raise DimensionError("a matrix needs at least one row and one column")
+        entries = [zero_of(domain)] * (n * n)
+        entries[:: n + 1] = [one_of(domain)] * n
+        return cls._of(n, n, entries, domain)
 
     @property
     def rows(self) -> int:
@@ -298,17 +319,16 @@ class Matrix:
 
     def row(self, i: int) -> RowVector:
         """Row i (0-based) as a row vector."""
+        if not 0 <= i < self._rows:
+            raise IndexError(f"row {i} outside a {self._rows}x{self._cols} matrix")
         start = i * self._cols
-        return RowVector(self._entries[start : start + self._cols], domain=self._domain)
+        return RowVector._of(self._entries[start : start + self._cols], self._domain)
 
     def column(self, j: int) -> Vector:
         """Column j (0-based) as a column vector."""
         if not 0 <= j < self._cols:
             raise IndexError(f"column {j} outside a {self._rows}x{self._cols} matrix")
-        return Vector(
-            [self._entries[i * self._cols + j] for i in range(self._rows)],
-            domain=self._domain,
-        )
+        return Vector._of(self._entries[j :: self._cols], self._domain)
 
     def columns(self) -> tuple[Vector, ...]:
         return tuple(self.column(j) for j in range(self._cols))
@@ -325,37 +345,21 @@ class Matrix:
 
     def to_float(self) -> "Matrix":
         """The same matrix converted to the float domain."""
-        return Matrix(
-            [[float(self.entry(i, j)) for j in range(self._cols)] for i in range(self._rows)],
-            domain=Domain.FLOAT,
-        )
+        # float() of a Fraction too large for a float raises OverflowError
+        # instead of returning inf, so the result needs no finiteness check
+        return Matrix._of(self._rows, self._cols, map(float, self._entries), Domain.FLOAT)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
-        return Matrix(
-            [
-                [self.entry(i, j) + other.entry(i, j) for j in range(self._cols)]
-                for i in range(self._rows)
-            ],
-            domain=self._domain,
-        )
+        return self._computed(map(add, self._entries, other._entries))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
-        return Matrix(
-            [
-                [self.entry(i, j) - other.entry(i, j) for j in range(self._cols)]
-                for i in range(self._rows)
-            ],
-            domain=self._domain,
-        )
+        return self._computed(map(sub, self._entries, other._entries))
 
     def __rmul__(self, scalar: ScalarLike) -> "Matrix":
         factor = _coerce(scalar, self._domain)
-        return Matrix(
-            [[factor * self.entry(i, j) for j in range(self._cols)] for i in range(self._rows)],
-            domain=self._domain,
-        )
+        return self._computed(factor * v for v in self._entries)
 
     def scale(self, scalar: ScalarLike) -> "Matrix":
         return scalar * self
@@ -366,6 +370,11 @@ class Matrix:
         if isinstance(other, Vector):
             return mat_vec(self, other)
         return NotImplemented
+
+    def _computed(self, entries: Iterable[Scalar]) -> "Matrix":
+        """Matrix of this shape and domain over entries computed from its own."""
+        values = _finite(list(entries), self._domain)
+        return self._of(self._rows, self._cols, values, self._domain)
 
     def _check_same_shape(self, other: "Matrix") -> None:
         if not isinstance(other, Matrix):
@@ -390,8 +399,8 @@ class Matrix:
 
     def __repr__(self) -> str:
         rows = [
-            "[" + ", ".join(str(self.entry(i, j)) for j in range(self._cols)) + "]"
-            for i in range(self._rows)
+            "[" + ", ".join(map(str, row)) + "]"
+            for row in _row_slices(self._entries, self._cols)
         ]
         return f"Matrix([{', '.join(rows)}], {self._domain.value})"
 
@@ -492,6 +501,16 @@ def type_of(a: Matrix) -> TypeReport:
     return TypeReport(has_type=typed, type_value=reference, max_deviation=max_dev)
 
 
+def _ensure_typed(a: Matrix) -> TypeReport:
+    """Return the type report, raising NotTypedError unless the matrix is typed."""
+    report = type_of(a)
+    if not report.has_type:
+        raise NotTypedError(
+            f"column sums are not constant (max deviation {report.max_deviation})"
+        )
+    return report
+
+
 def ensure_type_one(a: Matrix) -> TypeReport:
     """Return the type report, raising NotTypeOneError unless the type is 1."""
     report = type_of(a)
@@ -524,6 +543,7 @@ def _dots(rows: list[Sequence], cols: list[Sequence], domain: Domain) -> list[Sc
 
     Rational rows and columns are each scaled to integers by their own
     lcm, so an entry costs one integer dot product and one normalization.
+    A float entry that overflows raises :class:`DomainMismatchError`.
     """
     if domain is Domain.RATIONAL:
         scaled_rows = [_over_lcm(r) for r in rows]
@@ -533,7 +553,7 @@ def _dots(rows: list[Sequence], cols: list[Sequence], domain: Domain) -> list[Sc
             for r, dr in scaled_rows
             for c, dc in scaled_cols
         ]
-    return [sum(map(mul, r, c)) for r in rows for c in cols]
+    return _finite([sum(map(mul, r, c)) for r in rows for c in cols], domain)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -560,7 +580,7 @@ def mat_vec(a: Matrix, x: Vector) -> Vector:
     if a.cols != len(x):
         raise DimensionError(f"cannot apply {a.rows}x{a.cols} matrix to length-{len(x)} vector")
     out = _dots(_row_slices(a.entries, a.cols), [x.entries], a.domain)
-    return Vector(out, domain=a.domain)
+    return Vector._of(out, a.domain)
 
 
 def row_mat_mul(z: RowVector, a: Matrix) -> RowVector:
@@ -569,7 +589,7 @@ def row_mat_mul(z: RowVector, a: Matrix) -> RowVector:
     if len(z) != a.rows:
         raise DimensionError(f"cannot apply length-{len(z)} row to {a.rows}x{a.cols} matrix")
     out = _dots([z.entries], _column_slices(a.entries, a.cols), a.domain)
-    return RowVector(out, domain=a.domain)
+    return RowVector._of(out, a.domain)
 
 
 def mat_pow(m: Matrix, k: int) -> Matrix:

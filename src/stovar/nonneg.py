@@ -17,12 +17,12 @@ from .core import (
     Domain,
     Matrix,
     Scalar,
+    _ensure_typed,
     ensure_type_one,
     mat_pow,
     scalars_equal,
     strictly_less,
     tolerance,
-    type_of,
     variation,
 )
 from .errors import (
@@ -30,7 +30,6 @@ from .errors import (
     NegativeEntryError,
     NonPositiveTypeError,
     NotSquareError,
-    NotTypedError,
 )
 
 _CELL_VALUES = {
@@ -137,9 +136,7 @@ def sign_pattern(a: Matrix) -> SignPattern:
     """
     _ensure_nonnegative(a)
     threshold: Scalar = 0 if a.domain is Domain.RATIONAL else tolerance()
-    return SignPattern(
-        [[a.entry(i, j) > threshold for j in range(a.cols)] for i in range(a.rows)]
-    )
+    return SignPattern([[v > threshold for v in row] for row in a.row_lists()])
 
 
 def pattern_product(p: SignPattern, q: SignPattern) -> SignPattern:
@@ -197,12 +194,7 @@ def pairwise_positive_overlap(p: SignPattern) -> bool:
 
 
 def _typed_positive(a: Matrix) -> Scalar:
-    report = type_of(a)
-    if not report.has_type:
-        raise NotTypedError(
-            f"column sums are not constant (max deviation {report.max_deviation})"
-        )
-    t = report.type_value
+    t = _ensure_typed(a).type_value
     positive = t > 0 if a.domain is Domain.RATIONAL else t > tolerance()
     if not positive:
         raise NonPositiveTypeError(f"column-sum type must be positive, got {t}")
@@ -233,13 +225,8 @@ def variation_type_bound_check(a: Matrix) -> bool:
     Always true; exposed as an assertion-style operation for test suites.
     The float domain allows the tolerance as slack on the comparison.
     """
-    report = type_of(a)
-    if not report.has_type:
-        raise NotTypedError(
-            f"column sums are not constant (max deviation {report.max_deviation})"
-        )
+    t = _ensure_typed(a).type_value
     _ensure_nonnegative(a)
-    t = report.type_value
     value = variation(a).value
     return value <= t or scalars_equal(value, t, a.domain)
 

@@ -17,13 +17,13 @@ from .core import (
     Matrix,
     RowVector,
     Vector,
+    _ensure_typed,
     one_of,
     strictly_less,
-    type_of,
     variation,
     zero_of,
 )
-from .errors import DimensionError, NotTypedError, ZeroVariationError
+from .errors import DimensionError, ZeroVariationError
 
 
 def variation_maximizer(a: Matrix) -> Vector:
@@ -39,7 +39,7 @@ def variation_maximizer(a: Matrix) -> Vector:
     entries = [zero_of(a.domain)] * a.cols
     entries[report.arg_j - 1] = half
     entries[report.arg_k - 1] = -half
-    return Vector(entries, domain=a.domain)
+    return Vector._of(entries, a.domain)
 
 
 def row_variation_maximizer(b: Matrix) -> RowVector:
@@ -53,18 +53,12 @@ def row_variation_maximizer(b: Matrix) -> RowVector:
     """
     if b.rows < 2:
         raise DimensionError("row maximizer needs a matrix with at least two rows")
-    report_type = type_of(b)
-    if not report_type.has_type:
-        raise NotTypedError(
-            f"column sums are not constant (max deviation {report_type.max_deviation})"
-        )
+    _ensure_typed(b)
     report = variation(b)
     if not strictly_less(zero_of(b.domain), report.value, b.domain):
         raise ZeroVariationError("all columns are identical; the maximum over rows is zero")
     k0 = report.arg_j - 1
     l0 = report.arg_k - 1
     one = one_of(b.domain)
-    entries = [
-        one if b.entry(j, k0) > b.entry(j, l0) else -one for j in range(b.rows)
-    ]
-    return RowVector(entries, domain=b.domain)
+    entries = [one if row[k0] > row[l0] else -one for row in b.row_lists()]
+    return RowVector._of(entries, b.domain)

@@ -1,8 +1,12 @@
 """Tests for matrix file parsing, serialization, and the command front end."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -129,6 +133,39 @@ class TestRoundTrip:
         path = write(tmp_path, "m.csv", serialize_matrix(m, "csv"))
         assert parse_matrix(path) == m
 
+    @given(st.sampled_from(["csv", "json"]), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_serializer_output_is_unchanged(self, fmt, data):
+        rational = data.draw(st.booleans())
+        scalars = (
+            st.fractions(min_value=-10, max_value=10, max_denominator=10**6)
+            if rational
+            else st.floats(allow_nan=False, allow_infinity=False)
+        )
+        m, n = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+        rows = [data.draw(st.lists(scalars, min_size=n, max_size=n)) for _ in range(m)]
+        matrix = Matrix(rows, domain=Domain.RATIONAL if rational else Domain.FLOAT)
+        assert serialize_matrix(matrix, fmt) == _serialize_by_entry(matrix, fmt)
+
+
+def _serialize_by_entry(m, fmt):
+    """The serializer as it was when it read every entry through Matrix.entry."""
+    token = cli._fraction_file_token
+    if fmt == "json":
+        if m.domain is Domain.RATIONAL:
+            data = [[token(m.entry(i, j)) for j in range(m.cols)] for i in range(m.rows)]
+        else:
+            data = [[m.entry(i, j) for j in range(m.cols)] for i in range(m.rows)]
+        return json.dumps({"rows": m.rows, "cols": m.cols, "data": data})
+    lines = []
+    for i in range(m.rows):
+        if m.domain is Domain.RATIONAL:
+            cells = [token(m.entry(i, j)) for j in range(m.cols)]
+        else:
+            cells = [repr(m.entry(i, j)) for j in range(m.cols)]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
 
 class TestParsePattern:
     def test_worked_pattern(self, tmp_path):
@@ -196,6 +233,40 @@ class TestAnalyzeCommand:
         assert isinstance(result.exception, SystemExit)
         assert result.stderr.startswith("error: ")
         assert "not UTF-8" in result.stderr
+
+    def test_overflowing_power_fails_precondition(self, runner, tmp_path):
+        # lower triangular with eigenvalue 1e200: M^2 overflows a float
+        path = write(tmp_path, "m.csv", "1e200,0,0\n-1e200,1,0\n1,0,1\n")
+        result = runner.invoke(main, ["analyze", path])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("error: non-finite entry")
+
+    @pytest.mark.parametrize(
+        "text",
+        [EX_M_CSV, "1,0\n0,1\n", "0.1,0.3\n0.9,0.7\n"],
+        ids=["converges", "inconclusive", "float"],
+    )
+    def test_type_field_matches_the_variation_command(self, runner, tmp_path, text):
+        path = write(tmp_path, "m.csv", text)
+        analyzed = json.loads(runner.invoke(main, ["analyze", path, "--json"]).output)
+        varied = json.loads(runner.invoke(main, ["variation", path, "--json"]).output)
+        assert analyzed["type"] == varied["type"]
+
+    def test_module_runs_as_a_program(self, tmp_path):
+        path = write(tmp_path, "m.csv", EX_M_CSV)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "stovar.cli", "analyze", path, "--json"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert '"contraction_power": 2' in done.stdout
 
     def test_rational_report_is_reproducible(self, runner, tmp_path):
         path = write(tmp_path, "m.csv", EX_M_CSV)
@@ -280,6 +351,13 @@ class TestOversizedInput:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert result.stderr.startswith("error: entry too long to print")
+
+    def test_json_integer_too_large_for_a_float(self, runner, tmp_path):
+        path = write(tmp_path, "m.json", '{"rows": 1, "cols": 1, "data": [[1%s]]}' % ("0" * 400))
+        result = runner.invoke(main, ["analyze", path])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("error: bad matrix entry")
 
     def test_exponent_entry_under_the_limit_still_loads(self, runner, tmp_path):
         path = write(tmp_path, "m.csv", "1e-700,1/2\n0,1/2\n")

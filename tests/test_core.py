@@ -1,5 +1,6 @@
 """Unit and property tests for the scalar-domain and variation primitives."""
 
+import math
 import sys
 from fractions import Fraction
 
@@ -15,8 +16,10 @@ from stovar import (
     DomainMismatchError,
     Matrix,
     NotSquareError,
+    NotTypedError,
     RowVector,
     Vector,
+    find_contraction_power,
     l1_norm,
     mat_mul,
     mat_pow,
@@ -24,8 +27,12 @@ from stovar import (
     ones_row,
     row_mat_mul,
     row_variation,
+    row_variation_maximizer,
+    strict_variation_test,
+    type_eigenvalue_certificate,
     type_of,
     variation,
+    variation_type_bound_check,
     vsum,
 )
 
@@ -392,3 +399,162 @@ class TestKernelsMatchNaiveLoops:
             mat_vec(floats, Vector([1.0, 2.0, 3.0]))
         with pytest.raises(DimensionError):
             row_mat_mul(RowVector([1, 2, 3]), rational)
+
+
+# ---------------------------------------------------------------------------
+# values built without coercion against the coercing constructors
+
+
+def _rows_of(values, width):
+    return [list(values[i : i + width]) for i in range(0, len(values), width)]
+
+
+def _assert_rebuilt(got, want):
+    """Same class, value, hash and repr as the reference; floats bit for bit."""
+    assert type(got) is type(want)
+    assert got == want
+    assert hash(got) == hash(want)
+    assert repr(got) == repr(want)
+    bits = [(type(v), v.hex() if isinstance(v, float) else v) for v in got.entries]
+    assert bits == [(type(v), v.hex() if isinstance(v, float) else v) for v in want.entries]
+
+
+@st.composite
+def _shaped(draw, domain):
+    """A matrix of shape 1..6 by 1..6, a second one of the same shape, and a scalar."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    a = draw(_matrices(domain, rows=m, cols=n))
+    b = draw(_matrices(domain, rows=m, cols=n))
+    return a, b, draw(_SCALARS[domain])
+
+
+class TestTrustedConstructionMatchesCoercion:
+    @given(_domains, st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matrix_operations(self, domain, data):
+        a, b, c = data.draw(_shaped(domain))
+        n = a.cols
+
+        def coerced(values, dom=domain):
+            return Matrix(_rows_of(values, n), domain=dom)
+
+        pairs = list(zip(a.entries, b.entries))
+        _assert_rebuilt(a + b, coerced([x + y for x, y in pairs]))
+        _assert_rebuilt(a - b, coerced([x - y for x, y in pairs]))
+        _assert_rebuilt(a.scale(c), coerced([c * x for x in a.entries]))
+        _assert_rebuilt(c * a, coerced([c * x for x in a.entries]))
+        _assert_rebuilt(a.to_float(), coerced([float(x) for x in a.entries], Domain.FLOAT))
+        for i in range(a.rows):
+            _assert_rebuilt(a.row(i), RowVector(a.entries[i * n : (i + 1) * n], domain=domain))
+        for j in range(n):
+            column = [a.entries[i * n + j] for i in range(a.rows)]
+            _assert_rebuilt(a.column(j), Vector(column, domain=domain))
+        assert a.columns() == tuple(a.column(j) for j in range(n))
+
+    @given(_domains, st.integers(1, 6))
+    def test_identity_and_ones_row(self, domain, n):
+        one, zero = (F(1), F(0)) if domain is Domain.RATIONAL else (1.0, 0.0)
+        rows = [[one if i == j else zero for j in range(n)] for i in range(n)]
+        _assert_rebuilt(Matrix.identity(n, domain), Matrix(rows, domain=domain))
+        _assert_rebuilt(ones_row(n, domain), RowVector([one] * n, domain=domain))
+
+    @given(_domains, st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_vector_operations_and_products(self, domain, data):
+        a, _, c = data.draw(_shaped(domain))
+        scalars = _SCALARS[domain]
+        xs = data.draw(st.lists(scalars, min_size=a.cols, max_size=a.cols))
+        ys = data.draw(st.lists(scalars, min_size=a.cols, max_size=a.cols))
+        zs = data.draw(st.lists(scalars, min_size=a.rows, max_size=a.rows))
+        x, y = Vector(xs, domain=domain), Vector(ys, domain=domain)
+        z = RowVector(zs, domain=domain)
+        pairs = list(zip(x.entries, y.entries))
+        _assert_rebuilt(x + y, Vector([u + v for u, v in pairs], domain=domain))
+        _assert_rebuilt(x - y, Vector([u - v for u, v in pairs], domain=domain))
+        _assert_rebuilt(c * x, Vector([c * u for u in x.entries], domain=domain))
+        _assert_rebuilt(x.scale(c), Vector([c * u for u in x.entries], domain=domain))
+        _assert_rebuilt(x.as_matrix(), Matrix([[u] for u in x.entries], domain=domain))
+        _assert_rebuilt(z.as_matrix(), Matrix([list(z.entries)], domain=domain))
+        # the builtin sum, as in the kernels, so floats agree bit for bit on every CPython
+        rows = _rows_of(a.entries, a.cols)
+        want = [sum(u * v for u, v in zip(row, x.entries)) for row in rows]
+        _assert_rebuilt(mat_vec(a, x), Vector(want, domain=domain))
+        cols = [a.entries[j :: a.cols] for j in range(a.cols)]
+        want = [sum(u * v for u, v in zip(z.entries, col)) for col in cols]
+        _assert_rebuilt(row_mat_mul(z, a), RowVector(want, domain=domain))
+
+    def test_row_and_column_bounds(self):
+        for bad in (-1, 3):
+            with pytest.raises(IndexError):
+                EX_M.row(bad)
+            with pytest.raises(IndexError):
+                EX_M.column(bad)
+        with pytest.raises(DimensionError):
+            ones_row(0)
+        with pytest.raises(DimensionError):
+            Matrix.identity(0)
+
+
+# ---------------------------------------------------------------------------
+# float results stay finite
+
+
+# lower triangular with eigenvalue 1e200: its powers diverge, and the
+# second power overflows a float
+_OVERFLOWING = Matrix([[1e200, 0.0, 0.0], [-1e200, 1.0, 0.0], [1.0, 0.0, 1.0]])
+
+
+class TestFloatOverflow:
+    def test_contraction_search_rejects_an_overflowing_power(self):
+        with pytest.raises(DomainMismatchError, match="non-finite entry"):
+            find_contraction_power(_OVERFLOWING, 5)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_results_are_finite_or_rejected(self, data):
+        big = st.floats(min_value=-1e300, max_value=1e300)
+        n = data.draw(st.integers(1, 6))
+
+        def square():
+            values = data.draw(st.lists(big, min_size=n * n, max_size=n * n))
+            return Matrix(_rows_of(values, n), domain=Domain.FLOAT)
+
+        a, b = square(), square()
+        x = Vector(data.draw(st.lists(big, min_size=n, max_size=n)), domain=Domain.FLOAT)
+        y = Vector(data.draw(st.lists(big, min_size=n, max_size=n)), domain=Domain.FLOAT)
+        z = RowVector(data.draw(st.lists(big, min_size=n, max_size=n)), domain=Domain.FLOAT)
+        c = data.draw(big)
+        operations = [
+            lambda: mat_mul(a, b),
+            lambda: mat_vec(a, x),
+            lambda: row_mat_mul(z, a),
+            lambda: a + b,
+            lambda: a - b,
+            lambda: a.scale(c),
+            lambda: x + y,
+            lambda: x - y,
+            lambda: x.scale(c),
+        ]
+        for operation in operations:
+            try:
+                result = operation()
+            except DomainMismatchError:
+                continue
+            assert all(map(math.isfinite, result.entries))
+            if isinstance(result, Matrix):
+                assert variation(result).value >= 0
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        type_eigenvalue_certificate,
+        strict_variation_test,
+        variation_type_bound_check,
+        row_variation_maximizer,
+    ],
+)
+def test_untyped_matrix_is_rejected_with_one_message(check):
+    message = r"^column sums are not constant \(max deviation 1\)$"
+    with pytest.raises(NotTypedError, match=message):
+        check(Matrix([[1, 0], [0, 2]]))
