@@ -53,12 +53,7 @@ from .core import (
     variation,
 )
 from .errors import MatrixParseError, StovarError
-from .nonneg import (
-    SignPattern,
-    first_positive_power,
-    pairwise_positive_overlap,
-    pattern_product,
-)
+from .nonneg import SignPattern, _pattern_powers, pairwise_positive_overlap
 
 SCHEMA = "stovar/1"
 
@@ -77,14 +72,16 @@ def format_scalar(value: Scalar, domain: Domain) -> str:
 
     Raises :class:`StovarError` for a fraction whose numerator or
     denominator has more digits than Python's int-string limit
-    (``sys.get_int_max_str_digits()``) lets ``str`` print.
+    (``sys.get_int_max_str_digits()``) lets ``str`` print, and for a
+    float that is not finite: a float result over finite entries, such
+    as a variation, can still overflow.
     """
     if domain is Domain.RATIONAL:
         try:
             return str(Fraction(value))
         except ValueError as exc:
             raise StovarError(f"a report value is too long to print: {exc}") from exc
-    return format(float(value), ".17g")
+    return format(_finite([float(value)], domain)[0], ".17g")
 
 
 def _decimal(value: Scalar) -> float:
@@ -170,17 +167,18 @@ def _entries_to_matrix(rows: list[list[Union[int, str]]]) -> Matrix:
         raise MatrixParseError(str(exc)) from exc
 
 
-def _parse_csv_matrix(text: str) -> Matrix:
-    rows: list[list[Union[int, str]]] = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        rows.append([tok.strip() for tok in line.split(",")])
+def _csv_rows(text: str, what: str) -> list[list[str]]:
+    """Stripped comma-separated tokens of each non-blank line; same count per line."""
+    rows = [[tok.strip() for tok in line.split(",")] for line in text.splitlines() if line.strip()]
     if not rows:
-        raise MatrixParseError("empty matrix file")
-    width = len(rows[0])
-    if any(len(row) != width for row in rows) or width == 0:
+        raise MatrixParseError(f"empty {what} file")
+    if any(len(row) != len(rows[0]) for row in rows):
         raise MatrixParseError("ragged rows: every line needs the same number of entries")
+    return rows
+
+
+def _parse_csv_matrix(text: str) -> Matrix:
+    rows = _csv_rows(text, "matrix")
     if any(tok == "" for row in rows for tok in row):
         raise MatrixParseError("empty entry in matrix file")
     return _entries_to_matrix(rows)
@@ -211,15 +209,10 @@ def _parse_json_matrix(text: str) -> Matrix:
         )
     if rows_n == 0 or cols_n == 0:
         raise MatrixParseError("empty matrix")
-    cleaned: list[list[Union[int, str]]] = []
-    for row in data:
-        out_row: list[Union[int, str]] = []
-        for cell in row:
-            if isinstance(cell, bool) or not isinstance(cell, (int, str)):
-                raise MatrixParseError(f"bad matrix entry: {cell!r}")
-            out_row.append(cell)
-        cleaned.append(out_row)
-    return _entries_to_matrix(cleaned)
+    for cell in (c for row in data for c in row):
+        if isinstance(cell, bool) or not isinstance(cell, (int, str)):
+            raise MatrixParseError(f"bad matrix entry: {cell!r}")
+    return _entries_to_matrix(data)
 
 
 def _read_text(path: str) -> str:
@@ -257,21 +250,11 @@ def serialize_matrix(m: Matrix, fmt: str = "csv") -> str:
 
 def parse_pattern(path: str) -> SignPattern:
     """Load a sign pattern from a CSV-style file of 0 and + entries."""
-    text = _read_text(path)
-    rows = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        cells = [tok.strip() for tok in line.split(",")]
-        if any(tok not in ("0", "+") for tok in cells):
-            raise MatrixParseError("pattern entries must be 0 or +")
-        rows.append(cells)
-    if not rows:
-        raise MatrixParseError("empty pattern file")
-    width = len(rows[0])
-    if any(len(row) != width for row in rows):
-        raise MatrixParseError("ragged rows: every line needs the same number of entries")
-    return SignPattern(rows)
+    rows = _csv_rows(_read_text(path), "pattern")
+    try:
+        return SignPattern(rows)
+    except ValueError as exc:
+        raise MatrixParseError("pattern entries must be 0 or +") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -413,23 +396,15 @@ def variation_text(report: dict) -> str:
 
 
 def pattern_report_dict(p: SignPattern, k_max: int) -> dict:
-    powers = []
-    seen = set()
-    acc = p
-    for k in range(1, k_max + 1):
-        powers.append({"k": k, "rows": list(acc.row_strings())})
-        if acc.is_all_positive() or acc in seen:
-            break
-        seen.add(acc)
-        acc = pattern_product(acc, p)
+    powers = _pattern_powers(p, k_max)
     return {
         "schema": SCHEMA,
         "command": "pattern",
         "rows": p.rows,
         "cols": p.cols,
         "k_max": k_max,
-        "powers": powers,
-        "first_positive_power": first_positive_power(p, k_max),
+        "powers": [{"k": k, "rows": list(q.row_strings())} for k, q in enumerate(powers, 1)],
+        "first_positive_power": len(powers) if powers[-1].is_all_positive() else None,
         "pairwise_positive_overlap": pairwise_positive_overlap(p),
     }
 

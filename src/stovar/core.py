@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import isfinite, lcm
+from math import inf, isfinite, lcm
 from operator import add, mul, sub
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -117,6 +117,14 @@ def _finite(values: list[Scalar], domain: Domain) -> list[Scalar]:
         bad = next(v for v in values if not isfinite(v))
         raise DomainMismatchError(f"non-finite entry {bad!r} in a float-domain value")
     return values
+
+
+def _to_float(value: Scalar) -> float:
+    """float(value), but inf or -inf where float() of a huge Fraction overflows."""
+    try:
+        return float(value)
+    except OverflowError:
+        return inf if value > 0 else -inf
 
 
 def _infer_domain(values: Iterable[ScalarLike]) -> Domain:
@@ -337,7 +345,7 @@ class Matrix:
         cols = _column_slices(self._entries, self._cols)
         if self._domain is Domain.RATIONAL:
             return tuple(Fraction(sum(c), d) for c, d in map(_over_lcm, cols))
-        return tuple(map(sum, cols))
+        return tuple(_finite(list(map(sum, cols)), self._domain))
 
     def row_lists(self) -> list[list[Scalar]]:
         """Mutable row-major copy, for elimination-style algorithms."""
@@ -345,9 +353,8 @@ class Matrix:
 
     def to_float(self) -> "Matrix":
         """The same matrix converted to the float domain."""
-        # float() of a Fraction too large for a float raises OverflowError
-        # instead of returning inf, so the result needs no finiteness check
-        return Matrix._of(self._rows, self._cols, map(float, self._entries), Domain.FLOAT)
+        values = _finite(list(map(_to_float, self._entries)), Domain.FLOAT)
+        return Matrix._of(self._rows, self._cols, values, Domain.FLOAT)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)

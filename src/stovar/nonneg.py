@@ -11,13 +11,16 @@ sampled 3x3 Markov convergence criterion based on the third power.
 
 from __future__ import annotations
 
+from operator import and_
 from typing import Iterable, Iterator, Optional, Union
 
 from .core import (
     Domain,
     Matrix,
     Scalar,
+    _column_slices,
     _ensure_typed,
+    _row_slices,
     ensure_type_one,
     mat_pow,
     scalars_equal,
@@ -69,8 +72,17 @@ class SignPattern:
         self._cells = tuple(cells)
 
     @classmethod
+    def _of(cls, rows: int, cols: int, cells: Iterable[bool]) -> "SignPattern":
+        """Pattern over row-major booleans computed by this module; no checks."""
+        p = object.__new__(cls)
+        p._rows, p._cols, p._cells = rows, cols, tuple(cells)
+        return p
+
+    @classmethod
     def identity(cls, n: int) -> "SignPattern":
-        return cls([[i == j for j in range(n)] for i in range(n)])
+        if n < 1:
+            raise DimensionError("a pattern needs at least one row and one column")
+        return cls._of(n, n, [i == j for i in range(n) for j in range(n)])
 
     @property
     def rows(self) -> int:
@@ -96,8 +108,8 @@ class SignPattern:
     def row_strings(self) -> tuple[str, ...]:
         """Rows rendered as strings of '0' and '+'."""
         return tuple(
-            "".join("+" if self._cells[i * self._cols + j] else "0" for j in range(self._cols))
-            for i in range(self._rows)
+            "".join("+" if cell else "0" for cell in row)
+            for row in _row_slices(self._cells, self._cols)
         )
 
     def __iter__(self) -> Iterator[bool]:
@@ -118,14 +130,15 @@ class SignPattern:
         return f"SignPattern([{', '.join(repr(s) for s in self.row_strings())}])"
 
 
+def _floor(domain: Domain) -> Scalar:
+    """Largest value that counts as zero: 0, or the tolerance for floats."""
+    return 0 if domain is Domain.RATIONAL else tolerance()
+
+
 def _ensure_nonnegative(a: Matrix) -> None:
-    if a.domain is Domain.RATIONAL:
-        if any(v < 0 for v in a.entries):
-            raise NegativeEntryError("matrix has a negative entry")
-    else:
-        floor = -tolerance()
-        if any(v < floor for v in a.entries):
-            raise NegativeEntryError("matrix has an entry below -tolerance")
+    floor = _floor(a.domain)
+    if any(v < -floor for v in a.entries):
+        raise NegativeEntryError(f"matrix has an entry below {-floor}")
 
 
 def sign_pattern(a: Matrix) -> SignPattern:
@@ -135,23 +148,17 @@ def sign_pattern(a: Matrix) -> SignPattern:
     pattern results are reproducible for a fixed tolerance.
     """
     _ensure_nonnegative(a)
-    threshold: Scalar = 0 if a.domain is Domain.RATIONAL else tolerance()
-    return SignPattern([[v > threshold for v in row] for row in a.row_lists()])
+    floor = _floor(a.domain)
+    return SignPattern._of(a.rows, a.cols, [v > floor for v in a.entries])
 
 
 def pattern_product(p: SignPattern, q: SignPattern) -> SignPattern:
     """Boolean matrix product; sound for supports of non-negative products."""
     if p.cols != q.rows:
         raise DimensionError(f"cannot multiply {p.rows}x{p.cols} by {q.rows}x{q.cols} patterns")
-    return SignPattern(
-        [
-            [
-                any(p.entry(i, j) and q.entry(j, k) for j in range(p.cols))
-                for k in range(q.cols)
-            ]
-            for i in range(p.rows)
-        ]
-    )
+    rows = _row_slices(p._cells, p.cols)
+    cols = _column_slices(q._cells, q.cols)
+    return SignPattern._of(p.rows, q.cols, [any(map(and_, r, c)) for r in rows for c in cols])
 
 
 def pattern_power(p: SignPattern, k: int) -> SignPattern:
@@ -166,19 +173,30 @@ def pattern_power(p: SignPattern, k: int) -> SignPattern:
     return result
 
 
-def first_positive_power(p: SignPattern, k_max: int) -> Optional[int]:
-    """Smallest k <= k_max with P^k entirely positive, or None."""
+def _pattern_powers(p: SignPattern, k_max: int) -> list[SignPattern]:
+    """P^1, P^2, ..., ending at the first all-positive or repeated power.
+
+    The list also ends at P^k_max, and no product past its last power is
+    formed. Stopping at a repeat loses nothing: once P^j = P^i with
+    i < j, the powers cycle through P^i .. P^(j-1), none of which is all
+    positive, so no later power is.
+    """
     if not p.is_square:
         raise NotSquareError(f"regularity index needs a square pattern, got {p.rows}x{p.cols}")
     if not isinstance(k_max, int) or k_max < 1:
         raise ValueError("k_max must be a positive integer")
-    acc = p
-    for k in range(1, k_max + 1):
-        if acc.is_all_positive():
-            return k
-        if k < k_max:
-            acc = pattern_product(acc, p)
-    return None
+    powers = [p]
+    seen: set[SignPattern] = set()
+    while len(powers) < k_max and not powers[-1].is_all_positive() and powers[-1] not in seen:
+        seen.add(powers[-1])
+        powers.append(pattern_product(powers[-1], p))
+    return powers
+
+
+def first_positive_power(p: SignPattern, k_max: int) -> Optional[int]:
+    """Smallest k <= k_max with P^k entirely positive, or None."""
+    powers = _pattern_powers(p, k_max)
+    return len(powers) if powers[-1].is_all_positive() else None
 
 
 def pairwise_positive_overlap(p: SignPattern) -> bool:
@@ -186,17 +204,13 @@ def pairwise_positive_overlap(p: SignPattern) -> bool:
 
     Pairs include (k, k), so a pattern with an all-zero column fails.
     """
-    for k in range(p.cols):
-        for l in range(k, p.cols):
-            if not any(p.entry(j, k) and p.entry(j, l) for j in range(p.rows)):
-                return False
-    return True
+    cols = _column_slices(p._cells, p.cols)
+    return all(any(map(and_, ck, cl)) for k, ck in enumerate(cols) for cl in cols[k:])
 
 
 def _typed_positive(a: Matrix) -> Scalar:
     t = _ensure_typed(a).type_value
-    positive = t > 0 if a.domain is Domain.RATIONAL else t > tolerance()
-    if not positive:
+    if not t > _floor(a.domain):
         raise NonPositiveTypeError(f"column-sum type must be positive, got {t}")
     return t
 

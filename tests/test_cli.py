@@ -474,6 +474,29 @@ class TestVariationCommand:
         assert report["variation"]["value"] == "0"
 
 
+class TestFloatOverflowInReports:
+    @pytest.mark.parametrize(
+        "text",
+        ["1e308,-1e308\n-1e308,1e308\n", "1e308,1e308\n1e308,1e308\n"],
+        ids=["variation", "column-sums"],
+    )
+    @pytest.mark.parametrize("as_json", [[], ["--json"]], ids=["text", "json"])
+    def test_variation_command_fails_precondition(self, runner, tmp_path, text, as_json):
+        path = write(tmp_path, "m.csv", text)
+        result = runner.invoke(main, ["variation", path, *as_json])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: non-finite entry inf")
+
+    def test_classify_with_an_overflowing_sum_fails_precondition(self, runner):
+        # c = a + b overflows to inf
+        result = runner.invoke(main, ["classify2x2", "1e308", "1e308", "--json"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: non-finite entry inf")
+
+
 class TestPatternCommand:
     def test_worked_pattern(self, runner, tmp_path):
         path = write(tmp_path, "p.csv", "0,+,0\n0,0,+\n+,+,0\n")

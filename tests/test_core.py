@@ -544,6 +544,23 @@ class TestFloatOverflow:
             if isinstance(result, Matrix):
                 assert variation(result).value >= 0
 
+    def test_column_sums_that_overflow_are_rejected(self):
+        # equal columns, so no type deviation may be hidden behind inf - inf
+        m = Matrix([[1e308, 1e308], [1e308, 1e308]])
+        with pytest.raises(DomainMismatchError, match="^non-finite entry inf in a float-domain"):
+            m.col_sums()
+        with pytest.raises(DomainMismatchError):
+            type_of(m)
+
+    @pytest.mark.parametrize(
+        "big, text", [(10**400, "inf"), (-(10**400), "-inf")], ids=["positive", "negative"]
+    )
+    def test_to_float_of_a_fraction_beyond_the_float_range(self, big, text):
+        m = Matrix([[Fraction(1, 3), Fraction(big)]])
+        with pytest.raises(DomainMismatchError, match=f"^non-finite entry {text} in a float-domain"):
+            m.to_float()
+        assert Matrix([[Fraction(1, 3), Fraction(10**300)]]).to_float().entries == (1 / 3, 1e300)
+
 
 @pytest.mark.parametrize(
     "check",

@@ -1,5 +1,6 @@
 """Tests for sign patterns, the strictness criterion, and the 3x3 rule."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,8 @@ from stovar import (
     variation,
     variation_type_bound_check,
 )
+from stovar import nonneg
+from stovar.cli import pattern_report_dict
 
 F = Fraction
 
@@ -133,6 +136,109 @@ class TestFirstPositivePower:
     def test_rejects_bad_bound(self):
         with pytest.raises(ValueError):
             first_positive_power(M_PATTERN, 0)
+
+
+def _naive_product(p, q):
+    return [
+        [any(p[i][j] and q[j][k] for j in range(len(q))) for k in range(len(q[0]))]
+        for i in range(len(p))
+    ]
+
+
+def _naive_pattern_report(rows, k_max):
+    """The pattern report as two separate walks over the powers compute it."""
+    strings = lambda acc: ["".join("+" if c else "0" for c in row) for row in acc]
+    positive = lambda acc: all(map(all, acc))
+    # the listing walk: stops at the first positive or repeated power
+    powers, seen, acc = [], set(), rows
+    for k in range(1, k_max + 1):
+        powers.append({"k": k, "rows": strings(acc)})
+        key = tuple(map(tuple, acc))
+        if positive(acc) or key in seen:
+            break
+        seen.add(key)
+        acc = _naive_product(acc, rows)
+    # the regularity-index walk: every power up to k_max
+    first, acc = None, rows
+    for k in range(1, k_max + 1):
+        if positive(acc):
+            first = k
+            break
+        if k < k_max:
+            acc = _naive_product(acc, rows)
+    n = len(rows)
+    overlap = all(
+        any(rows[j][k] and rows[j][l] for j in range(n)) for k in range(n) for l in range(k, n)
+    )
+    return {
+        "schema": "stovar/1",
+        "command": "pattern",
+        "rows": n,
+        "cols": n,
+        "k_max": k_max,
+        "powers": powers,
+        "first_positive_power": first,
+        "pairwise_positive_overlap": overlap,
+    }
+
+
+@st.composite
+def _square_cells(draw, max_n=7):
+    """Square 0/1 cells of any density, some laid over a permutation."""
+    n = draw(st.integers(1, max_n))
+    density = draw(st.integers(0, 10))
+    digits = draw(st.lists(st.integers(0, 9), min_size=n * n, max_size=n * n))
+    cells = [[digits[i * n + j] < density for j in range(n)] for i in range(n)]
+    if draw(st.booleans()):
+        perm = draw(st.permutations(range(n)))
+        for i in range(n):
+            cells[i][perm[i]] = True
+    return cells
+
+
+class TestPatternWalk:
+    @given(_square_cells(), st.integers(1, 40))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_two_naive_walks(self, cells, k_max):
+        p = SignPattern(cells)
+        expected = _naive_pattern_report(cells, k_max)
+        assert json.dumps(pattern_report_dict(p, k_max)) == json.dumps(expected)
+        assert first_positive_power(p, k_max) == expected["first_positive_power"]
+
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_product_matches_a_triple_loop(self, m, n, r, data):
+        def cells(rows, cols):
+            row = st.lists(st.booleans(), min_size=cols, max_size=cols)
+            return [data.draw(row) for _ in range(rows)]
+
+        a, b = cells(m, n), cells(n, r)
+        product = pattern_product(SignPattern(a), SignPattern(b))
+        assert (product.rows, product.cols) == (m, r)
+        assert product == SignPattern(_naive_product(a, b))
+        assert all(type(cell) is bool for cell in product)
+
+    def test_cycle_stops_at_the_first_repeat(self, monkeypatch):
+        # the powers of a 20-cycle are 20 distinct permutations, then P^21 = P
+        cycle = SignPattern([[j == (i + 1) % 20 for j in range(20)] for i in range(20)])
+        calls = []
+        product = nonneg.pattern_product
+
+        def counted(p, q):
+            calls.append(1)
+            if len(calls) > 25:
+                raise AssertionError("the walk did not stop at the repeated power")
+            return product(p, q)
+
+        monkeypatch.setattr(nonneg, "pattern_product", counted)
+        assert first_positive_power(cycle, 10**6) is None
+        assert len(calls) <= 20
+        calls.clear()
+        report = pattern_report_dict(cycle, 10**6)
+        assert len(calls) <= 20
+        assert len(report["powers"]) == 21
+        assert report["powers"][-1]["rows"] == report["powers"][0]["rows"]
+        assert report["first_positive_power"] is None
 
 
 class TestPairwiseOverlap:
