@@ -3,9 +3,11 @@
 The central question: given a square matrix M whose column sums are all 1,
 do the powers M^k approach a rank-one projection?  They do exactly when
 some power has column variation strictly below one.  This module searches
-for that contraction power, solves for the fixed vector E with entry sum
-one, builds the limit projection P = E * J, and evaluates the a priori
-decay and iterate error bounds that the contraction provides.
+for that contraction power, finds the fixed vector E with entry sum one
+(by a solve, or for a float Markov matrix by iterating M under the
+contraction's own stopping rule), builds the limit projection P = E * J,
+and evaluates the a priori decay and iterate error bounds that the
+contraction provides.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm, prod
-from operator import mul
+from math import inf, lcm, log, prod
+from operator import mul, sub
 from typing import Optional
 
 from .core import (
@@ -28,6 +30,7 @@ from .core import (
     Vector,
     _ensure_typed,
     _finite,
+    _row_slices,
     ensure_type_one,
     is_zero,
     l1_norm,
@@ -351,16 +354,62 @@ def stationary_vector(m: Matrix) -> Vector:
             "no unique fixed vector with entry sum one "
             "(eigenvalue 1 appears with multiplicity two or more)"
         )
-    candidate = Vector._of(_finite(solution, domain), domain)
-    image = mat_vec(m, candidate)
-    fixed = all(
-        scalars_equal(u, v, domain) for u, v in zip(image, candidate)
-    ) and scalars_equal(vsum(candidate), 1, domain)
-    if not fixed:
+    candidate = _fixed_vector(m, solution)
+    if candidate is None:
         raise NonUniqueFixedVectorError(
             "solved system's result is not a fixed vector of the matrix"
         )
     return candidate
+
+
+def _fixed_vector(m: Matrix, values: list[Scalar]) -> Optional[Vector]:
+    """The values as a vector E when M E = E and its entry sum is one, else None."""
+    domain = m.domain
+    candidate = Vector._of(_finite(values, domain), domain)
+    image = mat_vec(m, candidate)
+    fixed = all(
+        scalars_equal(u, v, domain) for u, v in zip(image, candidate)
+    ) and scalars_equal(vsum(candidate), 1, domain)
+    return candidate if fixed else None
+
+
+def _iterated_stationary(m: Matrix, var_m: float) -> Optional[Vector]:
+    """Float E of a Markov M by iterating x <- M x; None to solve instead.
+
+    For x with entry sum one, x - E sums to zero and M E = E, so
+    |x - E| <= |M x - x| + var(M) |x - E|, that is
+    |x - E| <= |M x - x| / (1 - var(M)) in the l1 norm, and M x is no
+    farther from E than x.  The iteration starts from the uniform vector,
+    stops once that bound is at most n * 2**-52, about the accuracy of
+    the float solve, and returns the iterate if it passes the solve's
+    fixed-point check.  The bound holds in exact arithmetic; M has no
+    negative entry and its columns sum to one, so rounding moves each
+    product by about n * 2**-53 at most.
+
+    It gives up after n matrix-vector products, about the cost of the
+    solve, and sooner when a step is no shorter than the one before it,
+    or when the ratio of the last two steps, continued geometrically,
+    would not bring a step down to the bound within n products.  So a
+    slow mixer, with var(M) near one, costs two products.
+    """
+    n = m.rows
+    rows = _row_slices(m.entries, n)
+    target = n * 2.0**-52 * (1.0 - var_m)
+    x = [1.0 / n] * n
+    previous = inf
+    for k in range(1, n + 1):
+        y = [sum(map(mul, row, x)) for row in rows]
+        step = sum(map(abs, map(sub, y, x)))
+        x = y
+        if step <= target:
+            return _fixed_vector(m, x)
+        if not step < previous:  # also a nan or an overflow
+            return None
+        ratio = step / previous  # 0 after the first product
+        if ratio > 0 and k + (log(target) - log(step)) / log(ratio) > n:
+            return None
+        previous = step
+    return None
 
 
 def limit_projection(e: Vector) -> Matrix:
@@ -445,6 +494,16 @@ def analyze(
     products and copies the variations up to p_max; the report is the
     same as if every power had been formed.  The scan keeps M and at
     most 8 powers in memory, whatever p_max is.
+
+    E comes from the solve of :func:`stationary_vector`, except for a
+    float Markov matrix (no negative entry) with var(M) < 1.  There E
+    comes from iterating x <- M x from the uniform vector, stopped once
+    the contraction bounds its error in the l1 norm:
+    |x - E| <= |M x - x| / (1 - var(M)) <= n * 2**-52.  The iterate must
+    pass the same fixed-point check as a solved E.  When it fails that
+    check, when n matrix-vector products do not reach the bound, or when
+    the steps stop shrinking or shrink too slowly to reach it within n
+    products, E is solved for after all.
     """
     _require_square(m)
     type_report = ensure_type_one(m)
@@ -463,7 +522,11 @@ def analyze(
             stationary=None,
             projection=None,
         )
-    e = stationary_vector(m)
+    e = None
+    if m.domain is Domain.FLOAT and p == 1 and min(m.entries) >= 0.0:
+        e = _iterated_stationary(m, history[0])
+    if e is None:
+        e = stationary_vector(m)
     bounds = tuple(
         (k, decay_bound(history[0], history[-1], p, k))
         for k in _report_powers(p, k_report)

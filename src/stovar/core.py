@@ -106,6 +106,9 @@ def _coerce(value: ScalarLike, domain: Domain) -> Scalar:
         result = float(value)
     except (ValueError, TypeError) as exc:
         raise DomainMismatchError(f"cannot interpret {value!r} as a float") from exc
+    except OverflowError as exc:
+        # no repr: an int beyond the int-string limit cannot be printed
+        raise DomainMismatchError("entry beyond the float range in a float-domain value") from exc
     if not isfinite(result):
         raise DomainMismatchError(f"non-finite entry {value!r} in a float-domain value")
     return result
@@ -464,7 +467,8 @@ def variation(a: Matrix) -> VariationReport:
     the result is the same exact fraction, ``best / (2 d)``.  Float
     distances are summed row by row, left to right (CPython 3.12+ sums
     floats with compensation, so the last bits may differ across
-    interpreters).
+    interpreters); a float distance that overflows raises
+    :class:`DomainMismatchError`.
     """
     n = a.cols
     if n == 1:
@@ -480,7 +484,10 @@ def variation(a: Matrix) -> VariationReport:
         top = max(dists)
         if top > best:
             best, best_pair = top, (j + 1, j + 2 + dists.index(top))
-    value = Fraction(best, 2 * d) if a.domain is Domain.RATIONAL else best / 2
+    if a.domain is Domain.RATIONAL:
+        value = Fraction(best, 2 * d)
+    else:
+        value = _finite([best / 2], a.domain)[0]
     return VariationReport(value=value, arg_j=best_pair[0], arg_k=best_pair[1])
 
 

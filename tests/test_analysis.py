@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import support
@@ -40,7 +40,7 @@ from stovar import (
 )
 from stovar import analysis
 from stovar.analysis import _solve_square, _variation_scan
-from stovar.core import strictly_less, tolerance
+from stovar.core import scalars_equal, strictly_less, tolerance
 
 F = Fraction
 
@@ -492,6 +492,204 @@ class TestAnalyze:
             bound == decay_bound(F(6, 5), F(18, 25), 2, k)
             for k, bound in result.decay_bounds
         )
+
+
+# ---------------------------------------------------------------------------
+# the float stationary vector iterated under the contraction's stopping rule
+
+
+@st.composite
+def _converging_float_matrices(draw):
+    """Float type-1 matrices u J + t D, n <= 12, mostly converging.
+
+    Markov: u and the columns of u + D are dense positive weights over
+    their sums; small t mixes fast enough for the iteration to finish
+    within its budget of n products.  Signed: u_2..u_n are drawn from
+    -3..6 and u_1 makes the entry sum one, and D is of type zero with
+    variation one, so var(M) = t.
+    """
+    n = draw(st.integers(1, 12))
+    t = F(draw(st.sampled_from([0, 1, 10, 50, 100, 300, 600, 900, 1000])), 1000)
+
+    def integers(low, high, size):
+        return draw(st.lists(st.integers(low, high), min_size=size, max_size=size))
+
+    if draw(st.booleans()):
+        u = integers(1, 9, n)
+        u = [F(v, sum(u)) for v in u]
+        weights = [integers(1, 9, n) for _ in range(n)]
+        sums = [sum(row[j] for row in weights) for j in range(n)]
+        entries = [
+            [(1 - t) * u[i] + t * F(weights[i][j], sums[j]) for j in range(n)]
+            for i in range(n)
+        ]
+    else:
+        rest = integers(-3, 6, n - 1)
+        u = [1 - sum(rest)] + rest
+        d = [integers(-9, 9, n) for _ in range(n - 1)]
+        d.append([-sum(row[j] for row in d) for j in range(n)])
+        spread = variation(Matrix(d)).value
+        scale = t / spread if spread else 0
+        entries = [[u[i] + scale * d[i][j] for j in range(n)] for i in range(n)]
+    return Matrix([[float(v) for v in row] for row in entries], domain=Domain.FLOAT)
+
+
+def _biased_lazy_path(n):
+    """Float lazy walk on a path: stay 1/2, right 1/3, left 1/6, reflecting ends."""
+    rows = [[0.0] * n for _ in range(n)]
+    for j in range(n):
+        rows[j][j] = 0.5
+        for i, weight in ((j + 1, 1 / 3), (j - 1, 1 / 6)):
+            rows[i if 0 <= i < n else j][j] += weight
+    return Matrix(rows, domain=Domain.FLOAT)
+
+
+def _dense_markov(n, seed):
+    import random
+
+    rng = random.Random(seed)
+    weights = [[rng.randint(1, 9) for _ in range(n)] for _ in range(n)]
+    sums = [sum(row[j] for row in weights) for j in range(n)]
+    return Matrix([[row[j] / sums[j] for j in range(n)] for row in weights], domain=Domain.FLOAT)
+
+
+def _l1_distance(u, v):
+    return sum(abs(a - b) for a, b in zip(u, v))
+
+
+class TestIteratedFloatStationary:
+    @given(_converging_float_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_fixed_point_close_to_the_solve(self, m):
+        result = analyze(m)
+        assume(result.converged)
+        e = result.stationary
+        solved = stationary_vector(m)
+        assert all(scalars_equal(u, v, Domain.FLOAT) for u, v in zip(mat_vec(m, e), e))
+        assert scalars_equal(vsum(e), 1.0, Domain.FLOAT)
+        assert _l1_distance(e, solved) <= 1e-12
+        if min(m.entries) < 0:  # signed: rounding grows with |M| |E|, so E is solved
+            assert e == solved
+
+    @pytest.mark.parametrize("n", [20, 40, 60])
+    def test_dense_markov_takes_the_iteration(self, monkeypatch, n):
+        m = _dense_markov(n, seed=n)
+        solved = stationary_vector(m)
+
+        def no_solve(_m):
+            raise AssertionError("analyze solved instead of iterating")
+
+        monkeypatch.setattr(analysis, "stationary_vector", no_solve)
+        e = analyze(m).stationary
+        assert _l1_distance(e, solved) <= n * 2.0**-52
+
+    def test_worked_example_in_floats(self):
+        result = analyze(EX_M.to_float())
+        assert result.contraction_power == 2
+        assert _l1_distance(result.stationary, (-2, 1 / 3, 8 / 3)) <= 1e-12
+
+    @staticmethod
+    def _count_products(monkeypatch, n):
+        """Products formed by the iteration, read off its n differences per product."""
+        differences = 0
+
+        def counting_sub(a, b):
+            nonlocal differences
+            differences += 1
+            return a - b
+
+        monkeypatch.setattr(analysis, "sub", counting_sub)
+        return lambda: differences / n
+
+    @staticmethod
+    def _lazy_toward(u, stay):
+        """stay * I + (1 - stay) * u J: var = stay, steps shrink by stay exactly."""
+        n = len(u)
+        rows = [[stay * (i == j) + (1 - stay) * u[i] for j in range(n)] for i in range(n)]
+        return Matrix(rows, domain=Domain.FLOAT)
+
+    def test_stops_at_the_first_product_whose_bound_meets_the_target(self, monkeypatch):
+        # the step after product k is 0.5**k * 0.7, and the bound is twice
+        # the step: 0.7 * 2**(1 - k) <= 64 * 2**-52 first at k = 47
+        n = 64
+        u = [1 / n] * n
+        u[0] += 0.35
+        u[1] -= 0.35
+        m = self._lazy_toward(u, 0.5)
+        products = self._count_products(monkeypatch, n)
+        e = analysis._iterated_stationary(m, 0.5)
+        assert products() == 47
+        assert _l1_distance(e, u) <= n * 2.0**-52
+
+    def test_slow_geometric_steps_give_up_after_two_products(self, monkeypatch):
+        # steps shrink by 0.9: reaching 16 * 2**-52 would take over 300 products
+        n = 16
+        m = self._lazy_toward([(i + 1) / 136 for i in range(n)], 0.9)
+        products = self._count_products(monkeypatch, n)
+        assert analysis._iterated_stationary(m, 0.9) is None
+        assert products() == 2
+        assert analyze(m).stationary == stationary_vector(m)
+
+    def test_steps_stalled_by_rounding_stop_the_iteration(self, monkeypatch):
+        # M = E J + N with N^2 = 0 and N E = 0: the first product lands on E
+        # in exact arithmetic, so later steps are rounding noise, far above
+        # the target since var(M) = 0.997; either the noise meets the target
+        # at once or the iteration gives up, so it may not run on to n products
+        n = 32
+        e = [1e-4] * n
+        e[0] = e[1] = (1 - (n - 2) * 1e-4) / 2
+        rows = [
+            [e[i] + e[1] * ((i == 0) - (i == 1)) * ((j == 2) - (j == 3)) for j in range(n)]
+            for i in range(n)
+        ]
+        m = Matrix(rows, domain=Domain.FLOAT)
+        assert abs(variation(m).value - 0.997) < 1e-12
+        products = self._count_products(monkeypatch, n)
+        stationary = analyze(m).stationary
+        assert products() <= 3
+        assert _l1_distance(stationary, e) <= n * 2.0**-52
+
+    def test_contraction_power_above_one_solves(self, monkeypatch):
+        n = 16
+        m = _biased_lazy_path(n)
+        p, history, _ = _variation_scan(m, 64)
+        assert p == 8 and history[-1] > 0.99
+        products = self._count_products(monkeypatch, n)
+        assert analyze(m).stationary == stationary_vector(m)
+        assert products() == 0
+
+    def test_signed_matrix_solves(self, monkeypatch):
+        # var(M) = 0.4, so a Markov matrix would take the iteration
+        m = Matrix([[0.6, 0.8, 0.6], [-0.2, 0.0, 0.0], [0.6, 0.2, 0.4]], domain=Domain.FLOAT)
+        assert analyze(m).contraction_power == 1
+        products = self._count_products(monkeypatch, 3)
+        assert analyze(m).stationary == stationary_vector(m)
+        assert products() == 0
+
+    def test_one_by_one(self):
+        m = Matrix([[1.0]])
+        assert analysis._iterated_stationary(m, 0.0) == Vector([1.0])
+        assert analyze(m).stationary == Vector([1.0])
+
+    def test_rank_one_matrix(self):
+        e = (0.2, 0.3, 0.5)
+        m = Matrix([[v] * 3 for v in e], domain=Domain.FLOAT)
+        result = analyze(m)
+        assert (result.contraction_power, result.variation_at_p) == (1, 0.0)
+        iterated = analysis._iterated_stationary(m, 0.0)
+        assert iterated is not None
+        assert _l1_distance(iterated, e) <= 3 * 2.0**-52
+        assert result.stationary == iterated
+
+    @pytest.mark.parametrize(
+        "m",
+        [EX_M, support.K_INSTANCE, support.L_INSTANCE, support.M_INSTANCE],
+        ids=["worked", "K", "L", "M"],
+    )
+    def test_rational_stationary_is_the_solve(self, m):
+        result = analyze(m)
+        assert result.converged
+        assert result.stationary == stationary_vector(m)
 
 
 class TestTypeEigenvalueCertificate:

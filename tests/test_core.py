@@ -542,7 +542,36 @@ class TestFloatOverflow:
                 continue
             assert all(map(math.isfinite, result.entries))
             if isinstance(result, Matrix):
-                assert variation(result).value >= 0
+                # finite entries may still lie farther apart than the float range
+                try:
+                    value = variation(result).value
+                except DomainMismatchError as exc:
+                    assert str(exc).startswith("non-finite entry")
+                else:
+                    assert math.isfinite(value) and value >= 0
+
+    def test_variation_that_overflows_is_rejected(self):
+        m = Matrix([[1e308, -1e308], [-1e308, 1e308]])
+        with pytest.raises(DomainMismatchError, match="^non-finite entry inf in a float-domain"):
+            variation(m)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Matrix([[10**400, 0.5]]),
+            lambda: Matrix([[Fraction(10**400)]], Domain.FLOAT),
+            lambda: Vector([10**400, 0.5]),
+        ],
+        ids=["matrix-int", "matrix-fraction", "vector-int"],
+    )
+    def test_constructors_reject_values_beyond_the_float_range(self, build):
+        with pytest.raises(DomainMismatchError, match="^entry beyond the float range"):
+            build()
+
+    def test_rejection_of_an_int_too_long_to_print(self):
+        # repr of this int raises ValueError, so the message must not use it
+        with pytest.raises(DomainMismatchError, match="^entry beyond the float range"):
+            Vector([10**5000, 0.5])
 
     def test_column_sums_that_overflow_are_rejected(self):
         # equal columns, so no type deviation may be hidden behind inf - inf
