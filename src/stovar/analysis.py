@@ -51,6 +51,7 @@ from .errors import (
     NotSquareError,
     VsumNotOneError,
 )
+from .nonneg import _first_overlapping_power
 
 DEFAULT_P_MAX = 64
 DEFAULT_K_REPORT = 200
@@ -144,6 +145,16 @@ def _variation_scan(
     Also returns the full variation report of M^1, so callers that need
     its column pair do not compute it again.
 
+    A non-negative M with var(M) not below one first walks the support
+    patterns of its powers (:func:`nonneg._first_overlapping_power`).
+    A non-negative type-1 matrix has variation exactly 1 when two of its
+    columns have disjoint supports, and below 1 otherwise, so every
+    power before the first one k0 whose columns overlap pairwise has
+    variation 1: those powers are reported as exactly 1, with no
+    variation computed.  M^2..M^k0 are then formed one by one, as below,
+    and the scan goes on from M^k0.  With no such k0 up to p_max, or once
+    the patterns recur, the scan ends inconclusive and forms no product.
+
     Each new power is compared with M and with the last
     ``_REPEAT_WINDOW`` powers.  When it equals the power at history index
     j, every later power repeats with period ``len(history) - j``, since
@@ -157,9 +168,18 @@ def _variation_scan(
         raise ValueError("p_max must be a positive integer")
     first = variation(m)
     history: list[Scalar] = [first.value]
+    one = one_of(m.domain)
     power = m
+    if p_max > 1 and not strictly_less(first.value, one, m.domain) and min(m.entries) >= 0:
+        k0 = _first_overlapping_power(m, p_max, _REPEAT_WINDOW)
+        if k0 is None:
+            return None, history + [one] * (p_max - 1), first
+        # the loop below forms M^k0 from M^(k0 - 1)
+        for _ in range(k0 - 2):
+            power = mat_mul(power, m)
+            history.append(one)
     recent: deque[tuple[int, tuple[Scalar, ...]]] = deque(maxlen=_REPEAT_WINDOW)
-    while not strictly_less(history[-1], one_of(m.domain), m.domain):
+    while not strictly_less(history[-1], one, m.domain):
         if len(history) == p_max:
             return None, history, first
         power = mat_mul(power, m)
@@ -489,6 +509,15 @@ def analyze(
     continuous, so failure below a finite bound proves nothing about
     divergence (outside the fully classified 2x2 case).
 
+    A non-negative M with var(M) not below one is scanned on its support
+    first: a power whose support has two disjoint columns has variation
+    exactly 1, so such powers are reported as 1 without being formed,
+    and the numeric scan starts at the first power whose columns overlap
+    pairwise.  With no such power up to p_max, or once the support
+    patterns recur, the verdict is inconclusive and no product is
+    formed.  Rational reports are the same as from a full scan; a float
+    report says 1 where the full scan gave 1 up to rounding.
+
     Once a power equals M or one of the 8 powers before it, the later
     powers repeat with a fixed period, so the scan forms no further
     products and copies the variations up to p_max; the report is the
@@ -580,12 +609,18 @@ def _rank(rows: list[list[Scalar]], domain: Domain) -> int:
 def type_eigenvalue_certificate(m: Matrix) -> Scalar:
     """Return the column-sum type c after certifying that M - cI is singular.
 
-    The row sums of M - cI vanish, so singularity always holds for a typed
-    matrix; a full-rank result would contradict that and aborts with
+    The column sums of M - cI vanish, so the all-ones row is a left null
+    vector of M - cI.  For a float matrix that is the certificate: the
+    type check has just bounded every column sum of M - cI by the
+    tolerance, and a float rank would only measure rounding.  A rational
+    matrix is certified by the exact Bareiss rank as well; a full rank
+    would contradict the vanishing column sums and aborts with
     RuntimeError rather than returning a wrong certificate.
     """
     _require_square(m)
     c = _ensure_typed(m).type_value
+    if m.domain is Domain.FLOAT:
+        return c
     shifted = m.row_lists()
     for i in range(m.rows):
         shifted[i][i] -= c

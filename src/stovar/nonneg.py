@@ -7,12 +7,22 @@ the variation is strictly below the type, and pattern products soundly
 track the supports of matrix products.  This module implements the
 patterns, the strictness test, the regularity index search, and the
 sampled 3x3 Markov convergence criterion based on the third power.
+
+Boolean products work on column masks: column j is an int whose bit i
+is set when cell (i, j) is nonzero, and column j of a product A B is
+the OR of the columns l of A over the set bits l of column j of B.  The
+same kernel serves :func:`pattern_product` and the support walk that
+lets ``analyze`` report var(M^k) = 1 for a non-negative type-1 M
+without forming M^k: the supports of the powers of M are the boolean
+powers of its support, with a zero being an exact zero.
 """
 
 from __future__ import annotations
 
-from operator import and_
-from typing import Iterable, Iterator, Optional, Union
+from collections import deque
+from functools import reduce
+from operator import or_
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .core import (
     Domain,
@@ -152,13 +162,34 @@ def sign_pattern(a: Matrix) -> SignPattern:
     return SignPattern._of(a.rows, a.cols, [v > floor for v in a.entries])
 
 
+def _column_supports(cells: Sequence, width: int) -> list[list[int]]:
+    """Row indices of the nonzero cells of each column of row-major cells."""
+    return [[i for i, cell in enumerate(col) if cell] for col in _column_slices(cells, width)]
+
+
+def _masks(supports: list[list[int]]) -> list[int]:
+    """Column masks: bit i of column j is set when i is in its support."""
+    return [sum(1 << i for i in support) for support in supports]
+
+
+def _mask_product(left: list[int], right: list[list[int]]) -> list[int]:
+    """Column masks of A B, from the column masks of A and the supports of B."""
+    return [reduce(or_, [left[c] for c in support], 0) for support in right]
+
+
+def _masks_overlap(masks: list[int]) -> bool:
+    """Whether every pair of columns, (k, k) included, shares a set bit."""
+    return all(a & b for k, a in enumerate(masks) for b in masks[k:])
+
+
 def pattern_product(p: SignPattern, q: SignPattern) -> SignPattern:
     """Boolean matrix product; sound for supports of non-negative products."""
     if p.cols != q.rows:
         raise DimensionError(f"cannot multiply {p.rows}x{p.cols} by {q.rows}x{q.cols} patterns")
-    rows = _row_slices(p._cells, p.cols)
-    cols = _column_slices(q._cells, q.cols)
-    return SignPattern._of(p.rows, q.cols, [any(map(and_, r, c)) for r in rows for c in cols])
+    left = _masks(_column_supports(p._cells, p.cols))
+    out = _mask_product(left, _column_supports(q._cells, q.cols))
+    cells = [bool(mask >> i & 1) for i in range(p.rows) for mask in out]
+    return SignPattern._of(p.rows, q.cols, cells)
 
 
 def pattern_power(p: SignPattern, k: int) -> SignPattern:
@@ -204,8 +235,34 @@ def pairwise_positive_overlap(p: SignPattern) -> bool:
 
     Pairs include (k, k), so a pattern with an all-zero column fails.
     """
-    cols = _column_slices(p._cells, p.cols)
-    return all(any(map(and_, ck, cl)) for k, ck in enumerate(cols) for cl in cols[k:])
+    return _masks_overlap(_masks(_column_supports(p._cells, p.cols)))
+
+
+def _first_overlapping_power(a: Matrix, k_max: int, window: int) -> Optional[int]:
+    """Smallest k <= k_max whose support pattern P^k overlaps pairwise, or None.
+
+    P is the support of the square matrix A: cell (i, j) is set exactly
+    when A[i][j] != 0, with no tolerance floor, so for a non-negative A
+    the support of A^k is P^k.  A float product can only lose support,
+    by underflow, so two columns disjoint in P^k are disjoint in the
+    computed power too.  The walk also ends, with None, when a power
+    equals P or one of the ``window`` powers before it: from there the
+    powers cycle through patterns already found not to overlap.  So it
+    holds P and at most ``window`` powers, whatever k_max is.
+    """
+    supports = _column_supports(a.entries, a.cols)
+    first = power = _masks(supports)
+    recent: deque[list[int]] = deque(maxlen=window)
+    k = 1
+    while not _masks_overlap(power):
+        if k == k_max:
+            return None
+        power = _mask_product(power, supports)
+        k += 1
+        if power == first or power in recent:
+            return None
+        recent.append(power)
+    return k
 
 
 def _typed_positive(a: Matrix) -> Scalar:

@@ -1,9 +1,11 @@
 """Tests for contraction search, stationary vectors, bounds, and the 2x2 taxonomy."""
 
 from fractions import Fraction
+from math import fsum
+from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import support
@@ -40,7 +42,7 @@ from stovar import (
 )
 from stovar import analysis
 from stovar.analysis import _solve_square, _variation_scan
-from stovar.core import scalars_equal, strictly_less, tolerance
+from stovar.core import scalars_close, scalars_equal, strictly_less, tolerance
 
 F = Fraction
 
@@ -134,6 +136,58 @@ def _recurring_matrices(draw, domain):
     return Matrix([[w / t for w, t in zip(row, totals)] for row in weights], domain=domain)
 
 
+def _naive_powers(m, count):
+    """M^1..M^count, each formed from the one before."""
+    powers = [m]
+    while len(powers) < count:
+        powers.append(mat_mul(powers[-1], m))
+    return powers
+
+
+def _has_disjoint_columns(m):
+    """Whether two columns of M have no row where both are nonzero."""
+    cols = [[v != 0 for v in col] for col in zip(*m.row_lists())]
+    return any(
+        not any(a and b for a, b in zip(cj, ck))
+        for j, cj in enumerate(cols)
+        for ck in cols[j + 1 :]
+    )
+
+
+@st.composite
+def _random_support_markov(draw):
+    """Rational Markov matrices on random supports, n = 1..8, or lazy paths.
+
+    Weights 1..9 sit on a random mask plus the diagonal, over their column
+    sums.  A lazy path (n = 4..12) puts them on the diagonal and both
+    neighbours, so its columns 1 and n first overlap at power n // 2.
+    """
+    lazy = draw(st.booleans())
+    n = draw(st.integers(4, 12) if lazy else st.integers(1, 8))
+    if lazy:
+        mask = [[abs(i - j) <= 1 for j in range(n)] for i in range(n)]
+    else:
+        density = draw(st.sampled_from([0.0, 0.1, 0.25, 0.5]))
+        mask = [
+            [i == j or draw(st.floats(0, 1)) < density for j in range(n)] for i in range(n)
+        ]
+    weights = [[draw(st.integers(1, 9)) if cell else 0 for cell in row] for row in mask]
+    totals = [sum(col) for col in zip(*weights)]
+    return lazy, Matrix([[F(w, t) for w, t in zip(row, totals)] for row in weights])
+
+
+def _signed_twin(rows, low):
+    """P + x 1^T, where x is -1/4 at row ``low``, +1/4 at the next row, 0 elsewhere.
+
+    x sums to zero, so M^k = P^k + s_k 1^T with s_k = (I + P + ... + P^(k-1)) x:
+    every column of a power moves by the same vector, the variations are
+    those of P, and M^k recurs exactly when P^k and s_k do.
+    """
+    x = [F(0)] * len(rows)
+    x[low], x[low + 1] = F(-1, 4), F(1, 4)
+    return Matrix([[v + x[i] for v in row] for i, row in enumerate(rows)])
+
+
 class TestVariationScanMatchesNaiveScan:
     @pytest.mark.parametrize("domain", [Domain.RATIONAL, Domain.FLOAT], ids=lambda d: d.value)
     @given(data=st.data(), p_max=st.integers(1, 70))
@@ -143,7 +197,32 @@ class TestVariationScanMatchesNaiveScan:
         p, history, first = _variation_scan(m, p_max)
         want_p, want_history, want_first = _naive_scan(m, p_max)
         assert (p, first) == (want_p, want_first)
-        assert list(map(repr, history)) == list(map(repr, want_history))
+        if domain is Domain.RATIONAL:
+            assert list(map(repr, history)) == list(map(repr, want_history))
+            return
+        # a non-negative power whose support has two disjoint columns has
+        # variation exactly 1, reported as such and not as the rounded sum
+        assert len(history) == len(want_history)
+        walked = min(m.entries) >= 0
+        powers = _naive_powers(m, len(history))
+        for k, (got, want, power) in enumerate(zip(history, want_history, powers), start=1):
+            if walked and k > 1 and _has_disjoint_columns(power):
+                assert got == 1.0 and repr(got) == "1.0"
+                assert scalars_close(want, 1.0)
+            else:
+                assert repr(got) == repr(want)
+
+    @given(_random_support_markov(), st.integers(1, 40))
+    @settings(max_examples=150, deadline=None)
+    def test_random_supports_match_the_naive_scan_exactly(self, drawn, p_max):
+        lazy, m = drawn
+        p, history, first = _variation_scan(m, p_max)
+        assert (p, history, first) == _naive_scan(m, p_max)
+        if lazy and p_max >= m.rows // 2:
+            assert p == m.rows // 2
+        with mock.patch.object(analysis, "_variation_scan", _naive_scan):
+            want = analyze(m, p_max)
+        assert analyze(m, p_max) == want
 
     @staticmethod
     def _count_calls(monkeypatch):
@@ -162,9 +241,16 @@ class TestVariationScanMatchesNaiveScan:
 
     def test_permutation_cycle_forms_one_product_per_step(self, monkeypatch):
         n = 24
-        cycle = Matrix([[int(i == (j + 1) % n) for j in range(n)] for i in range(n)])
+        rows = [[F(int(i == (j + 1) % n)) for j in range(n)] for i in range(n)]
         calls = self._count_calls(monkeypatch)
-        p, history, first = _variation_scan(cycle, 100000)
+        p, history, first = _variation_scan(Matrix(rows), 100000)
+        # non-negative: the support walk shows every power has disjoint columns
+        assert calls == {"mat_mul": 0, "variation": 1}
+        assert (p, len(history), first.value) == (None, 100000, 1)
+        assert all(v == 1 for v in history)
+        # the signed twin has the same variations; M^25 = M ends the numeric scan
+        calls.update(mat_mul=0, variation=0)
+        p, history, first = _variation_scan(_signed_twin(rows, 0), 100000)
         assert p is None
         assert calls == {"mat_mul": 24, "variation": 24}
         assert len(history) == 100000
@@ -174,15 +260,60 @@ class TestVariationScanMatchesNaiveScan:
     @pytest.mark.parametrize("domain", [Domain.RATIONAL, Domain.FLOAT], ids=lambda d: d.value)
     def test_late_cycle_of_eight_is_found_at_its_first_repeat(self, monkeypatch, domain):
         # states 0..7 form a cycle and 8 -> 9 -> 10 -> 0 is a tail, so
-        # M^11 = M^3 is the first repeat and M is never repeated
+        # M^11 = M^3 is the first repeat and M is never repeated; for the
+        # signed twin too, since s_11 - s_3 sums x over a whole turn of the cycle
         step = [(j + 1) % 8 for j in range(8)] + [9, 10, 0]
-        rows = [[int(step[j] == i) for j in range(11)] for i in range(11)]
-        m = Matrix(rows, domain=domain)
+        rows = [[F(int(step[j] == i)) for j in range(11)] for i in range(11)]
         calls = self._count_calls(monkeypatch)
-        p, history, _ = _variation_scan(m, 64)
+        p, history, _ = _variation_scan(Matrix(rows, domain=domain), 64)
+        assert calls == {"mat_mul": 0, "variation": 1}
+        assert (p, history) == (None, [1] * 64)
+        calls.update(mat_mul=0, variation=0)
+        twin = _signed_twin(rows, 2)
+        p, history, _ = _variation_scan(Matrix(twin.row_lists(), domain=domain), 64)
         assert p is None
         assert calls == {"mat_mul": 10, "variation": 10}
         assert history == [1] * 64
+
+    @pytest.mark.parametrize("domain", [Domain.RATIONAL, Domain.FLOAT], ids=lambda d: d.value)
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[0, 0, 1], [1, 0, 0], [0, 1, 0]],
+            [
+                [F(1, 2), F(1, 2), 0, 0],
+                [F(1, 2), F(1, 2), 0, 0],
+                [0, 0, F(3, 10), F(7, 10)],
+                [0, 0, F(7, 10), F(3, 10)],
+            ],
+            [
+                [0, 0, F(1, 3), F(1, 2)],
+                [0, 0, F(2, 3), F(1, 2)],
+                [F(1, 4), 1, 0, 0],
+                [F(3, 4), 0, 0, 0],
+            ],
+        ],
+        ids=["permutation", "block-diagonal", "periodic"],
+    )
+    def test_nonnegative_inputs_without_overlap_form_no_product(self, monkeypatch, domain, rows):
+        m = Matrix(rows, domain=domain)
+        calls = self._count_calls(monkeypatch)
+        p, history, _ = _variation_scan(m, 64)
+        assert calls == {"mat_mul": 0, "variation": 1}
+        assert (p, history) == (None, [1] * 64)
+        assert all(type(v) is type(history[0]) for v in history)
+
+    def test_walk_stops_at_the_first_overlapping_power(self, monkeypatch):
+        # a lazy path on 9 states: columns 1 and 9 first share a row at power 4
+        weight = {0: F(1, 2), 1: F(1, 4)}
+        rows = [[weight.get(abs(i - j), F(0)) for j in range(9)] for i in range(9)]
+        rows[0][0] = rows[8][8] = F(3, 4)
+        calls = self._count_calls(monkeypatch)
+        p, history, _ = _variation_scan(Matrix(rows), 64)
+        assert p == 4
+        assert calls == {"mat_mul": 3, "variation": 2}
+        assert history[1:3] == [1, 1] and history[3] < 1
+        assert _naive_scan(Matrix(rows), 64)[1] == history
 
 
 class TestStationaryVector:
@@ -896,6 +1027,27 @@ def _echelon_matrices(draw, domain, square=False):
     return rows
 
 
+def _with_type_row(body, t):
+    """The rows of body plus a last row that makes every column sum t."""
+    return body + [[t - sum(col) for col in zip(*body)] if body else [t]]
+
+
+@st.composite
+def _float_typed_rows(draw):
+    """Float rows of type t, n = 1..7, entries and t in [-100, 100]."""
+    n = draw(st.integers(1, 7))
+    entries = st.floats(min_value=-100, max_value=100, allow_nan=False)
+    body = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n - 1)]
+    return _with_type_row(body, draw(entries))
+
+
+# a type tiny beside the entries, where a float rank of M - cI came out full
+_TINY_TYPE_ROWS = _with_type_row(
+    [[0.0, 16.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 3.0], [0.0] * 5, [0.0] * 5],
+    -2.9433908980963544e-07,
+)
+
+
 class TestEchelonKernels:
     @given(st.sampled_from(list(Domain)), st.data())
     @settings(max_examples=300, deadline=None)
@@ -918,18 +1070,16 @@ class TestEchelonKernels:
         got = determinant(Matrix(rows, domain=Domain.FLOAT))
         assert got.hex() == _reference_float_determinant(rows).hex()
 
-    @given(st.integers(1, 7), st.data())
+    @given(_float_typed_rows())
+    @example(_TINY_TYPE_ROWS)
     @settings(max_examples=150, deadline=None)
-    def test_certificate_on_float_typed_matrices(self, n, data):
-        entries = st.floats(min_value=-100, max_value=100, allow_nan=False)
-        t = data.draw(entries)
-        body = [data.draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n - 1)]
-        rows = body + [[t - sum(col) for col in zip(*body)] if body else [t]]
+    def test_certificate_on_float_typed_matrices(self, rows):
         m = Matrix(rows, domain=Domain.FLOAT)
         c = type_eigenvalue_certificate(m)
         assert c == m.col_sums()[0]
+        # 1^T (M - cI) vanishes within the tolerance, summed apart from the type check
         shifted = [[v - c if i == j else v for j, v in enumerate(row)] for i, row in enumerate(rows)]
-        assert _reference_rank(shifted, Domain.FLOAT) < n
+        assert all(scalars_close(fsum(col), 0.0) for col in zip(*shifted))
 
 
 class TestClassify2x2:

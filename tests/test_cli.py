@@ -296,6 +296,26 @@ class TestAnalyzeCommand:
         assert report["variation_per_power"] == ["1"] * 5000
         assert report["contraction_power"] is None
 
+    @pytest.mark.parametrize(
+        "text, flags",
+        [
+            # type 1 within the tolerance; the float var(M^2) = 1 - 1.8e-9
+            # passed as a contraction, and the solve then failed
+            ("0.9999999991,0\n0,0.9999999991\n", []),
+            # reducible; under this tolerance the rounded var(M^15) =
+            # 0.99999999999999989 passed as a contraction
+            ("0.5,0.5,0,0\n0.5,0.5,0,0\n0,0,0.3,0.7\n0,0,0.7,0.3\n", ["--tol", "1e-300"]),
+        ],
+        ids=["diagonal-within-tolerance", "reducible-tiny-tolerance"],
+    )
+    def test_disjoint_float_supports_are_inconclusive(self, runner, tmp_path, text, flags):
+        path = write(tmp_path, "m.csv", text)
+        result = runner.invoke(main, ["analyze", path, "--json", *flags])
+        assert result.exit_code == 3
+        report = json.loads(result.output)
+        assert report["contraction_power"] is None
+        assert report["variation_per_power"][1:] == ["1"] * 63
+
     def test_report_value_over_the_int_string_limit(self, runner, tmp_path):
         # a signed 8x8 type-1 matrix whose power variations pass 4300 digits
         rng = random.Random(0)
