@@ -51,7 +51,7 @@ from .errors import (
     NotSquareError,
     VsumNotOneError,
 )
-from .nonneg import _first_overlapping_power
+from .nonneg import _column_masks, _masks_overlap, _power_walk
 
 DEFAULT_P_MAX = 64
 DEFAULT_K_REPORT = 200
@@ -146,14 +146,18 @@ def _variation_scan(
     its column pair do not compute it again.
 
     A non-negative M with var(M) not below one first walks the support
-    patterns of its powers (:func:`nonneg._first_overlapping_power`).
-    A non-negative type-1 matrix has variation exactly 1 when two of its
-    columns have disjoint supports, and below 1 otherwise, so every
-    power before the first one k0 whose columns overlap pairwise has
-    variation 1: those powers are reported as exactly 1, with no
-    variation computed.  M^2..M^k0 are then formed one by one, as below,
-    and the scan goes on from M^k0.  With no such k0 up to p_max, or once
-    the patterns recur, the scan ends inconclusive and forms no product.
+    patterns of its powers (:func:`nonneg._power_walk`).  The support
+    P has cell (i, j) set exactly when M[i][j] != 0, with no tolerance
+    floor, so the support of M^k is P^k; a float product can only lose
+    support, by underflow, so columns disjoint in P^k are disjoint in
+    the computed power too.  A non-negative type-1 matrix has variation
+    exactly 1 when two of its columns have disjoint supports, and below
+    1 otherwise, so every power before the first one k0 whose columns
+    overlap pairwise has variation 1: those powers are reported as
+    exactly 1, with no variation computed.  M^2..M^k0 are then formed
+    one by one, as below, and the scan goes on from M^k0.  With no such
+    k0 up to p_max, or once a pattern equals an earlier one, the scan
+    ends inconclusive and forms no product.
 
     Each new power is compared with M and with the last
     ``_REPEAT_WINDOW`` powers.  When it equals the power at history index
@@ -171,7 +175,7 @@ def _variation_scan(
     one = one_of(m.domain)
     power = m
     if p_max > 1 and not strictly_less(first.value, one, m.domain) and min(m.entries) >= 0:
-        k0 = _first_overlapping_power(m, p_max, _REPEAT_WINDOW)
+        k0 = _power_walk(_column_masks(m.entries, m.cols), p_max, _masks_overlap)[0]
         if k0 is None:
             return None, history + [one] * (p_max - 1), first
         # the loop below forms M^k0 from M^(k0 - 1)
@@ -513,10 +517,11 @@ def analyze(
     first: a power whose support has two disjoint columns has variation
     exactly 1, so such powers are reported as 1 without being formed,
     and the numeric scan starts at the first power whose columns overlap
-    pairwise.  With no such power up to p_max, or once the support
-    patterns recur, the verdict is inconclusive and no product is
-    formed.  Rational reports are the same as from a full scan; a float
-    report says 1 where the full scan gave 1 up to rounding.
+    pairwise.  With no such power up to p_max, or once a support
+    pattern equals an earlier one, the verdict is inconclusive and no
+    product is formed.  Rational reports are the same as from a full
+    scan; a float report says 1 where the full scan gave 1 up to
+    rounding.
 
     Once a power equals M or one of the 8 powers before it, the later
     powers repeat with a fixed period, so the scan forms no further

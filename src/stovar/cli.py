@@ -396,7 +396,7 @@ def variation_text(report: dict) -> str:
 
 
 def pattern_report_dict(p: SignPattern, k_max: int) -> dict:
-    powers = _pattern_powers(p, k_max)
+    first, powers = _pattern_powers(p, k_max)
     return {
         "schema": SCHEMA,
         "command": "pattern",
@@ -404,7 +404,7 @@ def pattern_report_dict(p: SignPattern, k_max: int) -> dict:
         "cols": p.cols,
         "k_max": k_max,
         "powers": [{"k": k, "rows": list(q.row_strings())} for k, q in enumerate(powers, 1)],
-        "first_positive_power": len(powers) if powers[-1].is_all_positive() else None,
+        "first_positive_power": first,
         "pairwise_positive_overlap": pairwise_positive_overlap(p),
     }
 

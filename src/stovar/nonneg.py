@@ -8,21 +8,25 @@ track the supports of matrix products.  This module implements the
 patterns, the strictness test, the regularity index search, and the
 sampled 3x3 Markov convergence criterion based on the third power.
 
-Boolean products work on column masks: column j is an int whose bit i
-is set when cell (i, j) is nonzero, and column j of a product A B is
-the OR of the columns l of A over the set bits l of column j of B.  The
-same kernel serves :func:`pattern_product` and the support walk that
-lets ``analyze`` report var(M^k) = 1 for a non-negative type-1 M
-without forming M^k: the supports of the powers of M are the boolean
-powers of its support, with a zero being an exact zero.
+A pattern is stored as column masks: column j is an int whose bit i is
+set when cell (i, j) is nonzero, and column j of a product A B is the
+OR of the columns l of A over the set bits l of column j of B.  One
+walk over the boolean powers of a square pattern, :func:`_power_walk`,
+stops at the first power that meets a test or at the first repeat of
+an earlier power.  It serves :func:`first_positive_power` and the
+``stovar pattern`` listing (test: all positive), and the support walk
+that lets ``analyze`` report var(M^k) = 1 for a non-negative type-1 M
+without forming M^k (test: columns overlap pairwise): the supports of
+the powers of M are the boolean powers of its support, with a zero
+being an exact zero.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from functools import reduce
+from itertools import compress
 from operator import or_
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .core import (
     Domain,
@@ -30,7 +34,6 @@ from .core import (
     Scalar,
     _column_slices,
     _ensure_typed,
-    _row_slices,
     ensure_type_one,
     mat_pow,
     scalars_equal,
@@ -59,9 +62,11 @@ class SignPattern:
     """Entrywise {zero, positive} abstraction of a non-negative matrix.
 
     Cells accept ``0``/``1``, booleans, or the characters ``"0"``/``"+"``.
+    It is stored as one int per column, with bit i set when cell (i, j)
+    is positive.
     """
 
-    __slots__ = ("_rows", "_cols", "_cells")
+    __slots__ = ("_rows", "_masks")
 
     def __init__(self, rows: Iterable[Iterable[Union[bool, int, str]]]):
         data = [list(row) for row in rows]
@@ -78,21 +83,20 @@ class SignPattern:
                 except (KeyError, TypeError):
                     raise ValueError(f"pattern cell must be 0 or +, got {cell!r}") from None
         self._rows = len(data)
-        self._cols = width
-        self._cells = tuple(cells)
+        self._masks = _column_masks(cells, width)
 
     @classmethod
-    def _of(cls, rows: int, cols: int, cells: Iterable[bool]) -> "SignPattern":
-        """Pattern over row-major booleans computed by this module; no checks."""
+    def _of(cls, rows: int, masks: tuple[int, ...]) -> "SignPattern":
+        """Pattern over column masks computed by this module; no checks."""
         p = object.__new__(cls)
-        p._rows, p._cols, p._cells = rows, cols, tuple(cells)
+        p._rows, p._masks = rows, masks
         return p
 
     @classmethod
     def identity(cls, n: int) -> "SignPattern":
         if n < 1:
             raise DimensionError("a pattern needs at least one row and one column")
-        return cls._of(n, n, [i == j for i in range(n) for j in range(n)])
+        return cls._of(n, tuple(1 << j for j in range(n)))
 
     @property
     def rows(self) -> int:
@@ -100,41 +104,40 @@ class SignPattern:
 
     @property
     def cols(self) -> int:
-        return self._cols
+        return len(self._masks)
 
     @property
     def is_square(self) -> bool:
-        return self._rows == self._cols
+        return self._rows == len(self._masks)
 
     def entry(self, i: int, j: int) -> bool:
         """True when the (0-based) cell is positive."""
-        if not (0 <= i < self._rows and 0 <= j < self._cols):
-            raise IndexError(f"cell ({i}, {j}) outside a {self._rows}x{self._cols} pattern")
-        return self._cells[i * self._cols + j]
+        if not (0 <= i < self._rows and 0 <= j < self.cols):
+            raise IndexError(f"cell ({i}, {j}) outside a {self._rows}x{self.cols} pattern")
+        return bool(self._masks[j] >> i & 1)
 
     def is_all_positive(self) -> bool:
-        return all(self._cells)
+        full = (1 << self._rows) - 1
+        return all(mask == full for mask in self._masks)
 
     def row_strings(self) -> tuple[str, ...]:
         """Rows rendered as strings of '0' and '+'."""
         return tuple(
-            "".join("+" if cell else "0" for cell in row)
-            for row in _row_slices(self._cells, self._cols)
+            "".join("+" if mask >> i & 1 else "0" for mask in self._masks)
+            for i in range(self._rows)
         )
 
     def __iter__(self) -> Iterator[bool]:
-        return iter(self._cells)
+        """Cells in row-major order."""
+        return (bool(mask >> i & 1) for i in range(self._rows) for mask in self._masks)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SignPattern):
             return NotImplemented
-        return (
-            (self._rows, self._cols) == (other._rows, other._cols)
-            and self._cells == other._cells
-        )
+        return (self._rows, self._masks) == (other._rows, other._masks)
 
     def __hash__(self) -> int:
-        return hash((self._rows, self._cols, self._cells))
+        return hash((self._rows, self._masks))
 
     def __repr__(self) -> str:
         return f"SignPattern([{', '.join(repr(s) for s in self.row_strings())}])"
@@ -151,6 +154,12 @@ def _ensure_nonnegative(a: Matrix) -> None:
         raise NegativeEntryError(f"matrix has an entry below {-floor}")
 
 
+def _column_masks(cells: Sequence, width: int) -> tuple[int, ...]:
+    """Column masks of row-major cells: bit i of column j is set when cell (i, j) is truthy."""
+    bits = [1 << i for i in range(len(cells) // width)]
+    return tuple([sum(compress(bits, col)) for col in _column_slices(cells, width)])
+
+
 def sign_pattern(a: Matrix) -> SignPattern:
     """The {zero, positive} pattern of a non-negative matrix.
 
@@ -159,25 +168,21 @@ def sign_pattern(a: Matrix) -> SignPattern:
     """
     _ensure_nonnegative(a)
     floor = _floor(a.domain)
-    return SignPattern._of(a.rows, a.cols, [v > floor for v in a.entries])
+    return SignPattern._of(a.rows, _column_masks([v > floor for v in a.entries], a.cols))
 
 
-def _column_supports(cells: Sequence, width: int) -> list[list[int]]:
-    """Row indices of the nonzero cells of each column of row-major cells."""
-    return [[i for i, cell in enumerate(col) if cell] for col in _column_slices(cells, width)]
+def _supports(masks: tuple[int, ...]) -> list[list[int]]:
+    """Set bits of each column mask, read from its binary digits, lowest first."""
+    return [[i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"] for mask in masks]
 
 
-def _masks(supports: list[list[int]]) -> list[int]:
-    """Column masks: bit i of column j is set when i is in its support."""
-    return [sum(1 << i for i in support) for support in supports]
-
-
-def _mask_product(left: list[int], right: list[list[int]]) -> list[int]:
+def _mask_product(left: tuple[int, ...], right: list[list[int]]) -> tuple[int, ...]:
     """Column masks of A B, from the column masks of A and the supports of B."""
-    return [reduce(or_, [left[c] for c in support], 0) for support in right]
+    column = left.__getitem__
+    return tuple([reduce(or_, map(column, support), 0) for support in right])
 
 
-def _masks_overlap(masks: list[int]) -> bool:
+def _masks_overlap(masks: tuple[int, ...]) -> bool:
     """Whether every pair of columns, (k, k) included, shares a set bit."""
     return all(a & b for k, a in enumerate(masks) for b in masks[k:])
 
@@ -186,10 +191,7 @@ def pattern_product(p: SignPattern, q: SignPattern) -> SignPattern:
     """Boolean matrix product; sound for supports of non-negative products."""
     if p.cols != q.rows:
         raise DimensionError(f"cannot multiply {p.rows}x{p.cols} by {q.rows}x{q.cols} patterns")
-    left = _masks(_column_supports(p._cells, p.cols))
-    out = _mask_product(left, _column_supports(q._cells, q.cols))
-    cells = [bool(mask >> i & 1) for i in range(p.rows) for mask in out]
-    return SignPattern._of(p.rows, q.cols, cells)
+    return SignPattern._of(p.rows, _mask_product(p._masks, _supports(q._masks)))
 
 
 def pattern_power(p: SignPattern, k: int) -> SignPattern:
@@ -204,30 +206,46 @@ def pattern_power(p: SignPattern, k: int) -> SignPattern:
     return result
 
 
-def _pattern_powers(p: SignPattern, k_max: int) -> list[SignPattern]:
-    """P^1, P^2, ..., ending at the first all-positive or repeated power.
+def _power_walk(
+    first: tuple[int, ...], k_max: int, stop: Callable[[tuple[int, ...]], bool]
+) -> tuple[Optional[int], list[tuple[int, ...]]]:
+    """Smallest k <= k_max whose power P^k meets ``stop``, or None; and P^1 .. P^k.
 
-    The list also ends at P^k_max, and no product past its last power is
-    formed. Stopping at a repeat loses nothing: once P^j = P^i with
-    i < j, the powers cycle through P^i .. P^(j-1), none of which is all
-    positive, so no later power is.
+    P is the square pattern with column masks ``first``.  The walk ends
+    with None at P^k_max, or at the first power equal to an earlier one:
+    from a repeat on, the powers cycle through patterns already found not
+    to meet ``stop``.  It forms no product past the last power it
+    returns, so it holds at most min(k_max, index of the first repeat)
+    powers.
     """
+    supports = _supports(first)
+    powers = [first]
+    seen: set[tuple[int, ...]] = set()
+    power = first
+    while not stop(power):
+        if len(powers) == k_max or power in seen:
+            return None, powers
+        seen.add(power)
+        power = _mask_product(power, supports)
+        powers.append(power)
+    return len(powers), powers
+
+
+def _pattern_powers(p: SignPattern, k_max: int) -> tuple[Optional[int], list[SignPattern]]:
+    """First all-positive power of P up to k_max, or None; and the powers walked."""
     if not p.is_square:
         raise NotSquareError(f"regularity index needs a square pattern, got {p.rows}x{p.cols}")
     if not isinstance(k_max, int) or k_max < 1:
         raise ValueError("k_max must be a positive integer")
-    powers = [p]
-    seen: set[SignPattern] = set()
-    while len(powers) < k_max and not powers[-1].is_all_positive() and powers[-1] not in seen:
-        seen.add(powers[-1])
-        powers.append(pattern_product(powers[-1], p))
-    return powers
+    first, powers = _power_walk(
+        p._masks, k_max, lambda masks: SignPattern._of(p.rows, masks).is_all_positive()
+    )
+    return first, [SignPattern._of(p.rows, masks) for masks in powers]
 
 
 def first_positive_power(p: SignPattern, k_max: int) -> Optional[int]:
     """Smallest k <= k_max with P^k entirely positive, or None."""
-    powers = _pattern_powers(p, k_max)
-    return len(powers) if powers[-1].is_all_positive() else None
+    return _pattern_powers(p, k_max)[0]
 
 
 def pairwise_positive_overlap(p: SignPattern) -> bool:
@@ -235,34 +253,7 @@ def pairwise_positive_overlap(p: SignPattern) -> bool:
 
     Pairs include (k, k), so a pattern with an all-zero column fails.
     """
-    return _masks_overlap(_masks(_column_supports(p._cells, p.cols)))
-
-
-def _first_overlapping_power(a: Matrix, k_max: int, window: int) -> Optional[int]:
-    """Smallest k <= k_max whose support pattern P^k overlaps pairwise, or None.
-
-    P is the support of the square matrix A: cell (i, j) is set exactly
-    when A[i][j] != 0, with no tolerance floor, so for a non-negative A
-    the support of A^k is P^k.  A float product can only lose support,
-    by underflow, so two columns disjoint in P^k are disjoint in the
-    computed power too.  The walk also ends, with None, when a power
-    equals P or one of the ``window`` powers before it: from there the
-    powers cycle through patterns already found not to overlap.  So it
-    holds P and at most ``window`` powers, whatever k_max is.
-    """
-    supports = _column_supports(a.entries, a.cols)
-    first = power = _masks(supports)
-    recent: deque[list[int]] = deque(maxlen=window)
-    k = 1
-    while not _masks_overlap(power):
-        if k == k_max:
-            return None
-        power = _mask_product(power, supports)
-        k += 1
-        if power == first or power in recent:
-            return None
-        recent.append(power)
-    return k
+    return _masks_overlap(p._masks)
 
 
 def _typed_positive(a: Matrix) -> Scalar:

@@ -56,6 +56,13 @@ L_INSTANCE = Matrix(
 )
 M_INSTANCE = Matrix([[0, F(1, 2), 0], [0, 0, 1], [1, F(1, 2), 0]])
 
+# The 0/1 matrix of the map 10 -> 11 -> 12 -> 0 -> 1 -> ... -> 9 -> 0: a
+# 3-step tail into a 10-cycle, with the 1 of column j in row step[j].  Its
+# powers are 12 distinct patterns, then P^13 = P^3; no two columns of any
+# power overlap.
+TAIL_CYCLE_STEP = [(j + 1) % 10 for j in range(10)] + [11, 12, 0]
+TAIL_CYCLE_ROWS = [[int(TAIL_CYCLE_STEP[j] == i) for j in range(13)] for i in range(13)]
+
 
 def basis_vector(n: int, j: int, domain: Domain = Domain.RATIONAL) -> Vector:
     """Standard basis vector with a one at 0-based position j."""

@@ -40,7 +40,7 @@ from stovar import (
     variation,
     vsum,
 )
-from stovar import analysis
+from stovar import analysis, nonneg
 from stovar.analysis import _solve_square, _variation_scan
 from stovar.core import scalars_close, scalars_equal, strictly_less, tolerance
 
@@ -314,6 +314,27 @@ class TestVariationScanMatchesNaiveScan:
         assert calls == {"mat_mul": 3, "variation": 2}
         assert history[1:3] == [1, 1] and history[3] < 1
         assert _naive_scan(Matrix(rows), 64)[1] == history
+
+    @pytest.mark.parametrize("domain", [Domain.RATIONAL, Domain.FLOAT], ids=lambda d: d.value)
+    def test_tail_into_a_long_cycle_stops_at_its_first_repeat(self, monkeypatch, domain):
+        # P^13 = P^3 lies 10 powers back: the walk stops there, not at p_max
+        products = []
+        product = nonneg._mask_product
+
+        def counted(left, right):
+            products.append(1)
+            if len(products) > 50:
+                raise AssertionError("the support walk did not stop at the repeated pattern")
+            return product(left, right)
+
+        monkeypatch.setattr(nonneg, "_mask_product", counted)
+        calls = self._count_calls(monkeypatch)
+        result = analyze(Matrix(support.TAIL_CYCLE_ROWS, domain=domain), 100000)
+        assert result.verdict is Verdict.NO_CONTRACTION_FOUND
+        assert len(result.variation_per_power) == 100000
+        assert all(v == 1 for v in result.variation_per_power)
+        assert calls["mat_mul"] == 0
+        assert len(products) <= 12
 
 
 class TestStationaryVector:

@@ -4,7 +4,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import support
@@ -45,6 +45,21 @@ from stovar.cli import pattern_report_dict
 F = Fraction
 
 
+@st.composite
+def _cells(draw):
+    """0/1 cells of 1..7 x 1..7, some with an all-zero row or column."""
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    row = st.lists(st.integers(0, 1), min_size=cols, max_size=cols)
+    cells = draw(st.lists(row, min_size=rows, max_size=rows))
+    if draw(st.booleans()):
+        cells[draw(st.integers(0, rows - 1))] = [0] * cols
+    if draw(st.booleans()):
+        j = draw(st.integers(0, cols - 1))
+        for r in cells:
+            r[j] = 0
+    return cells
+
+
 class TestSignPattern:
     def test_construction_from_strings_and_ints(self):
         assert SignPattern(["0+", "+0"]) == SignPattern([[0, 1], [1, 0]])
@@ -74,6 +89,35 @@ class TestSignPattern:
 
     def test_row_strings(self):
         assert M_PATTERN.row_strings() == ("0+0", "00+", "++0")
+
+    def test_row_count_takes_part_in_equality(self):
+        # both have the one column mask 0
+        assert SignPattern([[0], [0]]) != SignPattern([[0]])
+        assert len({SignPattern([[0], [0]]), SignPattern([[0]])}) == 2
+
+    @given(_cells(), _cells())
+    @example([[0, 0, 0, 0, 0, 0, 0]], [[0]] * 7)
+    @example([[1]] * 7, [[1, 1, 1, 1, 1, 1, 1]])
+    @settings(max_examples=200, deadline=None)
+    def test_cells_round_trip_through_the_column_masks(self, cells, other):
+        p = SignPattern(cells)
+        rows, cols = len(cells), len(cells[0])
+        flat = [bool(cell) for row in cells for cell in row]
+        items = list(p)
+        assert items == flat and all(type(cell) is bool for cell in items)
+        assert (p.rows, p.cols) == (rows, cols)
+        assert all(p.entry(i, j) == bool(cells[i][j]) for i in range(rows) for j in range(cols))
+        assert p.row_strings() == tuple(
+            "".join("+" if cell else "0" for cell in row) for row in cells
+        )
+        assert p.is_all_positive() == all(flat)
+        same = SignPattern(p.row_strings())
+        assert same == p and hash(same) == hash(p)
+        assert (SignPattern(other) == p) == (other == cells)
+        # an extra zero row or column changes the shape; an extra zero row
+        # leaves every column mask as it was
+        assert SignPattern(cells + [[0] * cols]) != p
+        assert SignPattern([row + [0] for row in cells]) != p
 
 
 class TestPatternProduct:
@@ -239,6 +283,14 @@ class TestPatternWalk:
         assert len(report["powers"]) == 21
         assert report["powers"][-1]["rows"] == report["powers"][0]["rows"]
         assert report["first_positive_power"] is None
+
+    def test_tail_into_a_cycle_lists_up_to_its_first_repeat(self):
+        p = SignPattern(support.TAIL_CYCLE_ROWS)
+        report = pattern_report_dict(p, 100000)
+        assert len(report["powers"]) == 13
+        assert report["powers"][12]["rows"] == report["powers"][2]["rows"]
+        assert report["first_positive_power"] is None
+        assert first_positive_power(p, 100000) is None
 
 
 class TestPairwiseOverlap:
