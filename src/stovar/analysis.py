@@ -12,7 +12,6 @@ contraction provides.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -55,9 +54,6 @@ from .nonneg import _column_masks, _masks_overlap, _power_walk
 
 DEFAULT_P_MAX = 64
 DEFAULT_K_REPORT = 200
-
-# powers of M, besides M itself, that each new power is compared with
-_REPEAT_WINDOW = 8
 
 
 class Verdict(Enum):
@@ -153,56 +149,54 @@ def _variation_scan(
     the computed power too.  A non-negative type-1 matrix has variation
     exactly 1 when two of its columns have disjoint supports, and below
     1 otherwise, so every power before the first one k0 whose columns
-    overlap pairwise has variation 1: those powers are reported as
-    exactly 1, with no variation computed.  M^2..M^k0 are then formed
-    one by one, as below, and the scan goes on from M^k0.  With no such
-    k0 up to p_max, or once a pattern equals an earlier one, the scan
-    ends inconclusive and forms no product.
+    overlap pairwise has variation 1: those powers are formed but
+    reported as exactly 1, with no variation computed or repeat looked
+    for.  With no such k0 up to p_max, or once a pattern equals an
+    earlier one, the scan ends inconclusive and forms no product.
+    Without the walk, k0 is 1.
 
-    Each new power is compared with M and with the last
-    ``_REPEAT_WINDOW`` powers.  When it equals the power at history index
-    j, every later power repeats with period ``len(history) - j``, since
-    a product depends only on the values of its factors, and none of the
-    repeated variations is below one; the history is filled up to p_max
-    by copying and the scan ends inconclusive with no further products.
-    So the scan holds M and at most ``_REPEAT_WINDOW`` powers, whatever
-    p_max is.
+    Each new power M^k, k >= k0, is compared by value with the saved
+    M^j, k0 <= j < k, with j <= n or j a power of two.  When it equals
+    M^j, every later power repeats with period k - j, since a product
+    depends only on the values of its factors, and no repeated variation
+    is below one: the history is filled up to p_max by copying, and the
+    scan ends inconclusive.  Exact powers stop at their first repeat: if
+    M^a = M^b with a < b, the minimal polynomial divides
+    x^a (x^(b-a) - 1), so the powers cycle from an index at most n; and
+    no power from k0 on equals one before k0.  A float rounding cycle
+    with tail t and period l is caught at a power-of-two checkpoint
+    after about 2t + l products.  At most n + log2(p_max) powers are held.
     """
     if not isinstance(p_max, int) or p_max < 1:
         raise ValueError("p_max must be a positive integer")
     first = variation(m)
     history: list[Scalar] = [first.value]
     one = one_of(m.domain)
-    power = m
+    k0 = 1
     if p_max > 1 and not strictly_less(first.value, one, m.domain) and min(m.entries) >= 0:
         k0 = _power_walk(_column_masks(m.entries, m.cols), p_max, _masks_overlap)[0]
         if k0 is None:
             return None, history + [one] * (p_max - 1), first
-        # the loop below forms M^k0 from M^(k0 - 1)
-        for _ in range(k0 - 2):
-            power = mat_mul(power, m)
-            history.append(one)
-    recent: deque[tuple[int, tuple[Scalar, ...]]] = deque(maxlen=_REPEAT_WINDOW)
+    power = m
+    saved: list[tuple[int, tuple[Scalar, ...]]] = []
     while not strictly_less(history[-1], one, m.domain):
-        if len(history) == p_max:
+        k = len(history)  # power is M^k
+        if k == p_max:
             return None, history, first
+        if k >= k0 and (k <= m.rows or not k & (k - 1)):
+            saved.append((k, power.entries))
         power = mat_mul(power, m)
         # Value equality lets only signed zeros differ, and a signed zero
         # changes neither a sum that starts at 0 nor an abs, so equal
         # powers have equal products and variations.  A nan never matches.
-        entries = power.entries
-        start = (
-            0
-            if entries == m.entries
-            else next((j for j, seen in recent if seen == entries), None)
-        )
+        # Below k0 nothing is saved yet, so nothing is compared.
+        start = next((j for j, seen in saved if seen == power.entries), None)
         if start is not None:
-            period = len(history) - start
+            period = k + 1 - start
             while len(history) < p_max:
                 history.append(history[-period])
             return None, history, first
-        recent.append((len(history), entries))
-        history.append(variation(power).value)
+        history.append(one if k + 1 < k0 else variation(power).value)
     return len(history), history, first
 
 
@@ -363,6 +357,11 @@ def stationary_vector(m: Matrix) -> Vector:
     """
     _require_square(m)
     ensure_type_one(m)
+    return _solved_stationary(m)
+
+
+def _solved_stationary(m: Matrix) -> Vector:
+    """:func:`stationary_vector` of a square type-1 M, without checking either."""
     n = m.rows
     domain = m.domain
     one = one_of(domain)
@@ -515,19 +514,20 @@ def analyze(
 
     A non-negative M with var(M) not below one is scanned on its support
     first: a power whose support has two disjoint columns has variation
-    exactly 1, so such powers are reported as 1 without being formed,
-    and the numeric scan starts at the first power whose columns overlap
-    pairwise.  With no such power up to p_max, or once a support
+    exactly 1, so such powers are reported as 1 with no variation
+    computed, and the numeric scan starts at the first power whose
+    columns overlap pairwise.  With no such power up to p_max, or once a support
     pattern equals an earlier one, the verdict is inconclusive and no
     product is formed.  Rational reports are the same as from a full
     scan; a float report says 1 where the full scan gave 1 up to
     rounding.
 
-    Once a power equals M or one of the 8 powers before it, the later
-    powers repeat with a fixed period, so the scan forms no further
-    products and copies the variations up to p_max; the report is the
-    same as if every power had been formed.  The scan keeps M and at
-    most 8 powers in memory, whatever p_max is.
+    Once a power equals an earlier one, the later powers repeat with a
+    fixed period, so the scan copies the variations up to p_max instead
+    of forming more products; the report is the same.  Exact powers stop
+    at their first repeat, a float rounding cycle at a power-of-two
+    checkpoint inside it, and at most n + log2(p_max) powers are kept,
+    whatever p_max is.
 
     E comes from the solve of :func:`stationary_vector`, except for a
     float Markov matrix (no negative entry) with var(M) < 1.  There E
@@ -560,7 +560,7 @@ def analyze(
     if m.domain is Domain.FLOAT and p == 1 and min(m.entries) >= 0.0:
         e = _iterated_stationary(m, history[0])
     if e is None:
-        e = stationary_vector(m)
+        e = _solved_stationary(m)
     bounds = tuple(
         (k, decay_bound(history[0], history[-1], p, k))
         for k in _report_powers(p, k_report)
@@ -601,14 +601,9 @@ def determinant(m: Matrix) -> Scalar:
     return prod((row[i] for i, row in enumerate(work)), start=float(sign))
 
 
-def _rank(rows: list[list[Scalar]], domain: Domain) -> int:
-    """Row rank: the pivot count of an echelon form of ``rows``.
-
-    Float pivots must clear the same guard band as in :func:`_solve_square`.
-    """
-    if domain is Domain.RATIONAL:
-        return _bareiss_eliminate(_scale_columns(rows)[1], len(rows[0]))[1]
-    return _float_eliminate([list(row) for row in rows], len(rows[0]), _guard_band(rows))[1]
+def _rank(rows: list[list[Fraction]]) -> int:
+    """Exact row rank: the pivot count of a Bareiss echelon form of ``rows``."""
+    return _bareiss_eliminate(_scale_columns(rows)[1], len(rows[0]))[1]
 
 
 def type_eigenvalue_certificate(m: Matrix) -> Scalar:
@@ -629,7 +624,7 @@ def type_eigenvalue_certificate(m: Matrix) -> Scalar:
     shifted = m.row_lists()
     for i in range(m.rows):
         shifted[i][i] -= c
-    if _rank(shifted, m.domain) >= m.rows:
+    if _rank(shifted) >= m.rows:
         raise RuntimeError(
             "internal certificate failure: M - cI reports full rank for a typed matrix"
         )

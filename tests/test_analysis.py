@@ -1,7 +1,7 @@
 """Tests for contraction search, stationary vectors, bounds, and the 2x2 taxonomy."""
 
 from fractions import Fraction
-from math import fsum
+from math import fsum, inf
 from unittest import mock
 
 import pytest
@@ -40,7 +40,7 @@ from stovar import (
     variation,
     vsum,
 )
-from stovar import analysis, nonneg
+from stovar import analysis, core, nonneg
 from stovar.analysis import _solve_square, _variation_scan
 from stovar.core import scalars_close, scalars_equal, strictly_less, tolerance
 
@@ -274,6 +274,70 @@ class TestVariationScanMatchesNaiveScan:
         assert p is None
         assert calls == {"mat_mul": 10, "variation": 10}
         assert history == [1] * 64
+
+    @pytest.mark.parametrize("domain", [Domain.RATIONAL, Domain.FLOAT], ids=lambda d: d.value)
+    def test_signed_tail_into_a_long_cycle_stops_at_its_first_repeat(self, monkeypatch, domain):
+        # M^13 = M^3 lies 10 powers back, beyond a window of recent powers
+        m = Matrix(_signed_twin(support.TAIL_CYCLE_ROWS, 0).row_lists(), domain=domain)
+        calls = self._count_calls(monkeypatch)
+        got = _variation_scan(m, 2000)
+        assert calls["mat_mul"] <= 12
+        assert got[:2] == (None, [1] * 2000)
+        assert got == _naive_scan(m, 2000)
+
+    @given(
+        st.lists(st.integers(0, 11), min_size=2, max_size=12),
+        st.integers(0, 10),
+        st.integers(1, 60),
+    )
+    @example(support.TAIL_CYCLE_STEP, 0, 60)
+    @settings(max_examples=100, deadline=None)
+    def test_signed_maps_stop_at_their_first_repeated_power(self, step, low, p_max):
+        # the twin of the map j -> step[j] % n; exact powers repeat first at M^b
+        n = len(step)
+        m = _signed_twin([[int(s % n == i) for s in step] for i in range(n)], low % (n - 1))
+        want = _naive_scan(m, p_max)
+        powers = [power.entries for power in _naive_powers(m, len(want[1]))]
+        b = next((k for k in range(2, len(powers) + 1) if powers[k - 1] in powers[: k - 1]), inf)
+        calls = []
+        product = analysis.mat_mul
+
+        def counting(a, c):
+            calls.append(1)
+            return product(a, c)
+
+        with mock.patch.object(analysis, "mat_mul", counting):
+            got = _variation_scan(m, p_max)
+        assert got == want
+        assert len(calls) == min(len(want[1]), b) - 1
+
+    @pytest.mark.parametrize("domain", [Domain.RATIONAL, Domain.FLOAT], ids=lambda d: d.value)
+    def test_repeat_copies_each_variation_of_the_cycle_in_turn(self, monkeypatch, domain):
+        # S Q S^-1, with Q the map 0 -> 1 -> 2 -> 0, 3 -> 0, 4 -> 3 and
+        # S = I + (e_0 - e_4) e_1^T: M^5 = M^2, and the cycle's variations differ
+        rows = [
+            [1, -1, 1, 1, 0],
+            [1, -1, 0, 0, 0],
+            [0, 1, 0, 0, 0],
+            [0, 1, 0, 0, 1],
+            [-1, 1, 0, 0, 0],
+        ]
+        m = Matrix(rows, domain=domain)
+        calls = self._count_calls(monkeypatch)
+        got = _variation_scan(m, 50)
+        assert calls["mat_mul"] == 4
+        assert got[1][:8] == [4, 2, 3, 4, 2, 3, 4, 2]
+        assert got == _naive_scan(m, 50)
+
+    def test_float_rounding_cycle_is_caught_at_a_checkpoint(self, monkeypatch):
+        # the exact powers never repeat; the computed ones enter a 2-cycle
+        # at M^53, which no power up to M^3 can show but M^64 does
+        rows = [[-0.25, 0.75, 0.25], [1.0, 0.0, 0.0], [0.25, 0.25, 0.75]]
+        m = Matrix(rows, domain=Domain.FLOAT)
+        calls = self._count_calls(monkeypatch)
+        got = _variation_scan(m, 100000)
+        assert calls["mat_mul"] <= 65
+        assert got == _naive_scan(m, 100000)
 
     @pytest.mark.parametrize("domain", [Domain.RATIONAL, Domain.FLOAT], ids=lambda d: d.value)
     @pytest.mark.parametrize(
@@ -623,6 +687,22 @@ class TestAnalyze:
         assert result.verdict is Verdict.NO_CONTRACTION_FOUND
         assert all(v == 1 for v in result.variation_per_power)
 
+    def test_solved_report_checks_the_type_once(self, monkeypatch):
+        calls = []
+        type_of = core.type_of
+
+        def counting(m):
+            calls.append(m)
+            return type_of(m)
+
+        monkeypatch.setattr(core, "type_of", counting)
+        result = analyze(EX_M)
+        assert result.stationary == EX_E
+        assert len(calls) == 1
+        # the public solve still checks its own input
+        assert stationary_vector(EX_M) == EX_E
+        assert len(calls) == 2
+
     def test_preconditions(self):
         with pytest.raises(NotSquareError):
             analyze(Matrix([[1, 2, 3], [4, 5, 6]]))
@@ -731,7 +811,7 @@ class TestIteratedFloatStationary:
         def no_solve(_m):
             raise AssertionError("analyze solved instead of iterating")
 
-        monkeypatch.setattr(analysis, "stationary_vector", no_solve)
+        monkeypatch.setattr(analysis, "_solved_stationary", no_solve)
         e = analyze(m).stationary
         assert _l1_distance(e, solved) <= n * 2.0**-52
 
@@ -944,33 +1024,21 @@ class TestDeterminant:
 # the echelon kernels against the elimination loops they replaced
 
 
-def _reference_rank(rows, domain):
-    """Row rank by entry-by-entry forward elimination, skipping pivotless columns."""
+def _reference_rank(rows):
+    """Exact row rank by entry-by-entry forward elimination, skipping pivotless columns."""
     work = [list(row) for row in rows]
     m = len(work)
     n = len(work[0]) if m else 0
-    limit = 0.0
-    if domain is Domain.FLOAT:
-        scale = max(1.0, max((abs(v) for row in work for v in row), default=0.0))
-        limit = tolerance() * scale
     rank = 0
     pivot_row = 0
     for col in range(n):
         if pivot_row >= m:
             break
         chosen = None
-        if domain is Domain.RATIONAL:
-            for r in range(pivot_row, m):
-                if work[r][col] != 0:
-                    chosen = r
-                    break
-        else:
-            best = limit
-            for r in range(pivot_row, m):
-                magnitude = abs(work[r][col])
-                if magnitude > best:
-                    best = magnitude
-                    chosen = r
+        for r in range(pivot_row, m):
+            if work[r][col] != 0:
+                chosen = r
+                break
         if chosen is None:
             continue
         work[pivot_row], work[chosen] = work[chosen], work[pivot_row]
@@ -1070,20 +1138,16 @@ _TINY_TYPE_ROWS = _with_type_row(
 
 
 class TestEchelonKernels:
-    @given(st.sampled_from(list(Domain)), st.data())
+    @given(_echelon_matrices(Domain.RATIONAL))
     @settings(max_examples=300, deadline=None)
-    def test_rank_matches_reference_elimination(self, domain, data):
-        rows = data.draw(_echelon_matrices(domain))
+    def test_rank_matches_reference_elimination(self, rows):
         snapshot = [list(row) for row in rows]
-        assert analysis._rank(rows, domain) == _reference_rank(snapshot, domain)
+        assert analysis._rank(rows) == _reference_rank(snapshot)
         assert rows == snapshot
 
     def test_rank_skips_columns_without_a_pivot(self):
         rows = [[F(0), F(1), F(2)], [F(0), F(2), F(4)], [F(0), F(0), F(3)]]
-        assert analysis._rank(rows, Domain.RATIONAL) == 2
-        floats = [[0.0, 1.0, 2.0, 5.0], [0.0, 2.0, 4.0, 1.0]]
-        assert analysis._rank(floats, Domain.FLOAT) == 2
-        assert analysis._rank([[1e-12, 0.0], [0.0, 1e-12]], Domain.FLOAT) == 0
+        assert analysis._rank(rows) == 2
 
     @given(_echelon_matrices(Domain.FLOAT, square=True))
     @settings(max_examples=200, deadline=None)

@@ -13,7 +13,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import EX_M, EX_M_CSV
+from support import EX_M, EX_M_CSV, TAIL_CYCLE_ROWS
 from stovar import DEFAULT_TOLERANCE, Domain, Matrix, MatrixParseError, tolerance
 from stovar import cli
 from stovar.cli import (
@@ -345,6 +345,60 @@ class TestAnalyzeCommand:
         result = runner.invoke(main, ["analyze", path, "--tol", "1e-3"])
         assert result.exit_code == code
         assert tolerance() == DEFAULT_TOLERANCE
+
+
+def _csv(rows):
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+# The files and commands of the CI "installed console script" step, which
+# runs them through the installed `stovar` script; keep the two in step.
+CONSOLE_FILES = {
+    "worked.csv": EX_M_CSV,
+    "dense-float.csv": "0.3,0.3,0.4\n0.3,0.4,0.3\n0.4,0.3,0.3\n",
+    "worked-float.csv": "0,0.4,-0.8\n-0.2,-0.2,0\n1.2,0.8,1.8\n",
+    "reducible.csv": "0.5,0.5,0,0\n0.5,0.5,0,0\n0,0,0.3,0.7\n0,0,0.7,0.3\n",
+    "tail-cycle.csv": _csv([[str(float(v)) for v in row] for row in TAIL_CYCLE_ROWS]),
+    "tail-cycle-pattern.csv": _csv([["+" if v else "0" for v in row] for row in TAIL_CYCLE_ROWS]),
+    # row 0 minus 1/4 and row 1 plus 1/4: every variation is 1, and M^13 = M^3
+    "tail-cycle-twin.csv": _csv(
+        [[str(v + (i == 1) / 4 - (i == 0) / 4) for v in row] for i, row in enumerate(TAIL_CYCLE_ROWS)]
+    ),
+    "two-cycle.csv": "0,+\n+,0\n",
+}
+CONSOLE_COMMANDS = [
+    (["analyze", "worked.csv"], 0),
+    (["variation", "worked.csv"], 0),
+    (["analyze", "dense-float.csv"], 0),
+    (["analyze", "worked-float.csv"], 0),
+    (["analyze", "--tol", "1e-300", "reducible.csv"], 3),
+    (["analyze", "--pmax", "100000", "tail-cycle.csv"], 3),
+    (["analyze", "--pmax", "100000", "tail-cycle-twin.csv"], 3),
+    (["pattern", "--kmax", "100000", "tail-cycle-pattern.csv"], 0),
+    (["classify2x2", "1/2", "1/3"], 0),
+    (["pattern", "--kmax", "1000000", "two-cycle.csv"], 0),
+]
+
+
+class TestConsoleScriptChecks:
+    @pytest.mark.parametrize(
+        "args, code", CONSOLE_COMMANDS, ids=[" ".join(args) for args, _ in CONSOLE_COMMANDS]
+    )
+    def test_command_exit_code(self, tmp_path, args, code):
+        for name, text in CONSOLE_FILES.items():
+            write(tmp_path, name, text)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "stovar.cli"]
+            + [str(tmp_path / a) if a in CONSOLE_FILES else a for a in args],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert done.returncode == code, done.stderr
 
 
 class TestOversizedInput:
