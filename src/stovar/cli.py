@@ -17,6 +17,8 @@ rational-domain reports are byte-identical across runs and platforms.
 Exit codes: 0 success (analysis converged), 1 parse error,
 2 precondition failure (not square, not type 1, bad entries),
 3 inconclusive (no contraction power within the search bound).
+Each command hands its report to ``_run``, the one place where these
+codes are decided and where only the requested form, JSON or text, is rendered.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import sys
 from fractions import Fraction
 from math import isfinite
 from pathlib import Path
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import click
 
@@ -152,14 +154,17 @@ def _detect_format(path: str, fmt: Optional[str]) -> str:
     return "json" if Path(path).suffix.lower() == ".json" else "csv"
 
 
+def _token_values(tokens: list[Union[int, str]]) -> tuple[list[Scalar], Domain]:
+    """Values of entry tokens and their domain: any ``p/q`` makes all exact, else floats."""
+    if any(isinstance(tok, str) and "/" in tok for tok in tokens):
+        return _fractions(tokens), Domain.RATIONAL
+    return list(map(float, tokens)), Domain.FLOAT
+
+
 def _entries_to_matrix(rows: list[list[Union[int, str]]]) -> Matrix:
-    tokens = [tok for row in rows for tok in row]
-    rational = any(isinstance(tok, str) and "/" in tok for tok in tokens)
     try:
-        if rational:
-            return Matrix._of(len(rows), len(rows[0]), _fractions(tokens), Domain.RATIONAL)
-        values = _finite(list(map(float, tokens)), Domain.FLOAT)
-        return Matrix._of(len(rows), len(rows[0]), values, Domain.FLOAT)
+        values, domain = _token_values([tok for row in rows for tok in row])
+        return Matrix._of(len(rows), len(rows[0]), _finite(values, domain), domain)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         # OverflowError: a JSON integer too large for a float
         raise MatrixParseError(f"bad matrix entry: {exc}") from exc
@@ -469,16 +474,29 @@ def classification_text(report: dict) -> str:
 # commands
 
 
-def _emit(report: dict, text: str, as_json: bool) -> None:
-    if as_json:
-        click.echo(json.dumps(report, indent=2))
-    else:
-        click.echo(text)
+def _run(
+    build: Callable[[], dict],
+    render: Callable[[dict], str],
+    as_json: bool,
+    code: Callable[[dict], int] = lambda report: EXIT_OK,
+) -> None:
+    """Build a command's report, print it in the form asked for, and exit.
+
+    The one place exit codes are decided: a :class:`MatrixParseError` from
+    ``build`` exits 1 and any other :class:`StovarError` exits 2, each with
+    one ``error:`` line on stderr; a report exits with ``code(report)``.
+    """
+    try:
+        report = build()
+    except StovarError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_PARSE if isinstance(exc, MatrixParseError) else EXIT_PRECONDITION)
+    click.echo(json.dumps(report, indent=2) if as_json else render(report))
+    sys.exit(code(report))
 
 
-def _fail(message: str, code: int) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
+def _analyze_exit_code(report: dict) -> int:
+    return EXIT_INCONCLUSIVE if report["contraction_power"] is None else EXIT_OK
 
 
 _format_option = click.option(
@@ -525,21 +543,17 @@ def main() -> None:
 @_format_option
 def analyze_cmd(path: str, pmax: int, tol: float, k_report: int, as_json: bool, fmt: Optional[str]) -> None:
     """Full convergence analysis of a square matrix file."""
-    try:
+
+    def build() -> dict:
         m = parse_matrix(path, fmt)
-    except MatrixParseError as exc:
-        _fail(str(exc), EXIT_PARSE)
-    # --tol holds for this command only; sys.exit raises, so finally runs
-    previous = set_tolerance(tol)
-    try:
-        result = _analysis.analyze(m, p_max=pmax, k_report=k_report)
-        report = analysis_report(m, result, path=path, k_report=k_report)
-    except StovarError as exc:
-        _fail(str(exc), EXIT_PRECONDITION)
-    finally:
-        set_tolerance(previous)
-    _emit(report, analysis_text(report), as_json)
-    sys.exit(EXIT_OK if result.converged else EXIT_INCONCLUSIVE)
+        previous = set_tolerance(tol)  # --tol holds for this command only
+        try:
+            result = _analysis.analyze(m, p_max=pmax, k_report=k_report)
+            return analysis_report(m, result, path=path, k_report=k_report)
+        finally:
+            set_tolerance(previous)
+
+    _run(build, analysis_text, as_json, _analyze_exit_code)
 
 
 @main.command("variation")
@@ -548,15 +562,7 @@ def analyze_cmd(path: str, pmax: int, tol: float, k_report: int, as_json: bool, 
 @_format_option
 def variation_cmd(path: str, as_json: bool, fmt: Optional[str]) -> None:
     """Column variation and type report of a matrix file."""
-    try:
-        m = parse_matrix(path, fmt)
-    except MatrixParseError as exc:
-        _fail(str(exc), EXIT_PARSE)
-    try:
-        report = variation_report_dict(m, path=path)
-    except StovarError as exc:
-        _fail(str(exc), EXIT_PRECONDITION)
-    _emit(report, variation_text(report), as_json)
+    _run(lambda: variation_report_dict(parse_matrix(path, fmt), path=path), variation_text, as_json)
 
 
 @main.command("pattern")
@@ -576,15 +582,7 @@ def pattern_cmd(path: str, kmax: int, as_json: bool) -> None:
     or when the patterns start repeating), the first positive power, and
     whether every column pair shares a positive row.
     """
-    try:
-        p = parse_pattern(path)
-    except MatrixParseError as exc:
-        _fail(str(exc), EXIT_PARSE)
-    try:
-        report = pattern_report_dict(p, kmax)
-    except StovarError as exc:
-        _fail(str(exc), EXIT_PRECONDITION)
-    _emit(report, pattern_text(report), as_json)
+    _run(lambda: pattern_report_dict(parse_pattern(path), kmax), pattern_text, as_json)
 
 
 # ignore_unknown_options lets negative weights like -1/2 through as arguments
@@ -598,20 +596,17 @@ def classify_cmd(a: str, b: str, as_json: bool) -> None:
     A and B follow the entry syntax of matrix files: a fraction p/q selects
     the exact rational domain for both, otherwise they load as floats.
     """
-    rational = "/" in a or "/" in b
-    try:
-        pair = tuple(_fractions([a, b])) if rational else (float(a), float(b))
-    except (ValueError, ZeroDivisionError) as exc:
-        _fail(f"bad scalar: {exc}", EXIT_PARSE)
-    except MatrixParseError as exc:
-        _fail(str(exc), EXIT_PARSE)
-    if not rational and not all(map(isfinite, pair)):
-        _fail(f"non-finite scalar: A={a}, B={b}", EXIT_PARSE)
-    try:
-        report = classification_report_dict(classify_2x2(*pair))
-    except StovarError as exc:
-        _fail(str(exc), EXIT_PRECONDITION)
-    _emit(report, classification_text(report), as_json)
+
+    def build() -> dict:
+        try:
+            pair, domain = _token_values([a, b])
+        except (ValueError, ZeroDivisionError) as exc:
+            raise MatrixParseError(f"bad scalar: {exc}") from exc
+        if domain is Domain.FLOAT and not all(map(isfinite, pair)):
+            raise MatrixParseError(f"non-finite scalar: A={a.strip()}, B={b.strip()}")
+        return classification_report_dict(classify_2x2(*pair))
+
+    _run(build, classification_text, as_json)
 
 
 if __name__ == "__main__":

@@ -1,11 +1,14 @@
 """Scalar domains, vectors, matrices, and the column-variation primitives.
 
-Values are immutable after construction and every operation is a pure
-function, so they can be shared freely between threads.  Two scalar
-domains are supported: exact rationals backed by ``fractions.Fraction``
-and finite IEEE floats guarded by a module-level tolerance.  A vector or
-matrix belongs to exactly one domain, chosen at construction; mixing
-domains in a single operation raises :class:`DomainMismatchError`.
+Values are immutable after construction and can be shared between
+threads.  Two scalar domains are supported: exact rationals backed by
+``fractions.Fraction`` and finite IEEE floats guarded by a module-level
+tolerance.  A vector or matrix belongs to exactly one domain, chosen at
+construction; mixing domains in a single operation raises
+:class:`DomainMismatchError`.  Rational operations are pure; float ones
+also read that tolerance, which is process-wide (``stovar analyze --tol``
+sets it for the length of one command), so setting it in one thread
+changes float results in every thread.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from support import EX_M, EX_M_CSV, TAIL_CYCLE_ROWS
@@ -368,6 +368,7 @@ CONSOLE_FILES = {
 }
 CONSOLE_COMMANDS = [
     (["analyze", "worked.csv"], 0),
+    (["analyze", "--json", "worked.csv"], 0),
     (["variation", "worked.csv"], 0),
     (["analyze", "dense-float.csv"], 0),
     (["analyze", "worked-float.csv"], 0),
@@ -636,3 +637,97 @@ class TestClassifyCommand:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert result.stderr.startswith("error: non-finite scalar")
+
+
+def _text_rendered(report):
+    raise AssertionError("a text report was rendered")
+
+
+JSON_COMMANDS = [
+    (["analyze", "worked.csv"], 0),
+    (["analyze", "--tol", "1e-300", "reducible.csv"], 3),
+    (["variation", "worked.csv"], 0),
+    (["pattern", "two-cycle.csv"], 0),
+    (["classify2x2", "1/2", "1/3"], 0),
+]
+
+
+class TestJsonRendersNoText:
+    @pytest.mark.parametrize(
+        "args, code", JSON_COMMANDS, ids=[" ".join(args) for args, _ in JSON_COMMANDS]
+    )
+    def test_json_report_without_text_rendering(self, runner, tmp_path, monkeypatch, args, code):
+        for name in ("analysis_text", "variation_text", "pattern_text", "classification_text"):
+            monkeypatch.setattr(cli, name, _text_rendered)
+        for name, text in CONSOLE_FILES.items():
+            write(tmp_path, name, text)
+        args = [str(tmp_path / a) if a in CONSOLE_FILES else a for a in args]
+        result = runner.invoke(main, args + ["--json"])
+        assert result.exit_code == code, result.exception
+        assert json.loads(result.stdout)["schema"] == "stovar/1"
+
+
+# text lines that no other test reads; --json no longer renders them
+TEXT_LINES = [
+    (["variation", "m.csv"], "1,0\n0,2\n", "type: none (column sums are not constant)"),
+    (["pattern", "m.csv"], "0,+,0\n0,0,+\n+,+,0\n", "first positive power: 5"),
+    (["classify2x2", "3/10", "1/5"], "", "stationary vector: 2/5, 3/5"),
+]
+
+
+class TestTextReports:
+    @pytest.mark.parametrize("args, text, line", TEXT_LINES, ids=[a[0] for a, _, _ in TEXT_LINES])
+    def test_text_report_line(self, runner, tmp_path, args, text, line):
+        path = write(tmp_path, "m.csv", text)
+        result = runner.invoke(main, [path if a == "m.csv" else a for a in args])
+        assert result.exit_code == 0
+        assert line in result.stdout.splitlines()
+
+
+# half of the bytes come from the characters of CSV and JSON matrix files
+_MATRIX_FILE_BYTES = st.sampled_from([bytes([c]) for c in b'0123456789/.,e+-\n{}[]":'])
+_FILE_BYTES = st.lists(
+    st.one_of(st.binary(min_size=1, max_size=1), _MATRIX_FILE_BYTES), max_size=200
+).map(b"".join)
+_FILE_COMMANDS = [["analyze"], ["analyze", "--json"], ["variation"], ["pattern"]]
+
+
+@pytest.fixture(scope="class")
+def class_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("arbitrary")
+
+
+class TestArbitraryInput:
+    """Every command prints a report or one ``error:`` line with its exit code."""
+
+    @staticmethod
+    def _check(result, as_json):
+        assert result.exit_code in (0, 1, 2, 3)
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        if result.exit_code in (1, 2):
+            assert result.stdout == ""
+            assert result.stderr.startswith("error: ")
+            assert len(result.stderr.splitlines()) == 1
+        else:
+            assert result.stderr == ""
+            if as_json:
+                assert json.loads(result.stdout)["schema"] == "stovar/1"
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=_FILE_BYTES,
+        command=st.sampled_from(_FILE_COMMANDS),
+        suffix=st.sampled_from([".csv", ".json"]),
+    )
+    def test_file_bytes(self, class_dir, data, command, suffix):
+        path = class_dir / f"input{suffix}"
+        path.write_bytes(data)
+        result = CliRunner().invoke(main, [command[0], str(path), *command[1:]])
+        self._check(result, "--json" in command)
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=st.text(), b=st.text())
+    @example(a="inf\n", b="0")
+    def test_classify_arguments(self, a, b):
+        # "--" keeps an argument such as "--json" or "--help" a value
+        self._check(CliRunner().invoke(main, ["classify2x2", "--", a, b]), False)

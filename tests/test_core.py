@@ -196,6 +196,16 @@ class TestMatMul:
         with pytest.raises(DimensionError):
             mat_vec(EX_M, Vector([1, 2]))
 
+    def test_matmul_operator(self):
+        row = RowVector([F(1, 2), 3, -1])
+        assert EX_M @ EX_M == mat_mul(EX_M, EX_M)
+        assert EX_M @ EX_E == mat_vec(EX_M, EX_E)
+        assert row @ EX_M == row_mat_mul(row, EX_M)
+        with pytest.raises(TypeError):
+            EX_M @ 3
+        with pytest.raises(TypeError):
+            row @ EX_E
+
 
 class TestMatPow:
     def test_zeroth_power(self):
