@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import inf, lcm, log, prod
+from math import inf, log, prod
 from operator import mul, sub
 from typing import Optional
 
@@ -29,6 +29,7 @@ from .core import (
     Vector,
     _ensure_typed,
     _finite,
+    _over_lcm,
     _row_slices,
     ensure_type_one,
     is_zero,
@@ -272,10 +273,8 @@ def _solve_square(
 
 def _scale_columns(rows: list[list[Fraction]]) -> tuple[list[int], list[list[int]]]:
     """Column lcms c_j and the integer rows of ``rows`` with column j times c_j."""
-    scales = [lcm(*{v.denominator for v in col}) for col in zip(*rows)]
-    return scales, [
-        [v.numerator * (c // v.denominator) for v, c in zip(row, scales)] for row in rows
-    ]
+    cols, scales = zip(*map(_over_lcm, zip(*rows)))
+    return list(scales), list(map(list, zip(*cols)))
 
 
 def _bareiss_eliminate(aug: list[list[int]], ncols: int) -> tuple[int, int]:

@@ -15,10 +15,13 @@ fraction strings and float values with 17 significant digits, so
 rational-domain reports are byte-identical across runs and platforms.
 
 Exit codes: 0 success (analysis converged), 1 parse error,
-2 precondition failure (not square, not type 1, bad entries),
-3 inconclusive (no contraction power within the search bound).
+2 precondition failure (not square, not type 1, bad entries) or usage
+error (unknown command; a command's bad option value, missing argument
+or unknown option), 3 inconclusive (no contraction power within the
+search bound).  Each error prints one ``error:`` line on stderr.
 Each command hands its report to ``_run``, the one place where these
-codes are decided and where only the requested form, JSON or text, is rendered.
+codes are decided and where only the requested form, JSON or text, is
+rendered; the command group turns a usage error into its ``error:`` line.
 """
 
 from __future__ import annotations
@@ -511,7 +514,18 @@ _json_option = click.option(
 )
 
 
-@click.group()
+class _Group(click.Group):
+    """Command group whose usage errors exit 2 with one ``error:`` line."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as exc:
+            click.echo(f"error: {exc.format_message()}", err=True)
+            sys.exit(EXIT_PRECONDITION)
+
+
+@click.group(cls=_Group)
 def main() -> None:
     """Convergence analysis of matrix powers via the column variation."""
 

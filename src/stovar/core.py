@@ -1,5 +1,8 @@
 """Scalar domains, vectors, matrices, and the column-variation primitives.
 
+:class:`Matrix`, :class:`Vector` (an n-by-1 value) and :class:`RowVector`
+(1-by-n) share one body, ``_Dense``: row-major entries with a shape and a
+domain, one arithmetic, one equality, and one product, ``_product``.
 Values are immutable after construction and can be shared between
 threads.  Two scalar domains are supported: exact rationals backed by
 ``fractions.Fraction`` and finite IEEE floats guarded by a module-level
@@ -148,42 +151,99 @@ def _require_same_domain(a: Domain, b: Domain) -> Domain:
     return a
 
 
-class _Entries:
-    """Immutable one-domain sequence with at least one entry.
+class _Dense:
+    """Immutable one-domain row-major value with at least one entry.
 
-    The shared body of :class:`Vector` and :class:`RowVector`; a value
-    equals only a value of its own class.
+    The one body of :class:`Matrix`, :class:`Vector` (n-by-1) and
+    :class:`RowVector` (1-by-n).  A value equals only a value of its own
+    class, and arithmetic needs a peer of the same class, domain and shape.
     """
 
-    __slots__ = ("_entries", "_domain")
+    __slots__ = ("_rows", "_cols", "_entries", "_domain")
+
+    def _fill(self, rows: int, cols: int, flat: list, domain: Optional[Domain]) -> None:
+        """Set this value from outside input, coercing it into one domain."""
+        dom = domain if domain is not None else _infer_domain(flat)
+        self._rows, self._cols, self._domain = rows, cols, dom
+        self._entries = tuple(_coerce(v, dom) for v in flat)
+
+    @classmethod
+    def _new(cls, rows: int, cols: int, entries: Iterable[Scalar], domain: Domain):
+        """Value over row-major entries already in the domain; no coercion."""
+        v = object.__new__(cls)
+        v._rows, v._cols, v._entries, v._domain = rows, cols, tuple(entries), domain
+        return v
+
+    @property
+    def entries(self) -> tuple[Scalar, ...]:
+        """Row-major tuple of all entries."""
+        return self._entries
+
+    @property
+    def domain(self) -> Domain:
+        return self._domain
+
+    def _computed(self, entries: Iterable[Scalar]):
+        """Value of this class, shape and domain over entries computed from its own."""
+        values = _finite(list(entries), self._domain)
+        return self._new(self._rows, self._cols, values, self._domain)
+
+    def __add__(self, other):
+        self._check_peer(other)
+        return self._computed(map(add, self._entries, other._entries))
+
+    def __sub__(self, other):
+        self._check_peer(other)
+        return self._computed(map(sub, self._entries, other._entries))
+
+    def __rmul__(self, scalar: ScalarLike):
+        factor = _coerce(scalar, self._domain)
+        return self._computed(factor * v for v in self._entries)
+
+    def scale(self, scalar: ScalarLike):
+        return scalar * self
+
+    def as_matrix(self) -> "Matrix":
+        """This value as a matrix of the same shape."""
+        return Matrix._new(self._rows, self._cols, self._entries, self._domain)
+
+    def _check_peer(self, other: object) -> None:
+        if not isinstance(other, type(self)):
+            raise TypeError(f"expected a {type(self).__name__}, got {type(other).__name__}")
+        _require_same_domain(self._domain, other._domain)
+        if (self._rows, self._cols) != (other._rows, other._cols):
+            raise DimensionError(
+                f"shape mismatch: {self._rows}x{self._cols} vs {other._rows}x{other._cols}"
+            )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return (self._domain, self._rows, self._cols, self._entries) == (
+            other._domain, other._rows, other._cols, other._entries
+        )
+
+    def __hash__(self) -> int:
+        return hash((type(self).__name__, self._domain, self._rows, self._cols, self._entries))
+
+
+class _Entries(_Dense):
+    """A value built from, and read as, one flat sequence of entries."""
+
+    __slots__ = ()
     _noun = "vector"
 
     def __init__(self, entries: Iterable[ScalarLike], domain: Optional[Domain] = None):
         items = list(entries)
         if not items:
             raise DimensionError(f"a {self._noun} needs at least one entry")
-        dom = domain if domain is not None else _infer_domain(items)
-        self._entries = tuple(_coerce(v, dom) for v in items)
-        self._domain = dom
+        self._fill(*self._shape(len(items)), items, domain)
 
     @classmethod
     def _of(cls, entries: Iterable[Scalar], domain: Domain):
         """Value over entries already in the domain; no coercion."""
-        v = object.__new__(cls)
-        v._entries, v._domain = tuple(entries), domain
-        return v
-
-    def _computed(self, entries: Iterable[Scalar]):
-        """Value of this class and domain over entries computed from its own."""
-        return self._of(_finite(list(entries), self._domain), self._domain)
-
-    @property
-    def entries(self) -> tuple[Scalar, ...]:
-        return self._entries
-
-    @property
-    def domain(self) -> Domain:
-        return self._domain
+        values = tuple(entries)
+        return cls._new(*cls._shape(len(values)), values, domain)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -193,14 +253,6 @@ class _Entries:
 
     def __getitem__(self, index: int) -> Scalar:
         return self._entries[index]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self._domain is other._domain and self._entries == other._entries
-
-    def __hash__(self) -> int:
-        return hash((type(self).__name__, self._domain, self._entries))
 
     def __repr__(self) -> str:
         inner = ", ".join(str(v) for v in self._entries)
@@ -212,31 +264,9 @@ class Vector(_Entries):
 
     __slots__ = ()
 
-    def __add__(self, other: "Vector") -> "Vector":
-        self._check_peer(other)
-        return self._computed(map(add, self._entries, other._entries))
-
-    def __sub__(self, other: "Vector") -> "Vector":
-        self._check_peer(other)
-        return self._computed(map(sub, self._entries, other._entries))
-
-    def __rmul__(self, scalar: ScalarLike) -> "Vector":
-        factor = _coerce(scalar, self._domain)
-        return self._computed(factor * v for v in self._entries)
-
-    def scale(self, scalar: ScalarLike) -> "Vector":
-        return scalar * self
-
-    def as_matrix(self) -> "Matrix":
-        """This vector as an n-by-1 matrix."""
-        return Matrix._of(len(self), 1, self._entries, self._domain)
-
-    def _check_peer(self, other: "Vector") -> None:
-        if not isinstance(other, Vector):
-            raise TypeError(f"expected a Vector, got {type(other).__name__}")
-        _require_same_domain(self._domain, other._domain)
-        if len(self) != len(other):
-            raise DimensionError(f"vector lengths differ: {len(self)} vs {len(other)}")
+    @staticmethod
+    def _shape(n: int) -> tuple[int, int]:
+        return n, 1
 
 
 class RowVector(_Entries):
@@ -245,14 +275,14 @@ class RowVector(_Entries):
     __slots__ = ()
     _noun = "row vector"
 
+    @staticmethod
+    def _shape(n: int) -> tuple[int, int]:
+        return 1, n
+
     def __matmul__(self, other: "Matrix") -> "RowVector":
         if not isinstance(other, Matrix):
             return NotImplemented
         return row_mat_mul(self, other)
-
-    def as_matrix(self) -> "Matrix":
-        """This row as a 1-by-m matrix."""
-        return Matrix._of(1, len(self), self._entries, self._domain)
 
 
 def ones_row(length: int, domain: Domain = Domain.RATIONAL) -> RowVector:
@@ -262,14 +292,14 @@ def ones_row(length: int, domain: Domain = Domain.RATIONAL) -> RowVector:
     return RowVector._of([one_of(domain)] * length, domain)
 
 
-class Matrix:
+class Matrix(_Dense):
     """Dense m-by-n matrix stored row-major over a single scalar domain.
 
     Both dimensions must be at least one; empty matrices are rejected at
     construction.  Index accessors are 0-based.
     """
 
-    __slots__ = ("_rows", "_cols", "_entries", "_domain")
+    __slots__ = ()
 
     def __init__(
         self,
@@ -282,19 +312,9 @@ class Matrix:
         width = len(data[0])
         if any(len(row) != width for row in data):
             raise DimensionError("all rows must have the same number of entries")
-        flat = [value for row in data for value in row]
-        dom = domain if domain is not None else _infer_domain(flat)
-        self._rows = len(data)
-        self._cols = width
-        self._entries = tuple(_coerce(v, dom) for v in flat)
-        self._domain = dom
+        self._fill(len(data), width, [value for row in data for value in row], domain)
 
-    @classmethod
-    def _of(cls, rows: int, cols: int, entries: Iterable[Scalar], domain: Domain) -> "Matrix":
-        """Matrix over row-major entries already in the domain; no coercion."""
-        m = object.__new__(cls)
-        m._rows, m._cols, m._entries, m._domain = rows, cols, tuple(entries), domain
-        return m
+    _of = classmethod(_Dense._new.__func__)
 
     @classmethod
     def identity(cls, n: int, domain: Domain = Domain.RATIONAL) -> "Matrix":
@@ -311,15 +331,6 @@ class Matrix:
     @property
     def cols(self) -> int:
         return self._cols
-
-    @property
-    def domain(self) -> Domain:
-        return self._domain
-
-    @property
-    def entries(self) -> tuple[Scalar, ...]:
-        """Row-major tuple of all entries."""
-        return self._entries
 
     @property
     def is_square(self) -> bool:
@@ -362,53 +373,12 @@ class Matrix:
         values = _finite(list(map(_to_float, self._entries)), Domain.FLOAT)
         return Matrix._of(self._rows, self._cols, values, Domain.FLOAT)
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        return self._computed(map(add, self._entries, other._entries))
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        return self._computed(map(sub, self._entries, other._entries))
-
-    def __rmul__(self, scalar: ScalarLike) -> "Matrix":
-        factor = _coerce(scalar, self._domain)
-        return self._computed(factor * v for v in self._entries)
-
-    def scale(self, scalar: ScalarLike) -> "Matrix":
-        return scalar * self
-
     def __matmul__(self, other: object):
         if isinstance(other, Matrix):
             return mat_mul(self, other)
         if isinstance(other, Vector):
             return mat_vec(self, other)
         return NotImplemented
-
-    def _computed(self, entries: Iterable[Scalar]) -> "Matrix":
-        """Matrix of this shape and domain over entries computed from its own."""
-        values = _finite(list(entries), self._domain)
-        return self._of(self._rows, self._cols, values, self._domain)
-
-    def _check_same_shape(self, other: "Matrix") -> None:
-        if not isinstance(other, Matrix):
-            raise TypeError(f"expected a Matrix, got {type(other).__name__}")
-        _require_same_domain(self._domain, other._domain)
-        if (self._rows, self._cols) != (other._rows, other._cols):
-            raise DimensionError(
-                f"shape mismatch: {self._rows}x{self._cols} vs {other._rows}x{other._cols}"
-            )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return (
-            self._domain is other._domain
-            and (self._rows, self._cols) == (other._rows, other._cols)
-            and self._entries == other._entries
-        )
-
-    def __hash__(self) -> int:
-        return hash((self._domain, self._rows, self._cols, self._entries))
 
     def __repr__(self) -> str:
         rows = [
@@ -573,6 +543,15 @@ def _dots(rows: list[Sequence], cols: list[Sequence], domain: Domain) -> list[Sc
     return _finite([sum(map(mul, r, c)) for r in rows for c in cols], domain)
 
 
+def _product(a: _Dense, b: _Dense, cls):
+    """a times b, built as a value of class cls."""
+    _require_same_domain(a._domain, b._domain)
+    if a._cols != b._rows:
+        raise DimensionError(f"cannot multiply {a._rows}x{a._cols} by {b._rows}x{b._cols}")
+    out = _dots(_row_slices(a._entries, a._cols), _column_slices(b._entries, b._cols), a._domain)
+    return cls._new(a._rows, b._cols, out, a._domain)
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """Standard matrix product; exact in the rational domain.
 
@@ -582,31 +561,17 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     summed left to right, with the same last-bit caveat as
     :func:`variation`.
     """
-    _require_same_domain(a.domain, b.domain)
-    if a.cols != b.rows:
-        raise DimensionError(
-            f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}"
-        )
-    out = _dots(_row_slices(a.entries, a.cols), _column_slices(b.entries, b.cols), a.domain)
-    return Matrix._of(a.rows, b.cols, out, a.domain)
+    return _product(a, b, Matrix)
 
 
 def mat_vec(a: Matrix, x: Vector) -> Vector:
     """Matrix-vector product."""
-    _require_same_domain(a.domain, x.domain)
-    if a.cols != len(x):
-        raise DimensionError(f"cannot apply {a.rows}x{a.cols} matrix to length-{len(x)} vector")
-    out = _dots(_row_slices(a.entries, a.cols), [x.entries], a.domain)
-    return Vector._of(out, a.domain)
+    return _product(a, x, Vector)
 
 
 def row_mat_mul(z: RowVector, a: Matrix) -> RowVector:
     """Row-vector-matrix product."""
-    _require_same_domain(z.domain, a.domain)
-    if len(z) != a.rows:
-        raise DimensionError(f"cannot apply length-{len(z)} row to {a.rows}x{a.cols} matrix")
-    out = _dots([z.entries], _column_slices(a.entries, a.cols), a.domain)
-    return RowVector._of(out, a.domain)
+    return _product(z, a, RowVector)
 
 
 def mat_pow(m: Matrix, k: int) -> Matrix:

@@ -370,6 +370,7 @@ CONSOLE_COMMANDS = [
     (["analyze", "worked.csv"], 0),
     (["analyze", "--json", "worked.csv"], 0),
     (["variation", "worked.csv"], 0),
+    (["analyze", "--pmax", "0", "worked.csv"], 2),
     (["analyze", "dense-float.csv"], 0),
     (["analyze", "worked-float.csv"], 0),
     (["analyze", "--tol", "1e-300", "reducible.csv"], 3),
@@ -400,6 +401,31 @@ class TestConsoleScriptChecks:
             timeout=120,
         )
         assert done.returncode == code, done.stderr
+
+
+USAGE_ERRORS = [
+    ["analyze", "--pmax", "0", "m.csv"],
+    ["analyze"],
+    ["analyze", "--bogus", "m.csv"],
+    ["nosuch"],
+    ["classify2x2", "--json", "1/2"],
+]
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("args", USAGE_ERRORS, ids=" ".join)
+    def test_one_error_line_and_exit_2(self, runner, tmp_path, args):
+        path = write(tmp_path, "m.csv", EX_M_CSV)
+        result = runner.invoke(main, [path if a == "m.csv" else a for a in args])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ")
+        assert result.stderr.count("\n") == 1 and result.stderr.endswith("\n")
+
+    def test_help_still_prints_help(self, runner):
+        result = runner.invoke(main, ["analyze", "--help"])
+        assert result.exit_code == 0
+        assert "--pmax" in result.stdout
 
 
 class TestOversizedInput:

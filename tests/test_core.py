@@ -506,6 +506,83 @@ class TestTrustedConstructionMatchesCoercion:
 
 
 # ---------------------------------------------------------------------------
+# one value contract for Matrix, Vector and RowVector
+
+_VALUE_CLASSES = [Matrix, Vector, RowVector]
+
+
+def _value(cls, entries, domain=None):
+    """A value of class cls over the flat entries: a Matrix as one column."""
+    if cls is Matrix:
+        return Matrix([[v] for v in entries], domain=domain)
+    return cls(entries, domain=domain)
+
+
+class TestValueContract:
+    def test_same_entries_in_another_class_are_unequal(self):
+        assert Vector([1, 2]) != RowVector([1, 2])
+        assert Vector([1, 2]) != Matrix([[1], [2]])
+        assert RowVector([1, 2]) != Matrix([[1, 2]])
+
+    @pytest.mark.parametrize("cls", _VALUE_CLASSES)
+    def test_equals_only_its_own_class(self, cls):
+        x = _value(cls, [1, 2])
+        assert x == _value(cls, [1, 2])
+        assert hash(x) == hash(_value(cls, [1, 2]))
+        for other in _VALUE_CLASSES:
+            if other is not cls:
+                assert x != _value(other, [1, 2])
+                assert _value(other, [1, 2]) != x
+
+    @pytest.mark.parametrize("cls", _VALUE_CLASSES)
+    def test_arithmetic_across_classes_is_a_type_error(self, cls):
+        x = _value(cls, [1, 2])
+        for other in _VALUE_CLASSES:
+            if other is not cls:
+                with pytest.raises(TypeError):
+                    x + _value(other, [1, 2])
+                with pytest.raises(TypeError):
+                    x - _value(other, [1, 2])
+
+    @pytest.mark.parametrize("cls", _VALUE_CLASSES)
+    def test_shape_mismatch_is_a_dimension_error(self, cls):
+        with pytest.raises(DimensionError, match="shape mismatch"):
+            _value(cls, [1, 2]) + _value(cls, [1, 2, 3])
+        with pytest.raises(DimensionError, match="shape mismatch"):
+            _value(cls, [1, 2, 3]) - _value(cls, [1, 2])
+
+    def test_matrices_of_one_size_but_another_shape_do_not_add(self):
+        with pytest.raises(DimensionError, match="shape mismatch: 1x2 vs 2x1"):
+            Matrix([[1, 2]]) + Matrix([[1], [2]])
+
+    @pytest.mark.parametrize("cls", _VALUE_CLASSES)
+    def test_mixed_domains_do_not_add(self, cls):
+        with pytest.raises(DomainMismatchError):
+            _value(cls, [1, 2]) + _value(cls, [1.0, 2.0])
+        with pytest.raises(DomainMismatchError):
+            _value(cls, [1.0, 2.0]) - _value(cls, [1, 2])
+
+    @pytest.mark.parametrize("domain", list(Domain))
+    def test_row_vector_arithmetic_agrees_with_vector(self, domain):
+        xs, ys = [F(1, 2), -3, F(5, 8)], [2, F(1, 4), 0]
+        x, y = Vector(xs, domain=domain), Vector(ys, domain=domain)
+        zx, zy = RowVector(xs, domain=domain), RowVector(ys, domain=domain)
+        for row, column in [(zx + zy, x + y), (zx - zy, x - y), (2 * zx, 2 * x)]:
+            assert type(row) is RowVector
+            assert row.entries == column.entries
+            assert row.domain is column.domain is domain
+
+    @pytest.mark.parametrize(
+        "cls, shape", [(Matrix, (3, 1)), (Vector, (3, 1)), (RowVector, (1, 3))]
+    )
+    def test_as_matrix_keeps_the_shape(self, cls, shape):
+        m = _value(cls, [1, 2, 3]).as_matrix()
+        assert type(m) is Matrix
+        assert (m.rows, m.cols) == shape
+        assert m.entries == (1, 2, 3)
+
+
+# ---------------------------------------------------------------------------
 # float results stay finite
 
 
