@@ -66,40 +66,56 @@ class Verdict(Enum):
 class ConvergenceAnalysis:
     """Full convergence report for a type-1 square matrix.
 
-    ``variation_per_power`` holds the variation of M^k for k = 1 up to the
-    contraction power, or up to ``p_max`` when no contraction was found;
-    ``first_variation`` is the full report for M itself, column pair
-    included, and ``type_report`` the type check that admitted M.
-    ``stationary`` and ``projection`` are present only on convergence.
+    It stores what :func:`analyze` found.  ``variation_per_power`` holds
+    the variation of M^k for k = 1 up to the contraction power, or up to
+    ``p_max`` when no contraction was found; ``first_variation`` is the
+    full report for M itself, column pair included, ``type_report`` the
+    type check that admitted M, and ``stationary`` E, found only on
+    convergence.  The verdict, var(M^p), the limit projection E * J and
+    the decay table up to ``k_report`` are computed from these on access.
     A missing contraction power is never a divergence proof, only failure
     to certify convergence within the search bound.
     """
 
-    verdict: Verdict
     p_max: int
+    k_report: int
     contraction_power: Optional[int]
-    variation_at_p: Optional[Scalar]
     variation_per_power: tuple[Scalar, ...]
     first_variation: VariationReport
     type_report: TypeReport
     stationary: Optional[Vector]
-    projection: Optional[Matrix]
-    decay_bounds: tuple[tuple[int, Scalar], ...] = ()
 
     @property
     def converged(self) -> bool:
-        return self.verdict is Verdict.CONVERGES
+        return self.contraction_power is not None
+
+    @property
+    def verdict(self) -> Verdict:
+        return Verdict.CONVERGES if self.converged else Verdict.NO_CONTRACTION_FOUND
+
+    @property
+    def variation_at_p(self) -> Optional[Scalar]:
+        return self.variation_per_power[-1] if self.converged else None
+
+    @property
+    def projection(self) -> Optional[Matrix]:
+        # E passed its entry-sum check when it was found
+        return None if self.stationary is None else _projection(self.stationary)
+
+    @property
+    def decay_bounds(self) -> tuple[tuple[int, Scalar], ...]:
+        """The decay bound at a fixed set of exponents up to ``k_report``."""
+        if not self.converged:
+            return ()
+        powers = {1, 2, 3, 4, 5, 10, 20, 50, 100, self.contraction_power, self.k_report}
+        return tuple((k, self.decay_bound_at(k)) for k in sorted(powers) if k <= self.k_report)
 
     def decay_bound_at(self, k: int) -> Scalar:
         """Certified upper bound on the variation of M^k."""
         if not self.converged:
             raise ValueError("decay bounds require a contraction power")
-        return decay_bound(
-            self.variation_per_power[0],
-            self.variation_at_p,
-            self.contraction_power,
-            k,
-        )
+        p = self.contraction_power
+        return decay_bound(self.variation_per_power[0], self.variation_at_p, p, k)
 
 
 class Case2x2(Enum):
@@ -228,14 +244,15 @@ def _solve_square(
 ) -> Optional[list[Scalar]]:
     """Solve ``rows · x = rhs`` for a square system; None when singular.
 
-    Rational systems are solved exactly in integers.  Column j is scaled
-    by the lcm c_j of its denominators (x_j = c_j y_j), then each row and
-    its right-hand side by the lcm of the denominators left in it, and the
-    integer system goes through :func:`_bareiss_eliminate`.  Integer
-    back-substitution gives det * y_i exactly, so x_i is the fraction
-    c_i * (det * y_i) / det, normalized once.  When a column holds integer
-    weights over their sum, c_j divides that sum and the scaled entries
-    stay small.
+    Rational systems are solved exactly in integers.  Each column of the
+    augmented matrix, right-hand side included, is scaled by the lcm c_j
+    of its denominators, which leaves the integer system A' z = b' with
+    x_j = c_j z_j / c_n (c_n the right-hand side's scale); it goes
+    through :func:`_bareiss_eliminate`.  Integer back-substitution gives
+    det * z_i exactly, so x_i is the fraction c_i * (det * z_i) /
+    (det * c_n), normalized once.  When a column holds integer weights
+    over their sum, c_j divides that sum and the scaled entries stay
+    small.
 
     Float systems go through :func:`_float_eliminate` and are singular
     when some column has no candidate above the guard band
@@ -243,21 +260,16 @@ def _solve_square(
     """
     n = len(rows)
     if domain is Domain.RATIONAL:
-        scales, scaled_rows = _scale_columns(rows)
-        # column scaling leaves integers, so a row's lcm is its b's denominator
-        aug = [
-            (row if b.denominator == 1 else [a * b.denominator for a in row]) + [b.numerator]
-            for row, b in zip(scaled_rows, rhs)
-        ]
+        scales, aug = _scale_columns([row + [b] for row, b in zip(rows, rhs)])
         if _bareiss_eliminate(aug, n)[1] < n:
             return None
         det = aug[n - 1][n - 1]
-        scaled: list[int] = [0] * n  # det * y_i
+        scaled: list[int] = [0] * n  # det * z_i
         for i in range(n - 1, -1, -1):
             row = aug[i]
             acc = det * row[n] - sum(map(mul, row[i + 1 : n], scaled[i + 1 :]))
             scaled[i] = acc // row[i]
-        return [Fraction(c * v, det) for c, v in zip(scales, scaled)]
+        return [Fraction(c * v, det * scales[n]) for c, v in zip(scales, scaled)]
     aug = [list(row) + [b] for row, b in zip(rows, rhs)]
     if _float_eliminate(aug, n, _guard_band(rows))[1] < n:
         return None
@@ -443,6 +455,11 @@ def limit_projection(e: Vector) -> Matrix:
     total = vsum(e)
     if not scalars_equal(total, 1, e.domain):
         raise VsumNotOneError(f"entry sum is {total}, expected 1")
+    return _projection(e)
+
+
+def _projection(e: Vector) -> Matrix:
+    """:func:`limit_projection` of e, without checking its entry sum."""
     n = len(e)
     # the entries are already in the domain: row i repeats e_i
     return Matrix._of(n, n, [v for v in e for _ in range(n)], e.domain)
@@ -490,12 +507,6 @@ def iterate_error_bound(
     return actual, bound
 
 
-def _report_powers(p: int, k_report: int) -> list[int]:
-    """Deterministic set of exponents for the decay-bound table."""
-    candidates = {1, 2, 3, 4, 5, 10, 20, 50, 100, p, k_report}
-    return sorted(k for k in candidates if 1 <= k <= k_report)
-
-
 def analyze(
     m: Matrix,
     p_max: int = DEFAULT_P_MAX,
@@ -504,10 +515,11 @@ def analyze(
     """Contraction search plus stationary vector and limit projection.
 
     Scans powers 1..p_max for variation strictly below one.  On success
-    the verdict is CONVERGES and the report carries the stationary vector,
-    the limit projection, and the per-power variations up to the
-    contraction power.  Otherwise the verdict is NO_CONTRACTION_FOUND,
-    which is deliberately inconclusive: the variation function is
+    the verdict is CONVERGES and the report carries the per-power
+    variations up to the contraction power and the stationary vector,
+    from which it derives the limit projection and the decay table.
+    Otherwise the verdict is NO_CONTRACTION_FOUND, no E is sought, and
+    the report is deliberately inconclusive: the variation function is
     continuous, so failure below a finite bound proves nothing about
     divergence (outside the fully classified 2x2 case).
 
@@ -543,39 +555,12 @@ def analyze(
     if not isinstance(k_report, int) or k_report < 1:
         raise ValueError("k_report must be a positive integer")
     p, history, first = _variation_scan(m, p_max)
-    if p is None:
-        return ConvergenceAnalysis(
-            verdict=Verdict.NO_CONTRACTION_FOUND,
-            p_max=p_max,
-            contraction_power=None,
-            variation_at_p=None,
-            variation_per_power=tuple(history),
-            first_variation=first,
-            type_report=type_report,
-            stationary=None,
-            projection=None,
-        )
     e = None
     if m.domain is Domain.FLOAT and p == 1 and min(m.entries) >= 0.0:
         e = _iterated_stationary(m, history[0])
-    if e is None:
+    if p is not None and e is None:
         e = _solved_stationary(m)
-    bounds = tuple(
-        (k, decay_bound(history[0], history[-1], p, k))
-        for k in _report_powers(p, k_report)
-    )
-    return ConvergenceAnalysis(
-        verdict=Verdict.CONVERGES,
-        p_max=p_max,
-        contraction_power=p,
-        variation_at_p=history[-1],
-        variation_per_power=tuple(history),
-        first_variation=first,
-        type_report=type_report,
-        stationary=e,
-        projection=limit_projection(e),
-        decay_bounds=bounds,
-    )
+    return ConvergenceAnalysis(p_max, k_report, p, tuple(history), first, type_report, e)
 
 
 def determinant(m: Matrix) -> Scalar:

@@ -16,8 +16,8 @@ rational-domain reports are byte-identical across runs and platforms.
 
 Exit codes: 0 success (analysis converged), 1 parse error,
 2 precondition failure (not square, not type 1, bad entries) or usage
-error (unknown command; a command's bad option value, missing argument
-or unknown option), 3 inconclusive (no contraction power within the
+error (unknown command or option; a command's bad option value or
+missing argument), 3 inconclusive (no contraction power within the
 search bound).  Each error prints one ``error:`` line on stderr.
 Each command hands its report to ``_run``, the one place where these
 codes are decided and where only the requested form, JSON or text, is
@@ -298,12 +298,7 @@ def _verdict_string(result: ConvergenceAnalysis) -> str:
     return f"no contraction power found up to p_max={result.p_max}"
 
 
-def analysis_report(
-    m: Matrix,
-    result: ConvergenceAnalysis,
-    path: Optional[str] = None,
-    k_report: int = DEFAULT_K_REPORT,
-) -> dict:
+def analysis_report(m: Matrix, result: ConvergenceAnalysis, path: Optional[str] = None) -> dict:
     """JSON-ready report for the analyze command."""
     domain = m.domain
     stationary = (
@@ -315,7 +310,7 @@ def analysis_report(
         "schema": SCHEMA,
         "command": "analyze",
         "input": _input_echo(m, path),
-        "parameters": {"p_max": result.p_max, "k_report": k_report},
+        "parameters": {"p_max": result.p_max, "k_report": result.k_report},
         "type": _type_dict(result.type_report, domain),
         "variation": _variation_dict(result.first_variation, domain),
         "variation_per_power": [
@@ -515,11 +510,24 @@ _json_option = click.option(
 
 
 class _Group(click.Group):
-    """Command group whose usage errors exit 2 with one ``error:`` line."""
+    """Command group whose usage errors exit 2 with one ``error:`` line.
+
+    Click parses the group's own options before ``invoke`` runs, and a
+    command's name and options inside it, so both steps go through
+    ``_one_line``.  Bare ``stovar`` keeps the group help, with exit 2.
+    """
+
+    def parse_args(self, ctx: click.Context, args: list[str]) -> list[str]:
+        step = super().parse_args
+        return self._one_line(step, ctx, args) if args else step(ctx, args)
 
     def invoke(self, ctx: click.Context):
+        return self._one_line(super().invoke, ctx)
+
+    @staticmethod
+    def _one_line(step: Callable, *args):
         try:
-            return super().invoke(ctx)
+            return step(*args)
         except click.UsageError as exc:
             click.echo(f"error: {exc.format_message()}", err=True)
             sys.exit(EXIT_PRECONDITION)
@@ -563,7 +571,7 @@ def analyze_cmd(path: str, pmax: int, tol: float, k_report: int, as_json: bool, 
         previous = set_tolerance(tol)  # --tol holds for this command only
         try:
             result = _analysis.analyze(m, p_max=pmax, k_report=k_report)
-            return analysis_report(m, result, path=path, k_report=k_report)
+            return analysis_report(m, result, path=path)
         finally:
             set_tolerance(previous)
 

@@ -544,7 +544,11 @@ def _dots(rows: list[Sequence], cols: list[Sequence], domain: Domain) -> list[Sc
 
 
 def _product(a: _Dense, b: _Dense, cls):
-    """a times b, built as a value of class cls."""
+    """a times b, built as a value of class cls; TypeError for other operands."""
+    left = RowVector if cls is RowVector else Matrix
+    right = Vector if cls is Vector else Matrix
+    if not (isinstance(a, left) and isinstance(b, right)):
+        raise TypeError(f"no {cls.__name__} product of {type(a).__name__} and {type(b).__name__}")
     _require_same_domain(a._domain, b._domain)
     if a._cols != b._rows:
         raise DimensionError(f"cannot multiply {a._rows}x{a._cols} by {b._rows}x{b._cols}")

@@ -1,5 +1,6 @@
 """Tests for contraction search, stationary vectors, bounds, and the 2x2 taxonomy."""
 
+from dataclasses import fields
 from fractions import Fraction
 from math import fsum, inf
 from unittest import mock
@@ -12,6 +13,7 @@ import support
 from support import EX_E, EX_LIMIT, EX_M, EX_M_SQUARED, basis_vector
 from stovar import (
     Case2x2,
+    ConvergenceAnalysis,
     Domain,
     Matrix,
     NonUniqueFixedVectorError,
@@ -34,13 +36,14 @@ from stovar import (
     mat_pow,
     mat_vec,
     matrix_2x2,
+    set_tolerance,
     sign_pattern,
     stationary_vector,
     type_eigenvalue_certificate,
     variation,
     vsum,
 )
-from stovar import analysis, core, nonneg
+from stovar import analysis, cli, core, nonneg
 from stovar.analysis import _solve_square, _variation_scan
 from stovar.core import scalars_close, scalars_equal, strictly_less, tolerance
 
@@ -724,6 +727,53 @@ class TestAnalyze:
             bound == decay_bound(F(6, 5), F(18, 25), 2, k)
             for k, bound in result.decay_bounds
         )
+
+
+class TestAnalysisRecord:
+    """The record stores what analyze found; the rest is derived on access."""
+
+    def test_stores_only_the_facts(self):
+        assert [f.name for f in fields(ConvergenceAnalysis)] == [
+            "p_max",
+            "k_report",
+            "contraction_power",
+            "variation_per_power",
+            "first_variation",
+            "type_report",
+            "stationary",
+        ]
+        result = analyze(EX_M)
+        for name in ("verdict", "converged", "variation_at_p", "projection", "decay_bounds"):
+            with pytest.raises(AttributeError):
+                setattr(result, name, None)
+
+    def test_report_takes_k_report_from_the_record(self):
+        report = cli.analysis_report(EX_M, analyze(EX_M, k_report=5))
+        assert report["parameters"]["k_report"] == 5
+        assert report["decay_bounds"][-1]["k"] == 5
+
+    @pytest.mark.parametrize("m", [EX_M, EX_M.to_float(), matrix_2x2(0.3, 0.2)], ids=str)
+    def test_decay_table_is_decay_bound_at(self, m):
+        result = analyze(m)
+        assert result.converged and result.decay_bounds
+        assert result.decay_bounds == tuple(
+            (k, result.decay_bound_at(k)) for k, _ in result.decay_bounds
+        )
+
+    def test_inconclusive_record_derives_nothing(self):
+        result = analyze(Matrix.identity(3), p_max=5)
+        assert result.verdict is Verdict.NO_CONTRACTION_FOUND
+        assert result.variation_at_p is None
+        assert result.projection is None
+        assert result.decay_bounds == ()
+
+    def test_projection_is_not_checked_again_under_a_new_tolerance(self):
+        # E passed its check when analyze found it; its float entry sum is not exactly 1
+        result = analyze(_dense_markov(7, 1))
+        assert vsum(result.stationary) != 1.0
+        before = result.projection
+        set_tolerance(1e-300)
+        assert result.projection == before
 
 
 # ---------------------------------------------------------------------------

@@ -379,6 +379,7 @@ CONSOLE_COMMANDS = [
     (["pattern", "--kmax", "100000", "tail-cycle-pattern.csv"], 0),
     (["classify2x2", "1/2", "1/3"], 0),
     (["pattern", "--kmax", "1000000", "two-cycle.csv"], 0),
+    (["--bogus"], 2),
 ]
 
 
@@ -409,6 +410,7 @@ USAGE_ERRORS = [
     ["analyze", "--bogus", "m.csv"],
     ["nosuch"],
     ["classify2x2", "--json", "1/2"],
+    ["--bogus"],
 ]
 
 
@@ -426,6 +428,17 @@ class TestUsageErrors:
         result = runner.invoke(main, ["analyze", "--help"])
         assert result.exit_code == 0
         assert "--pmax" in result.stdout
+
+    def test_group_help(self, runner):
+        result = runner.invoke(main, ["--help"])
+        assert result.exit_code == 0
+        assert "Commands:" in result.stdout
+
+    def test_bare_command_prints_the_group_help(self, runner):
+        result = runner.invoke(main, [])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("Usage: ") and "Commands:" in result.stderr
 
 
 class TestOversizedInput:

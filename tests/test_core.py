@@ -206,6 +206,22 @@ class TestMatMul:
         with pytest.raises(TypeError):
             row @ EX_E
 
+    @pytest.mark.parametrize(
+        "product, a, b",
+        [
+            (mat_vec, Matrix.identity(2), Matrix([[1, 2], [3, 4]])),
+            (mat_vec, RowVector([1, 2]), Vector([1, 2])),
+            (row_mat_mul, Matrix([[1, 2]]), Matrix.identity(2)),
+            (row_mat_mul, RowVector([1, 2]), Vector([1, 2])),
+            (mat_mul, Matrix.identity(2), Vector([1, 2])),
+            (mat_mul, RowVector([1, 2]), Matrix.identity(2)),
+        ],
+        ids=lambda v: getattr(v, "__name__", None) or type(v).__name__,
+    )
+    def test_wrong_operand_class(self, product, a, b):
+        with pytest.raises(TypeError):
+            product(a, b)
+
 
 class TestMatPow:
     def test_zeroth_power(self):
