@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import inf, log, prod
+from math import gcd, inf, log, prod
 from operator import mul, sub
 from typing import Optional
 
@@ -27,10 +27,12 @@ from .core import (
     TypeReport,
     VariationReport,
     Vector,
+    _column_slices,
     _ensure_typed,
     _finite,
     _over_lcm,
     _row_slices,
+    _widest_pair,
     ensure_type_one,
     is_zero,
     l1_norm,
@@ -183,38 +185,64 @@ def _variation_scan(
     no power from k0 on equals one before k0.  A float rounding cycle
     with tail t and period l is caught at a power-of-two checkpoint
     after about 2t + l products.  At most n + log2(p_max) powers are held.
+    A rational M^k is held as integer numerators over its denominator
+    d_k (:func:`_integer_step`), and var(M^k) is the fraction best / 2 d_k
+    that :func:`variation` gives; a float M^k is a :func:`mat_mul` product.
     """
     if not isinstance(p_max, int) or p_max < 1:
         raise ValueError("p_max must be a positive integer")
     first = variation(m)
     history: list[Scalar] = [first.value]
     one = one_of(m.domain)
+    if strictly_less(first.value, one, m.domain):
+        return 1, history, first
     k0 = 1
-    if p_max > 1 and not strictly_less(first.value, one, m.domain) and min(m.entries) >= 0:
+    if p_max > 1 and min(m.entries) >= 0:
         k0 = _power_walk(_column_masks(m.entries, m.cols), p_max, _masks_overlap)[0]
         if k0 is None:
             return None, history + [one] * (p_max - 1), first
-    power = m
-    saved: list[tuple[int, tuple[Scalar, ...]]] = []
+    rational = m.domain is Domain.RATIONAL
+    power = base = _over_lcm(m.entries) if rational else m
+    saved: list[tuple[int, object]] = []
     while not strictly_less(history[-1], one, m.domain):
         k = len(history)  # power is M^k
         if k == p_max:
             return None, history, first
         if k >= k0 and (k <= m.rows or not k & (k - 1)):
-            saved.append((k, power.entries))
-        power = mat_mul(power, m)
+            saved.append((k, power))
+        power = _integer_step(power, base, m.rows) if rational else mat_mul(power, m)
         # Value equality lets only signed zeros differ, and a signed zero
         # changes neither a sum that starts at 0 nor an abs, so equal
         # powers have equal products and variations.  A nan never matches.
         # Below k0 nothing is saved yet, so nothing is compared.
-        start = next((j for j, seen in saved if seen == power.entries), None)
+        start = next((j for j, seen in saved if seen == power), None)
         if start is not None:
             period = k + 1 - start
             while len(history) < p_max:
                 history.append(history[-period])
             return None, history, first
-        history.append(one if k + 1 < k0 else variation(power).value)
+        if k + 1 < k0:
+            history.append(one)
+        elif rational:
+            history.append(Fraction(_widest_pair(power[0], m.rows)[0], 2 * power[1]))
+        else:
+            history.append(variation(power).value)
     return len(history), history, first
+
+
+def _integer_step(power: tuple, base: tuple, n: int) -> tuple[list[int], int]:
+    """M^k times M, each n-by-n and held as (integer numerators, denominator).
+
+    ``base`` is M as its numerators over the lcm of its denominators.  The
+    product is divided by the gcd of its numerators and denominator: in
+    that lowest form the denominator is the lcm of the entries' own, and
+    equal powers are equal pairs.
+    """
+    (numerators, d), (factor, scale) = power, base
+    cols = _column_slices(factor, n)
+    product = [sum(map(mul, r, c)) for r in _row_slices(numerators, n) for c in cols]
+    g = gcd(d * scale, *product)
+    return [v // g for v in product], d * scale // g
 
 
 def find_contraction_power(
@@ -538,7 +566,8 @@ def analyze(
     of forming more products; the report is the same.  Exact powers stop
     at their first repeat, a float rounding cycle at a power-of-two
     checkpoint inside it, and at most n + log2(p_max) powers are kept,
-    whatever p_max is.
+    whatever p_max is.  A rational power is kept as integer numerators
+    over one denominator in lowest terms, a float one as a matrix.
 
     E comes from the solve of :func:`stationary_vector`, except for a
     float Markov matrix (no negative entry) with var(M) < 1.  There E

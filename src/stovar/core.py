@@ -443,12 +443,18 @@ def variation(a: Matrix) -> VariationReport:
     interpreters); a float distance that overflows raises
     :class:`DomainMismatchError`.
     """
-    n = a.cols
-    if n == 1:
-        return VariationReport(value=zero_of(a.domain), arg_j=1, arg_k=1)
-    entries: Sequence = a.entries
     if a.domain is Domain.RATIONAL:
-        entries, d = _over_lcm(entries)
+        entries, d = _over_lcm(a.entries)
+        best, pair = _widest_pair(entries, a.cols)
+        return VariationReport(Fraction(best, 2 * d), *pair)
+    best, pair = _widest_pair(a.entries, a.cols)
+    return VariationReport(_finite([best / 2], a.domain)[0], *pair)
+
+
+def _widest_pair(entries: Sequence, n: int) -> tuple:
+    """Largest l1 distance between two of the n columns, and the first 1-based pair at it."""
+    if n == 1:
+        return 0, (1, 1)
     cols = _column_slices(entries, n)
     best, best_pair = -1, (1, 2)  # any distance, being >= 0, beats -1
     for j in range(n - 1):
@@ -457,11 +463,7 @@ def variation(a: Matrix) -> VariationReport:
         top = max(dists)
         if top > best:
             best, best_pair = top, (j + 1, j + 2 + dists.index(top))
-    if a.domain is Domain.RATIONAL:
-        value = Fraction(best, 2 * d)
-    else:
-        value = _finite([best / 2], a.domain)[0]
-    return VariationReport(value=value, arg_j=best_pair[0], arg_k=best_pair[1])
+    return best, best_pair
 
 
 def row_variation(z: RowVector) -> Scalar:

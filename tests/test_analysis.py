@@ -2,7 +2,7 @@
 
 from dataclasses import fields
 from fractions import Fraction
-from math import fsum, inf
+from math import fsum, gcd, inf
 from unittest import mock
 
 import pytest
@@ -227,9 +227,18 @@ class TestVariationScanMatchesNaiveScan:
             want = analyze(m, p_max)
         assert analyze(m, p_max) == want
 
+    # a rational power is formed by the integer step and measured by the
+    # column-distance loop alone; a float one by mat_mul and variation
+    _COUNTED = {
+        "mat_mul": "mat_mul",
+        "_integer_step": "mat_mul",
+        "variation": "variation",
+        "_widest_pair": "variation",
+    }
+
     @staticmethod
-    def _count_calls(monkeypatch):
-        calls = {"mat_mul": 0, "variation": 0}
+    def _count_calls(monkeypatch, counted=_COUNTED):
+        calls = dict.fromkeys(counted.values(), 0)
 
         def counting(name, function):
             def wrapper(*args):
@@ -238,9 +247,43 @@ class TestVariationScanMatchesNaiveScan:
 
             return wrapper
 
-        for name in calls:
-            monkeypatch.setattr(analysis, name, counting(name, getattr(analysis, name)))
+        for attr, name in counted.items():
+            monkeypatch.setattr(analysis, attr, counting(name, getattr(analysis, attr)))
         return calls
+
+    @given(
+        st.one_of(
+            _recurring_matrices(Domain.RATIONAL),
+            _random_support_markov().map(lambda drawn: drawn[1]),
+        ),
+        st.integers(1, 40),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_rational_powers_are_integer_numerators_in_lowest_terms(self, m, p_max):
+        states = []
+        step = analysis._integer_step
+
+        def recording(*args):
+            states.append(step(*args))
+            return states[-1]
+
+        with mock.patch.object(analysis, "_integer_step", recording):
+            _variation_scan(m, p_max)
+        powers = _naive_powers(m, len(states) + 1)[1:]
+        for (numerators, d), power in zip(states, powers):
+            assert (numerators, d) == core._over_lcm(power.entries)
+            assert gcd(d, *numerators) == 1
+
+    @pytest.mark.parametrize("domain", [Domain.RATIONAL, Domain.FLOAT], ids=lambda d: d.value)
+    def test_only_float_powers_are_formed_by_mat_mul(self, monkeypatch, domain):
+        # M^2 .. M^13 = M^3 are formed, as integer pairs or as float matrices
+        m = Matrix(_signed_twin(support.TAIL_CYCLE_ROWS, 0).row_lists(), domain=domain)
+        calls = self._count_calls(monkeypatch, {"mat_mul": "mat_mul", "_integer_step": "step"})
+        _variation_scan(m, 2000)
+        if domain is Domain.RATIONAL:
+            assert calls == {"mat_mul": 0, "step": 12}
+        else:
+            assert calls == {"mat_mul": 12, "step": 0}
 
     def test_permutation_cycle_forms_one_product_per_step(self, monkeypatch):
         n = 24
@@ -302,17 +345,11 @@ class TestVariationScanMatchesNaiveScan:
         want = _naive_scan(m, p_max)
         powers = [power.entries for power in _naive_powers(m, len(want[1]))]
         b = next((k for k in range(2, len(powers) + 1) if powers[k - 1] in powers[: k - 1]), inf)
-        calls = []
-        product = analysis.mat_mul
-
-        def counting(a, c):
-            calls.append(1)
-            return product(a, c)
-
-        with mock.patch.object(analysis, "mat_mul", counting):
+        with pytest.MonkeyPatch.context() as patch:
+            calls = self._count_calls(patch)
             got = _variation_scan(m, p_max)
         assert got == want
-        assert len(calls) == min(len(want[1]), b) - 1
+        assert calls["mat_mul"] == min(len(want[1]), b) - 1
 
     @pytest.mark.parametrize("domain", [Domain.RATIONAL, Domain.FLOAT], ids=lambda d: d.value)
     def test_repeat_copies_each_variation_of_the_cycle_in_turn(self, monkeypatch, domain):

@@ -364,8 +364,21 @@ CONSOLE_FILES = {
     "tail-cycle-twin.csv": _csv(
         [[str(v + (i == 1) / 4 - (i == 0) / 4) for v in row] for i, row in enumerate(TAIL_CYCLE_ROWS)]
     ),
+    # the same twin in p/q tokens, so the rational scan runs
+    "tail-cycle-twin-rational.csv": _csv(
+        [[f"{4 * v + (i == 1) - (i == 0)}/4" for v in row] for i, row in enumerate(TAIL_CYCLE_ROWS)]
+    ),
     "two-cycle.csv": "0,+\n+,0\n",
+    # a lazy path on 9 states: columns 1 and 9 first overlap at power 4
+    "lazy-path.csv": _csv(
+        [
+            [{0: "3/4" if i in (0, 8) else "1/2", 1: "1/4"}.get(abs(i - j), "0") for j in range(9)]
+            for i in range(9)
+        ]
+    ),
 }
+# the contraction power the step reads from each --json report
+CONSOLE_POWERS = {"worked.csv": 2, "lazy-path.csv": 4}
 CONSOLE_COMMANDS = [
     (["analyze", "worked.csv"], 0),
     (["analyze", "--json", "worked.csv"], 0),
@@ -376,6 +389,8 @@ CONSOLE_COMMANDS = [
     (["analyze", "--tol", "1e-300", "reducible.csv"], 3),
     (["analyze", "--pmax", "100000", "tail-cycle.csv"], 3),
     (["analyze", "--pmax", "100000", "tail-cycle-twin.csv"], 3),
+    (["analyze", "--pmax", "100000", "tail-cycle-twin-rational.csv"], 3),
+    (["analyze", "--json", "lazy-path.csv"], 0),
     (["pattern", "--kmax", "100000", "tail-cycle-pattern.csv"], 0),
     (["classify2x2", "1/2", "1/3"], 0),
     (["pattern", "--kmax", "1000000", "two-cycle.csv"], 0),
@@ -402,6 +417,8 @@ class TestConsoleScriptChecks:
             timeout=120,
         )
         assert done.returncode == code, done.stderr
+        if "--json" in args:
+            assert json.loads(done.stdout)["contraction_power"] == CONSOLE_POWERS[args[-1]]
 
 
 USAGE_ERRORS = [
