@@ -19,8 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import inf, isfinite, lcm
-from operator import add, mul, sub
+from itertools import compress, repeat
+from math import floor, frexp, inf, isfinite, lcm, ldexp
+from operator import add, mul, rshift, sub, xor
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import (
@@ -441,7 +442,9 @@ def variation(a: Matrix) -> VariationReport:
     distances are summed row by row, left to right (CPython 3.12+ sums
     floats with compensation, so the last bits may differ across
     interpreters); a float distance that overflows raises
-    :class:`DomainMismatchError`.
+    :class:`DomainMismatchError`.  From 32 columns on, a popcount bound
+    skips the pairs that cannot be the widest (:func:`_widest_pair`);
+    it changes neither the value nor the pair, to the last bit.
     """
     if a.domain is Domain.RATIONAL:
         entries, d = _over_lcm(a.entries)
@@ -452,18 +455,95 @@ def variation(a: Matrix) -> VariationReport:
 
 
 def _widest_pair(entries: Sequence, n: int) -> tuple:
-    """Largest l1 distance between two of the n columns, and the first 1-based pair at it."""
+    """Largest l1 distance between two of the n columns, and the first 1-based pair at it.
+
+    From ``_PRUNE_FROM`` columns on, a pair is summed only when its
+    popcount bound (:func:`_code_distances`) reaches the best distance
+    summed so far, starting from the distance of the pair with the
+    largest popcount.  A skipped pair is strictly below a distance that
+    some pair has, so it is neither the widest nor the first at the widest.
+    """
     if n == 1:
         return 0, (1, 1)
     cols = _column_slices(entries, n)
+    bound = _code_distances(entries, cols) if n >= _PRUNE_FROM else None
+    if bound is not None:
+        counts, cut_below = bound
+        tops = list(map(max, counts))
+        j = tops.index(max(tops))
+        cut = cut_below(sum(map(abs, map(sub, cols[j], cols[j + 1 + counts[j].index(tops[j])]))))
     best, best_pair = -1, (1, 2)  # any distance, being >= 0, beats -1
     for j in range(n - 1):
         cj = cols[j]
-        dists = [sum(map(abs, map(sub, cj, ck))) for ck in cols[j + 1 :]]
-        top = max(dists)
+        ks = range(j + 1, n)
+        if bound is not None:
+            ks = list(compress(ks, map(cut.__le__, counts[j])))
+        dists = [sum(map(abs, map(sub, cj, cols[k]))) for k in ks]
+        top = max(dists, default=-1)
         if top > best:
-            best, best_pair = top, (j + 1, j + 2 + dists.index(top))
+            best, best_pair = top, (j + 1, ks[dists.index(top)] + 1)
+            if bound is not None:
+                cut = max(cut, cut_below(best))
     return best, best_pair
+
+
+# Columns from which _widest_pair bounds pairs before summing them; on fewer
+# columns the bound pass costs more than the sums it saves.
+_PRUNE_FROM = 32
+
+# Thermometer code of each level 0..63: its low ``level`` bits set, in 8 bytes.
+_UNARY = [((1 << level) - 1).to_bytes(8, "little") for level in range(64)]
+
+
+def _code_distances(entries: Sequence, cols: list[Sequence]) -> Optional[tuple]:
+    """Popcounts of every column pair, ``counts[j][k - j - 1]``, and ``cut_below``.
+
+    Each row is quantized against its own minimum, on one scale for all
+    rows, to levels 0..63, and each column becomes one int with the
+    thermometer code of its level in one 64-bit slot per row, so the
+    popcount P of two codes' xor is the sum over the m rows of |Δlevel|.
+    For a distance t that some pair has, a pair with P < ``cut_below(t)``
+    has a distance below t.  For integers a row differs by at most
+    2^shift (|Δlevel| + 1) - 1, with no slack at shift 0.  For floats a
+    level is exact for the rounded x - min; that rounding and the rounding
+    of each difference and of either ``sum`` (left to right, or
+    compensated from CPython 3.12) add less than 1 to 2^s times a computed
+    distance for m < 2^20 rows, so it is below P + m + 1.  None for
+    constant rows, and where float row spans may sum past 2^1000: every
+    pair is then summed, so an overflow is still seen.
+    """
+    rows = _row_slices(entries, len(cols))
+    m = len(rows)
+    mins = list(map(min, rows))
+    spans = list(map(sub, map(max, rows), mins))
+    widest = max(spans)
+    if isinstance(widest, int):
+        if not widest:
+            return None
+        shift = max(widest.bit_length() - 6, 0)
+
+        def levels(col):
+            return map(rshift, map(sub, col, mins), repeat(shift))
+
+        def cut_below(t):
+            return ((t + m - 1) >> shift) - m + 1
+
+    else:
+        if not (0 < widest and sum(spans) < 2.0**1000 and m < 1 << 20):
+            return None
+        s = 6 - frexp(widest)[1]
+
+        def levels(col):
+            return map(floor, map(ldexp, map(sub, col, mins), repeat(s)))
+
+        def cut_below(t):
+            return floor(ldexp(t, s)) - m
+
+    codes = [int.from_bytes(b"".join(map(_UNARY.__getitem__, levels(c))), "little") for c in cols]
+    return [
+        list(map(int.bit_count, map(xor, repeat(c), codes[j + 1 :])))
+        for j, c in enumerate(codes[:-1])
+    ], cut_below
 
 
 def row_variation(z: RowVector) -> Scalar:

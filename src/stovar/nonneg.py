@@ -195,15 +195,22 @@ def pattern_product(p: SignPattern, q: SignPattern) -> SignPattern:
 
 
 def pattern_power(p: SignPattern, k: int) -> SignPattern:
-    """k-th boolean power of a square pattern; the zeroth power is identity."""
+    """k-th boolean power of a square pattern; the zeroth power is identity.
+
+    Formed by repeated squaring, in O(log k) mask products.
+    """
     if not p.is_square:
         raise NotSquareError(f"cannot raise a {p.rows}x{p.cols} pattern to a power")
     if not isinstance(k, int) or k < 0:
         raise ValueError("exponent must be a non-negative integer")
-    result = SignPattern.identity(p.rows)
-    for _ in range(k):
-        result = pattern_product(result, p)
-    return result
+    result, square = SignPattern.identity(p.rows)._masks, p._masks
+    while k:
+        if k & 1:
+            result = _mask_product(result, _supports(square))
+        k >>= 1
+        if k:
+            square = _mask_product(square, _supports(square))
+    return SignPattern._of(p.rows, result)
 
 
 def _power_walk(

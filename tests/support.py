@@ -234,3 +234,20 @@ def rand_contractive_type1(rng: random.Random, n: int) -> Matrix:
     zero = F(0)
     projection = Matrix([[one if i == 0 else zero] * n for i in range(n)])
     return projection + perturbation
+
+
+def lexicographic_widest(entries, n):
+    """Every column pair j < k in lexicographic order; the first at the largest distance.
+
+    The reference for the column search: each distance is the builtin
+    ``sum`` of the same terms in the same order, so floats agree bit for
+    bit on every interpreter.
+    """
+    cols = [entries[j::n] for j in range(n)]
+    best, pair = None, (1, 2)
+    for j in range(n):
+        for k in range(j + 1, n):
+            dist = sum(abs(x - y) for x, y in zip(cols[j], cols[k]))
+            if best is None or dist > best:
+                best, pair = dist, (j + 1, k + 1)
+    return best, pair

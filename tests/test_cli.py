@@ -13,7 +13,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from support import EX_M, EX_M_CSV, TAIL_CYCLE_ROWS
+from support import EX_M, EX_M_CSV, TAIL_CYCLE_ROWS, lexicographic_widest
 from stovar import DEFAULT_TOLERANCE, Domain, Matrix, MatrixParseError, tolerance
 from stovar import cli
 from stovar.cli import (
@@ -351,6 +351,32 @@ def _csv(rows):
     return "".join(",".join(row) + "\n" for row in rows)
 
 
+def _wide_columns():
+    """A seeded 64-column Markov matrix and a 48-column one with tied columns."""
+    rng = random.Random(16)
+
+    def column(n):
+        w = [rng.randint(1, 9) for _ in range(n)]
+        return [v / sum(w) for v in w]
+
+    base = [column(48) for _ in range(3)]
+    files = {
+        "markov-64.csv": [column(64) for _ in range(64)],
+        "tied-48.csv": base[:1] * 5 + [rng.choice(base) for _ in range(43)],
+    }
+    return {
+        name: _csv([[repr(col[i]) for col in cols] for i in range(len(cols))])
+        for name, cols in files.items()
+    }
+
+
+def _exhaustive_variation(text):
+    """Report form of the variation and first widest pair, from every column pair."""
+    rows = [[float(t) for t in line.split(",")] for line in text.splitlines()]
+    best, pair = lexicographic_widest([v for row in rows for v in row], len(rows[0]))
+    return format(best / 2, ".17g"), list(pair)
+
+
 # The files and commands of the CI "installed console script" step, which
 # runs them through the installed `stovar` script; keep the two in step.
 CONSOLE_FILES = {
@@ -376,6 +402,7 @@ CONSOLE_FILES = {
             for i in range(9)
         ]
     ),
+    **_wide_columns(),
 }
 # the contraction power the step reads from each --json report
 CONSOLE_POWERS = {"worked.csv": 2, "lazy-path.csv": 4}
@@ -392,6 +419,8 @@ CONSOLE_COMMANDS = [
     (["analyze", "--pmax", "100000", "tail-cycle-twin-rational.csv"], 3),
     (["analyze", "--json", "lazy-path.csv"], 0),
     (["pattern", "--kmax", "100000", "tail-cycle-pattern.csv"], 0),
+    (["variation", "--json", "markov-64.csv"], 0),
+    (["variation", "--json", "tied-48.csv"], 0),
     (["classify2x2", "1/2", "1/3"], 0),
     (["pattern", "--kmax", "1000000", "two-cycle.csv"], 0),
     (["--bogus"], 2),
@@ -417,8 +446,12 @@ class TestConsoleScriptChecks:
             timeout=120,
         )
         assert done.returncode == code, done.stderr
-        if "--json" in args:
+        if args[:2] == ["analyze", "--json"]:
             assert json.loads(done.stdout)["contraction_power"] == CONSOLE_POWERS[args[-1]]
+        if args[:2] == ["variation", "--json"]:
+            got = json.loads(done.stdout)["variation"]
+            want = _exhaustive_variation(CONSOLE_FILES[args[-1]])
+            assert (got["value"], got["columns"]) == want
 
 
 USAGE_ERRORS = [
@@ -619,6 +652,16 @@ class TestFloatOverflowInReports:
         assert isinstance(result.exception, SystemExit)
         assert result.stdout == ""
         assert result.stderr.startswith("error: non-finite entry inf")
+
+    @pytest.mark.parametrize("other", ["0", "-1e307"], ids=["one-sided", "signed"])
+    def test_wide_variation_command_fails_precondition(self, runner, tmp_path, other):
+        # 40 columns: 1e307 where i + j is odd; unlike columns overflow
+        rows = [["1e307" if (i + j) % 2 else other for j in range(40)] for i in range(40)]
+        path = write(tmp_path, "m.csv", _csv(rows))
+        result = runner.invoke(main, ["variation", path])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: non-finite entry inf in a float-domain value\n"
 
     def test_classify_with_an_overflowing_sum_fails_precondition(self, runner):
         # c = a + b overflows to inf

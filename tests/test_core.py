@@ -1,6 +1,7 @@
 """Unit and property tests for the scalar-domain and variation primitives."""
 
 import math
+import random
 import sys
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 import support
 from support import EX_E, EX_M, EX_M_SQUARED, small_fractions
+from stovar import core
 from stovar import (
     DimensionError,
     Domain,
@@ -428,6 +430,99 @@ class TestKernelsMatchNaiveLoops:
 
 
 # ---------------------------------------------------------------------------
+# the popcount-bounded column search against an exhaustive one
+
+_CUTOFF = core._PRUNE_FROM
+
+
+def _markov(rng, m, n):
+    weights = [[rng.uniform(0.01, 1) for _ in range(n)] for _ in range(m)]
+    sums = [sum(row[j] for row in weights) for j in range(n)]
+    return [row[j] / sums[j] for row in weights for j in range(n)]
+
+
+def _from_columns(cols, m):
+    return [col[i] for i in range(m) for col in cols]
+
+
+def _permutation(rng, m, n):
+    image = rng.sample(range(n), n)
+    return [float(image[j] == i) for i in range(m) for j in range(n)]
+
+
+def _repeated(rng, m, n):
+    base = [[rng.choice((0.0, 0.25, 0.5, 1.0)) for _ in range(m)] for _ in range(3)]
+    return _from_columns([rng.choice(base) for _ in range(n)], m)
+
+
+def _lexicographic_tie(rng, m, n):
+    # columns of one unit entry each, on a background of small ones: every
+    # pair of them with the unit in different rows is at the same distance
+    units = set(rng.sample(range(n), rng.randint(3, 6)))
+    cols = []
+    for j in range(n):
+        if j in units:
+            row = rng.randrange(m)
+            cols.append([float(i == row) for i in range(m)])
+        else:
+            cols.append([rng.random() / (100 * m) for _ in range(m)])
+    return _from_columns(cols, m)
+
+
+_WIDE_FAMILIES = {
+    "markov": _markov,
+    "signed": lambda rng, m, n: [rng.uniform(-1, 1) for _ in range(m * n)],
+    "permutation": _permutation,
+    "repeated": _repeated,
+    "lexicographic-tie": _lexicographic_tie,
+    "magnitudes": lambda rng, m, n: [
+        rng.choice((-1, 1)) * 10.0 ** rng.uniform(-300, 300) for _ in range(m * n)
+    ],
+    "subnormal": lambda rng, m, n: [
+        rng.choice((0.0, 5e-324, -5e-324, 1e-320, -3e-318, 2.2e-308)) for _ in range(m * n)
+    ],
+    "small-integer": lambda rng, m, n: [rng.randint(-31, 32) for _ in range(m * n)],
+    "huge-integer": lambda rng, m, n: [rng.randint(-(10**40), 10**40) for _ in range(m * n)],
+}
+
+
+class TestWidestPairBound:
+    """Matrices with enough columns that the search bounds pairs before summing."""
+
+    @given(
+        st.sampled_from(sorted(_WIDE_FAMILIES)),
+        st.integers(_CUTOFF, _CUTOFF + 16),
+        st.integers(1, 40),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_matches_the_exhaustive_search(self, family, n, m, rng):
+        m = n if family == "permutation" else m
+        entries = tuple(_WIDE_FAMILIES[family](rng, m, n))
+        got, want = core._widest_pair(entries, n), support.lexicographic_widest(entries, n)
+        assert got == want
+        assert type(got[0]) is type(want[0])
+        # each pair's bound holds its own distance, so no pair is ever
+        # skipped against a threshold it reaches
+        cols = [entries[j::n] for j in range(n)]
+        bound = core._code_distances(entries, cols)
+        if bound is not None:
+            counts, cut_below = bound
+            for j in range(n - 1):
+                for k in range(j + 1, n):
+                    dist = sum(abs(x - y) for x, y in zip(cols[j], cols[k]))
+                    assert counts[j][k - j - 1] >= cut_below(dist)
+
+    def test_a_dense_markov_matrix_sums_few_pairs(self):
+        n = 64
+        entries = tuple(_markov(random.Random(1), n, n))
+        counts, cut_below = core._code_distances(entries, [entries[j::n] for j in range(n)])
+        best, _ = support.lexicographic_widest(entries, n)
+        kept = sum(p >= cut_below(best) for row in counts for p in row)
+        assert 0 < kept < n * (n - 1) // 10
+
+
+# ---------------------------------------------------------------------------
 # values built without coercion against the coercing constructors
 
 
@@ -657,6 +752,25 @@ class TestFloatOverflow:
         m = Matrix([[1e308, -1e308], [-1e308, 1e308]])
         with pytest.raises(DomainMismatchError, match="^non-finite entry inf in a float-domain"):
             variation(m)
+
+    @pytest.mark.parametrize(
+        "value, other",
+        [(1e307, 0.0), (1e307, -1e307), (1e308, -1e308)],
+        ids=["one-sided", "signed", "infinite-row-span"],
+    )
+    def test_overflow_past_the_pruning_cutoff_is_rejected(self, value, other):
+        # value where i + j is odd: columns of unlike parity are farther
+        # apart than the float range, and the last row span overflows too
+        n = 40
+        m = Matrix([[value if (i + j) % 2 else other for j in range(n)] for i in range(n)])
+        with pytest.raises(
+            DomainMismatchError, match="^non-finite entry inf in a float-domain value$"
+        ):
+            variation(m)
+
+    def test_constant_matrix_past_the_pruning_cutoff(self):
+        report = variation(Matrix([[0.025] * 40] * 40))
+        assert (report.value, report.arg_j, report.arg_k) == (0.0, 1, 2)
 
     @pytest.mark.parametrize(
         "build",

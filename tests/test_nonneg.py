@@ -159,6 +159,21 @@ class TestPatternPower:
     def test_zeroth_power(self):
         assert pattern_power(M_PATTERN, 0) == SignPattern.identity(3)
 
+    @pytest.mark.parametrize(
+        "pattern",
+        [M_PATTERN, K_PATTERN, SignPattern(["000+", "+000", "0+00", "00++"])],
+        ids=["worked", "triangular", "four-cycle-with-loop"],
+    )
+    def test_matches_repeated_products(self, pattern):
+        power = SignPattern.identity(pattern.rows)
+        for k in range(1, 20):
+            power = pattern_product(power, pattern)
+            assert pattern_power(pattern, k) == power
+
+    def test_huge_exponent_of_a_two_cycle(self):
+        # by squaring, a million is about forty products
+        assert pattern_power(SignPattern(["0+", "+0"]), 10**6) == SignPattern.identity(2)
+
     def test_rejects_non_square(self):
         with pytest.raises(NotSquareError):
             pattern_power(SignPattern(["+0"]), 2)
