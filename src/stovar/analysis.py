@@ -661,7 +661,7 @@ def matrix_2x2(a: ScalarLike, b: ScalarLike) -> Matrix:
 def classify_2x2(a: ScalarLike, b: ScalarLike) -> Classification2x2:
     """Complete convergence taxonomy for [[1-a, b], [a, 1-b]] with c = a + b.
 
-    Float inputs use the module tolerance as a guard band: c within
+    Float inputs use the current tolerance as a guard band: c within
     tolerance of zero counts as zero, and the convergent window requires c
     clearly inside (0, 2).
     """

@@ -26,6 +26,7 @@ rendered; the command group turns a usage error into its ``error:`` line.
 
 from __future__ import annotations
 
+import contextvars
 import json
 import re
 import sys
@@ -301,6 +302,16 @@ def _verdict_string(result: ConvergenceAnalysis) -> str:
 def analysis_report(m: Matrix, result: ConvergenceAnalysis, path: Optional[str] = None) -> dict:
     """JSON-ready report for the analyze command."""
     domain = m.domain
+    limit = sys.get_int_max_str_digits()
+    if result.converged and domain is Domain.RATIONAL and limit:
+        # the bound (a/b)^q (c/d)^r at k_report has a denominator >= b^q / c^r
+        q, r = divmod(result.k_report, result.contraction_power)
+        b, c = result.variation_at_p.denominator, result.variation_per_power[0].numerator
+        if q * (b.bit_length() - 1) - r * c.bit_length() > limit * 3.33:  # 3.33 > log2(10)
+            raise StovarError(
+                f"a report value is too long to print: Exceeds the limit ({limit} digits) for "
+                "integer string conversion; use sys.set_int_max_str_digits() to increase the limit"
+            )
     stationary = (
         None
         if result.stationary is None
@@ -483,9 +494,10 @@ def _run(
     The one place exit codes are decided: a :class:`MatrixParseError` from
     ``build`` exits 1 and any other :class:`StovarError` exits 2, each with
     one ``error:`` line on stderr; a report exits with ``code(report)``.
+    ``build`` runs in a copy of the context, so a tolerance it sets ends there.
     """
     try:
-        report = build()
+        report = contextvars.copy_context().run(build)
     except StovarError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_PARSE if isinstance(exc, MatrixParseError) else EXIT_PRECONDITION)
@@ -568,12 +580,8 @@ def analyze_cmd(path: str, pmax: int, tol: float, k_report: int, as_json: bool, 
 
     def build() -> dict:
         m = parse_matrix(path, fmt)
-        previous = set_tolerance(tol)  # --tol holds for this command only
-        try:
-            result = _analysis.analyze(m, p_max=pmax, k_report=k_report)
-            return analysis_report(m, result, path=path)
-        finally:
-            set_tolerance(previous)
+        set_tolerance(tol)
+        return analysis_report(m, _analysis.analyze(m, p_max=pmax, k_report=k_report), path=path)
 
     _run(build, analysis_text, as_json, _analyze_exit_code)
 

@@ -5,17 +5,18 @@
 domain, one arithmetic, one equality, and one product, ``_product``.
 Values are immutable after construction and can be shared between
 threads.  Two scalar domains are supported: exact rationals backed by
-``fractions.Fraction`` and finite IEEE floats guarded by a module-level
+``fractions.Fraction`` and finite IEEE floats guarded by a comparison
 tolerance.  A vector or matrix belongs to exactly one domain, chosen at
 construction; mixing domains in a single operation raises
 :class:`DomainMismatchError`.  Rational operations are pure; float ones
-also read that tolerance, which is process-wide (``stovar analyze --tol``
-sets it for the length of one command), so setting it in one thread
-changes float results in every thread.
+also read that tolerance, which is a context variable: each thread (and
+each ``stovar`` command, which runs in a copy of its caller's context)
+has its own, so setting it in one thread leaves every other unchanged.
 """
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -37,7 +38,7 @@ ScalarLike = Union[int, float, str, Fraction]
 
 DEFAULT_TOLERANCE = 1e-9
 
-_tolerance = DEFAULT_TOLERANCE
+_tolerance: ContextVar[float] = ContextVar("stovar.tolerance", default=DEFAULT_TOLERANCE)
 
 
 class Domain(Enum):
@@ -52,26 +53,25 @@ def set_tolerance(value: float) -> float:
 
     The tolerance guards float-domain equality tests (type detection,
     fixed-point verification) and the strictness margin applied when a
-    variation is compared against a threshold.  It is meant to be set once
-    at startup; rational-domain computations never consult it.
+    variation is compared against a threshold.  It is set in the current
+    context only; rational-domain computations never consult it.
     """
-    global _tolerance
     tol = float(value)
     if not tol > 0.0:
         raise ValueError("tolerance must be positive")
-    previous = _tolerance
-    _tolerance = tol
+    previous = _tolerance.get()
+    _tolerance.set(tol)
     return previous
 
 
 def tolerance() -> float:
     """Current float-domain comparison tolerance."""
-    return _tolerance
+    return _tolerance.get()
 
 
 def scalars_close(x: float, y: float) -> bool:
     """Float equality within the tolerance, relative to max(1, |x|, |y|)."""
-    return abs(x - y) <= _tolerance * max(1.0, abs(x), abs(y))
+    return abs(x - y) <= _tolerance.get() * max(1.0, abs(x), abs(y))
 
 
 def scalars_equal(x: Scalar, y: Scalar, domain: Domain) -> bool:
@@ -555,7 +555,7 @@ def type_of(a: Matrix) -> TypeReport:
     """Detect a constant column sum.
 
     Rational matrices are typed only when the column sums are exactly
-    equal; float matrices compare sums within the module tolerance.
+    equal; float matrices compare sums within the current tolerance.
     """
     sums = a.col_sums()
     reference = sums[0]

@@ -163,7 +163,7 @@ def _column_masks(cells: Sequence, width: int) -> tuple[int, ...]:
 def sign_pattern(a: Matrix) -> SignPattern:
     """The {zero, positive} pattern of a non-negative matrix.
 
-    Float entries count as positive only above the module tolerance, so
+    Float entries count as positive only above the current tolerance, so
     pattern results are reproducible for a fixed tolerance.
     """
     _ensure_nonnegative(a)

@@ -18,7 +18,8 @@ _RESULTS: list[tuple[int, str, bool]] = []
 
 @pytest.fixture(autouse=True)
 def _reset_tolerance():
-    # commands set the process-wide tolerance; keep tests independent
+    # commands keep their tolerance to themselves, but a test that calls
+    # set_tolerance directly changes the context later tests run in
     yield
     set_tolerance(DEFAULT_TOLERANCE)
 

@@ -1,5 +1,6 @@
 """Tests for contraction search, stationary vectors, bounds, and the 2x2 taxonomy."""
 
+import threading
 from dataclasses import fields
 from fractions import Fraction
 from math import fsum, gcd, inf
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 import support
 from support import EX_E, EX_LIMIT, EX_M, EX_M_SQUARED, basis_vector
 from stovar import (
+    DEFAULT_TOLERANCE,
     Case2x2,
     ConvergenceAnalysis,
     Domain,
@@ -755,6 +757,27 @@ class TestAnalyze:
         assert result.contraction_power == 1
         assert abs(result.variation_at_p - 0.5) < 1e-12
         assert max(abs(u - v) for u, v in zip(result.stationary, (0.4, 0.6))) < 1e-9
+
+    def test_each_thread_analyzes_under_its_own_tolerance(self):
+        # var(M) = 1 - 1e-6: clear of one at 1e-9, within the tolerance at 1e-3
+        m = Matrix([[1 - 5e-7, 5e-7], [5e-7, 1 - 5e-7]], domain=Domain.FLOAT)
+        barrier = threading.Barrier(2, timeout=60)
+        powers = {}
+
+        def run(tol):
+            # each thread sets its own: only some builds start a thread
+            # from a copy of its starter's context
+            set_tolerance(tol)
+            barrier.wait()
+            powers[tol] = analyze(m).contraction_power
+
+        threads = [threading.Thread(target=run, args=(tol,)) for tol in (1e-9, 1e-3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert powers == {1e-9: 1, 1e-3: None}
+        assert tolerance() == DEFAULT_TOLERANCE
 
     def test_decay_bound_table_honors_k_report(self):
         result = analyze(EX_M, k_report=10)

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,8 +15,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from support import EX_M, EX_M_CSV, TAIL_CYCLE_ROWS, lexicographic_widest
-from stovar import DEFAULT_TOLERANCE, Domain, Matrix, MatrixParseError, tolerance
-from stovar import cli
+from stovar import (
+    DEFAULT_TOLERANCE,
+    Domain,
+    Matrix,
+    MatrixParseError,
+    StovarError,
+    analyze,
+    tolerance,
+)
+from stovar import analysis, cli
 from stovar.cli import (
     main,
     parse_matrix,
@@ -330,6 +339,52 @@ class TestAnalyzeCommand:
         assert isinstance(result.exception, SystemExit)
         assert result.stderr.startswith("error: a report value is too long to print")
 
+    def test_decay_bound_too_long_to_print_fails_before_it_is_formed(self, runner, tmp_path):
+        # forming (1/6)^100000000 took minutes before str rejected it
+        path = write(tmp_path, "m.csv", "1/2,1/3\n1/2,2/3\n")
+        start = time.monotonic()
+        result = runner.invoke(main, ["analyze", path, "--k-report", "100000000"])
+        assert time.monotonic() - start < 10
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: a report value is too long to print")
+        assert result.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("text", ["1/2,1/3\n1/2,2/3\n", EX_M_CSV], ids=["2x2", "worked"])
+    def test_decay_bound_rejection_agrees_with_printing(self, tmp_path, monkeypatch, text):
+        m = parse_matrix(write(tmp_path, "m.csv", text))
+        formed = analysis.decay_bound
+        early = []
+        for k in range(4000, 16001, 500):
+            result = analyze(m, k_report=k)
+            try:
+                prints = bool(str(result.decay_bound_at(k)))
+            except ValueError:
+                prints = False
+            if prints:
+                cli.analysis_report(m, result)
+                continue
+            with pytest.raises(StovarError, match="too long to print"):
+                cli.analysis_report(m, result)
+            # with forming stubbed out, only the early check can raise StovarError
+            monkeypatch.setattr(analysis, "decay_bound", lambda *args: pytest.fail("formed"))
+            try:
+                cli.analysis_report(m, result)
+            except StovarError:
+                early.append(k)
+            except pytest.fail.Exception:
+                pass
+            monkeypatch.setattr(analysis, "decay_bound", formed)
+        # b^q / c^r only bounds the denominator from below, so the early check
+        # starts a little past the first bound that fails to print
+        assert early and early == list(range(early[0], 16001, 500))
+
+    def test_zero_decay_bound_prints_at_any_k_report(self, runner, tmp_path):
+        path = write(tmp_path, "m.csv", "1/2,1/2\n1/2,1/2\n")
+        result = runner.invoke(main, ["analyze", path, "--k-report", "100000000"])
+        assert result.exit_code == 0
+        assert "k=100000000: 0" in result.stdout
+
     def test_tol_flag_loosens_type_detection(self, runner, tmp_path):
         path = write(tmp_path, "m.csv", "0.5,0.500001\n0.5,0.5\n")
         strict = runner.invoke(main, ["analyze", path])
@@ -395,6 +450,8 @@ CONSOLE_FILES = {
         [[f"{4 * v + (i == 1) - (i == 0)}/4" for v in row] for i, row in enumerate(TAIL_CYCLE_ROWS)]
     ),
     "two-cycle.csv": "0,+\n+,0\n",
+    # var(M) = 1 - 1e-6: contracts at the default tolerance, not within 1e-3 of one
+    "near-one.csv": "0.9999995,5e-07\n5e-07,0.9999995\n",
     # a lazy path on 9 states: columns 1 and 9 first overlap at power 4
     "lazy-path.csv": _csv(
         [
@@ -411,6 +468,9 @@ CONSOLE_COMMANDS = [
     (["analyze", "--json", "worked.csv"], 0),
     (["variation", "worked.csv"], 0),
     (["analyze", "--pmax", "0", "worked.csv"], 2),
+    (["analyze", "near-one.csv"], 0),
+    (["analyze", "--tol", "1e-3", "near-one.csv"], 3),
+    (["analyze", "--k-report", "100000000", "worked.csv"], 2),
     (["analyze", "dense-float.csv"], 0),
     (["analyze", "worked-float.csv"], 0),
     (["analyze", "--tol", "1e-300", "reducible.csv"], 3),
@@ -446,6 +506,8 @@ class TestConsoleScriptChecks:
             timeout=120,
         )
         assert done.returncode == code, done.stderr
+        if code == 2:
+            assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1
         if args[:2] == ["analyze", "--json"]:
             assert json.loads(done.stdout)["contraction_power"] == CONSOLE_POWERS[args[-1]]
         if args[:2] == ["variation", "--json"]:
