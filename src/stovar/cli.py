@@ -9,10 +9,14 @@ Input formats
     JSON  an object ``{"rows": m, "cols": n, "data": [[...], ...]}`` whose
           entries are numbers or ``"p/q"`` strings, same domain rule.
 
+Both formats are UTF-8 text; a leading byte-order mark is ignored.
+
 Machine-readable reports are JSON objects with a top-level
-``"schema": "stovar/1"`` field.  Rational values serialize as exact
-fraction strings and float values with 17 significant digits, so
-rational-domain reports are byte-identical across runs and platforms.
+``"schema": "stovar/1"`` field, written byte for byte as
+``json.dumps(report, indent=2)``.  String values are exact fractions in
+the rational domain and 17 significant digits in the float domain, so
+rational-domain reports are byte-identical across runs and platforms;
+every ``decimal`` field is a JSON number in shortest round-trip form.
 
 Exit codes: 0 success (analysis converged), 1 parse error,
 2 precondition failure (not square, not type 1, bad entries) or usage
@@ -31,6 +35,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from math import isfinite
 from pathlib import Path
 from typing import Callable, Optional, Union
@@ -108,8 +113,12 @@ _EXPONENT_LITERAL = re.compile(
 )
 
 
+# an ASCII p/q; int alone would also take "_", "+", spaces, a signed q and other digits
+_RATIO = re.compile(r"(-?[0-9]+)/([0-9]+)")
+
+
 def _exact(token: Union[int, str]) -> Fraction:
-    """``Fraction(token)``, deciding a decimal with a huge exponent first.
+    """``Fraction(token)``, an ASCII ``p/q`` from its ints and a huge exponent decided first.
 
     ``Fraction`` builds ``10**e`` for an exponent e before anything can
     look at the value.  A nonzero mantissa times ``10**e`` with |e| above
@@ -117,6 +126,9 @@ def _exact(token: Union[int, str]) -> Fraction:
     or denominator longer than that limit, which ``str`` cannot print, so
     such a token is a parse error at once; a zero mantissa gives 0.
     """
+    ratio = isinstance(token, str) and _RATIO.fullmatch(token)
+    if ratio:
+        return Fraction(int(ratio[1]), int(ratio[2]))
     limit = sys.get_int_max_str_digits()
     match = limit and isinstance(token, str) and _EXPONENT_LITERAL.fullmatch(token)
     if not match or abs(int(match["exponent"])) <= limit + len(token):
@@ -134,16 +146,15 @@ def _fractions(tokens: list[Union[int, str]]) -> list[Fraction]:
     trial only when some token has an exponent or is longer than the
     smallest limit Python allows.
     """
+    values = list(map(_exact, tokens))
     pieces = list(map(str, tokens))
     text = "".join(pieces)
-    if "e" not in text and "E" not in text and max(map(len, pieces)) <= _MIN_INT_STR_LIMIT:
-        return list(map(Fraction, tokens))
-    values = list(map(_exact, tokens))
-    for value in values:
-        try:
-            str(value)
-        except ValueError as exc:
-            raise MatrixParseError(f"entry too long to print: {exc}") from exc
+    if "e" in text or "E" in text or max(map(len, pieces)) > _MIN_INT_STR_LIMIT:
+        for value in values:
+            try:
+                str(value)
+            except ValueError as exc:
+                raise MatrixParseError(f"entry too long to print: {exc}") from exc
     return values
 
 
@@ -158,17 +169,17 @@ def _detect_format(path: str, fmt: Optional[str]) -> str:
     return "json" if Path(path).suffix.lower() == ".json" else "csv"
 
 
-def _token_values(tokens: list[Union[int, str]]) -> tuple[list[Scalar], Domain]:
-    """Values of entry tokens and their domain: any ``p/q`` makes all exact, else floats."""
-    if any(isinstance(tok, str) and "/" in tok for tok in tokens):
+def _token_values(tokens: list[Union[int, str]], ratio: bool) -> tuple[list[Scalar], Domain]:
+    """Values of entry tokens and their domain: all exact if any is a ``p/q`` (``ratio``), else floats."""
+    if ratio:
         return _fractions(tokens), Domain.RATIONAL
     return list(map(float, tokens)), Domain.FLOAT
 
 
-def _entries_to_matrix(rows: list[list[Union[int, str]]]) -> Matrix:
+def _entries_to_matrix(rows: int, cols: int, tokens: list[Union[int, str]], ratio: bool) -> Matrix:
     try:
-        values, domain = _token_values([tok for row in rows for tok in row])
-        return Matrix._of(len(rows), len(rows[0]), _finite(values, domain), domain)
+        values, domain = _token_values(tokens, ratio)
+        return Matrix._of(rows, cols, _finite(values, domain), domain)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         # OverflowError: a JSON integer too large for a float
         raise MatrixParseError(f"bad matrix entry: {exc}") from exc
@@ -187,10 +198,25 @@ def _csv_rows(text: str, what: str) -> list[list[str]]:
 
 
 def _parse_csv_matrix(text: str) -> Matrix:
+    """Read the whole text in one pass; on any failure, name the error step by step.
+
+    ``float`` and ``Fraction(str)`` skip the whitespace around a token
+    themselves; a token they cannot read as it stands (an empty one, or
+    one padded with U+001F, which ``str.strip`` removes) fails the pass.
+    """
+    lines = [line for line in text.splitlines() if line.strip()]
+    commas = {line.count(",") for line in lines}
+    if len(commas) == 1:
+        tokens = ",".join(lines).split(",")
+        try:
+            return _entries_to_matrix(len(lines), commas.pop() + 1, tokens, "/" in text)
+        except MatrixParseError:
+            pass
     rows = _csv_rows(text, "matrix")
     if any(tok == "" for row in rows for tok in row):
         raise MatrixParseError("empty entry in matrix file")
-    return _entries_to_matrix(rows)
+    tokens = [tok for row in rows for tok in row]
+    return _entries_to_matrix(len(rows), len(rows[0]), tokens, "/" in text)
 
 
 def _parse_json_matrix(text: str) -> Matrix:
@@ -218,15 +244,19 @@ def _parse_json_matrix(text: str) -> Matrix:
         )
     if rows_n == 0 or cols_n == 0:
         raise MatrixParseError("empty matrix")
-    for cell in (c for row in data for c in row):
+    cells = [cell for row in data for cell in row]
+    for cell in cells:
         if isinstance(cell, bool) or not isinstance(cell, (int, str)):
             raise MatrixParseError(f"bad matrix entry: {cell!r}")
-    return _entries_to_matrix(data)
+    ratio = any(isinstance(cell, str) and "/" in cell for cell in cells)
+    return _entries_to_matrix(rows_n, cols_n, cells, ratio)
 
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        # a leading byte-order mark is not part of the text; stripped after a
+        # plain utf-8 decode, so a decoding error counts bytes from the file's start
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except OSError as exc:
         raise MatrixParseError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -479,6 +509,39 @@ def classification_text(report: dict) -> str:
     return "\n".join(lines)
 
 
+class _ReportEncoder(json.JSONEncoder):
+    """The text of ``json.dumps(report, indent=2)``, default options otherwise, written directly.
+
+    With an indent the stock encoder runs in pure Python, one chunk per
+    value.  This one joins each dict (string keys) and list at once, and
+    encodes a list that repeats one string (a projection row) once.
+    """
+
+    _scalar = json.JSONEncoder()  # its C encoder writes a scalar as any indent would
+
+    def encode(self, o) -> str:
+        return self._text(o, "\n")
+
+    def _text(self, o, newline: str) -> str:
+        if isinstance(o, str):
+            return encode_basestring_ascii(o)
+        inner = newline + "  "
+        if isinstance(o, dict):
+            brackets = "{}"
+            items = [encode_basestring_ascii(k) + ": " + self._text(v, inner) for k, v in o.items()]
+        elif isinstance(o, (list, tuple)):
+            brackets = "[]"
+            if o and isinstance(o[0], str) and o.count(o[0]) == len(o):
+                items = [encode_basestring_ascii(o[0])] * len(o)
+            else:
+                items = [self._text(v, inner) for v in o]
+        else:
+            return self._scalar.encode(o)
+        if not items:
+            return brackets
+        return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -501,7 +564,9 @@ def _run(
     except StovarError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_PARSE if isinstance(exc, MatrixParseError) else EXIT_PRECONDITION)
-    click.echo(json.dumps(report, indent=2) if as_json else render(report))
+    # a report holds no raw escape character, so color=True skips click's scan for one
+    text = json.dumps(report, indent=2, cls=_ReportEncoder) if as_json else render(report)
+    click.echo(text, color=True)
     sys.exit(code(report))
 
 
@@ -629,7 +694,7 @@ def classify_cmd(a: str, b: str, as_json: bool) -> None:
 
     def build() -> dict:
         try:
-            pair, domain = _token_values([a, b])
+            pair, domain = _token_values([a, b], "/" in a + b)
         except (ValueError, ZeroDivisionError) as exc:
             raise MatrixParseError(f"bad scalar: {exc}") from exc
         if domain is Domain.FLOAT and not all(map(isfinite, pair)):

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import random
+import re
+import sys
 from fractions import Fraction
 from typing import Optional
 
 from hypothesis import strategies as st
 
-from stovar import Domain, Matrix, SignPattern, Vector, mat_vec
+from stovar import Domain, Matrix, MatrixParseError, SignPattern, StovarError, Vector, mat_vec
+from stovar.core import _finite
 
 F = Fraction
 
@@ -251,3 +254,63 @@ def lexicographic_widest(entries, n):
             if best is None or dist > best:
                 best, pair = dist, (j + 1, k + 1)
     return best, pair
+
+
+# ---------------------------------------------------------------------------
+# reference CSV matrix reader
+
+
+_REFERENCE_EXPONENT = re.compile(
+    r"\s*[-+]?(?=\d|\.\d)(?P<mantissa>\d*(?:_\d+)*(?:\.(?:\d+(?:_\d+)*)?)?)"
+    r"[eE](?P<exponent>[-+]?\d+(?:_\d+)*)\s*"
+)
+
+
+def _reference_exact(token: str) -> Fraction:
+    limit = sys.get_int_max_str_digits()
+    match = limit and _REFERENCE_EXPONENT.fullmatch(token)
+    if not match or abs(int(match["exponent"])) <= limit + len(token):
+        return Fraction(token)
+    if match["mantissa"].strip("0._"):
+        raise MatrixParseError(f"entry too long to print: its exponent gives over {limit} digits")
+    return Fraction(0)
+
+
+def _reference_fractions(tokens: list[str]) -> list[Fraction]:
+    text = "".join(tokens)
+    if "e" not in text and "E" not in text and max(map(len, tokens)) <= 640:
+        return list(map(Fraction, tokens))
+    values = list(map(_reference_exact, tokens))
+    for value in values:
+        try:
+            str(value)
+        except ValueError as exc:
+            raise MatrixParseError(f"entry too long to print: {exc}") from exc
+    return values
+
+
+def reference_csv_matrix(text: str) -> Matrix:
+    """The CSV matrix reader as it was before the one-pass reader.
+
+    Step by step: strip every token of every non-blank line, check the
+    row lengths and for empty entries, then read each token with
+    ``Fraction(str)`` (if any token holds a ``/``) or ``float``.
+    """
+    rows = [[tok.strip() for tok in line.split(",")] for line in text.splitlines() if line.strip()]
+    if not rows:
+        raise MatrixParseError("empty matrix file")
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise MatrixParseError("ragged rows: every line needs the same number of entries")
+    if any(tok == "" for row in rows for tok in row):
+        raise MatrixParseError("empty entry in matrix file")
+    tokens = [tok for row in rows for tok in row]
+    try:
+        if any("/" in tok for tok in tokens):
+            values, domain = _reference_fractions(tokens), Domain.RATIONAL
+        else:
+            values, domain = list(map(float, tokens)), Domain.FLOAT
+        return Matrix._of(len(rows), len(rows[0]), _finite(values, domain), domain)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise MatrixParseError(f"bad matrix entry: {exc}") from exc
+    except StovarError as exc:
+        raise MatrixParseError(str(exc)) from exc

@@ -9,12 +9,19 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from support import EX_M, EX_M_CSV, TAIL_CYCLE_ROWS, lexicographic_widest
+from support import (
+    EX_M,
+    EX_M_CSV,
+    TAIL_CYCLE_ROWS,
+    lexicographic_widest,
+    reference_csv_matrix,
+)
 from stovar import (
     DEFAULT_TOLERANCE,
     Domain,
@@ -118,6 +125,20 @@ class TestParseMatrix:
         m = parse_matrix(path, fmt="json")
         assert m.entries == (2.0,)
 
+    def test_csv_byte_order_mark(self, tmp_path):
+        assert parse_matrix(write(tmp_path, "m.csv", "\ufeff" + EX_M_CSV)) == EX_M
+
+    def test_json_byte_order_mark(self, tmp_path):
+        path = write(tmp_path, "m.json", '\ufeff{"rows":1,"cols":2,"data":[["1/3", 1]]}')
+        assert parse_matrix(path).entries == (F(1, 3), F(1))
+
+    def test_undecodable_byte_after_a_byte_order_mark(self, tmp_path):
+        # the error names the byte's offset in the file, mark included
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"\xef\xbb\xbf1,2\xff\n")
+        with pytest.raises(MatrixParseError, match="byte 0xff in position 6"):
+            parse_matrix(str(path))
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -186,6 +207,10 @@ class TestParsePattern:
         path = write(tmp_path, "p.csv", "0,1\n+,0\n")
         with pytest.raises(MatrixParseError):
             parse_pattern(path)
+
+    def test_byte_order_mark(self, tmp_path):
+        path = write(tmp_path, "p.csv", "\ufeff0,+\n+,0\n")
+        assert parse_pattern(path).row_strings() == ("0+", "+0")
 
 
 class TestAnalyzeCommand:
@@ -432,6 +457,8 @@ def _exhaustive_variation(text):
     return format(best / 2, ".17g"), list(pair)
 
 
+WIDE_COLUMNS = _wide_columns()
+
 # The files and commands of the CI "installed console script" step, which
 # runs them through the installed `stovar` script; keep the two in step.
 CONSOLE_FILES = {
@@ -459,10 +486,12 @@ CONSOLE_FILES = {
             for i in range(9)
         ]
     ),
-    **_wide_columns(),
+    # saved with a UTF-8 byte-order mark, as some spreadsheet programs do
+    "bom.csv": "\ufeff" + EX_M_CSV,
+    **WIDE_COLUMNS,
 }
-# the contraction power the step reads from each --json report
-CONSOLE_POWERS = {"worked.csv": 2, "lazy-path.csv": 4}
+# the contraction power the step reads from each analyze --json report
+CONSOLE_POWERS = {"worked.csv": 2, "lazy-path.csv": 4, "dense-float.csv": 1}
 CONSOLE_COMMANDS = [
     (["analyze", "worked.csv"], 0),
     (["analyze", "--json", "worked.csv"], 0),
@@ -484,6 +513,12 @@ CONSOLE_COMMANDS = [
     (["classify2x2", "1/2", "1/3"], 0),
     (["pattern", "--kmax", "1000000", "two-cycle.csv"], 0),
     (["--bogus"], 2),
+    (["analyze", "bom.csv"], 0),
+    (["analyze", "--json", "dense-float.csv"], 0),
+    (["variation", "--json", "worked.csv"], 0),
+    (["variation", "--json", "dense-float.csv"], 0),
+    (["pattern", "--json", "two-cycle.csv"], 0),
+    (["classify2x2", "1/3", "1/4", "--json"], 0),
 ]
 
 
@@ -508,9 +543,12 @@ class TestConsoleScriptChecks:
         assert done.returncode == code, done.stderr
         if code == 2:
             assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1
+        if "--json" in args:
+            # byte for byte the stock encoder's text
+            assert done.stdout == json.dumps(json.loads(done.stdout), indent=2) + "\n"
         if args[:2] == ["analyze", "--json"]:
             assert json.loads(done.stdout)["contraction_power"] == CONSOLE_POWERS[args[-1]]
-        if args[:2] == ["variation", "--json"]:
+        if args[:2] == ["variation", "--json"] and args[-1] in WIDE_COLUMNS:
             got = json.loads(done.stdout)["variation"]
             want = _exhaustive_variation(CONSOLE_FILES[args[-1]])
             assert (got["value"], got["columns"]) == want
@@ -682,6 +720,67 @@ class TestDecimalExponentBound:
             assert not printable
         else:
             assert printable and value == [Fraction(token)]
+
+
+# tokens that each reader handles in its own way, and short runs of their characters
+_SOUP_TOKENS = st.one_of(
+    st.sampled_from(
+        ["1/2", "-1/3", "0/1", "3", "0.5", "-2.5e-1", "1e400", "nan", "inf", "", " ", " 1/4\t",
+         "\x1f1/2", "0.5\x1f", "\u20031", "²/3", "1_0/3", "1/-2", "+1/2", "１/２", "-0/5", "1/0",
+         "1e-700", "1/" + "3" * 639, "7/" + "1" * 5000, "x"]
+    ),
+    st.text(alphabet="0123456789/.-+e_ \t\x1f²１", max_size=8),
+)
+
+
+@st.composite
+def _csv_soup(draw):
+    cols = draw(st.integers(1, 4))
+    lines = []
+    for _ in range(draw(st.integers(1, 4))):
+        n = cols if draw(st.integers(0, 9)) else draw(st.integers(1, 5))  # now and then ragged
+        lines.append(",".join(draw(st.lists(_SOUP_TOKENS, min_size=n, max_size=n))))
+        if not draw(st.integers(0, 5)):
+            lines.append(draw(st.sampled_from(["", " ", "\t "])))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + draw(st.sampled_from(["", eol]))
+
+
+def _read_with(reader, text):
+    """A matrix as its domain, shape, entries and entry types, or the parse error's message."""
+    try:
+        m = reader(text)
+    except MatrixParseError as exc:
+        return str(exc)
+    return m.domain, m.rows, m.cols, m.entries, [type(v) for v in m.entries]
+
+
+class TestOnePassReader:
+    """The whole-text CSV reader gives the step-by-step reader's matrix or error."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=_csv_soup())
+    # str.strip removes \x1f, which float and Fraction(str) reject; all three skip U+2003
+    @example(text="\x1f1\x1f,2\n3,4\n")
+    @example(text="\x1f1/2,1/2\n1/2,1/2\n")
+    @example(text="\u20031,2\n")
+    @example(text="²/3,1/3\n")
+    @example(text="1_0/3,1\n")
+    @example(text="1/-2,1\n")
+    @example(text="+1/2,1/2\n")
+    @example(text="１/２,1/2\n")
+    @example(text="-0/5,1\n")
+    @example(text="1/0,1\n")
+    @example(text="0.5,1/2\n1/3,0\n")
+    @example(text="1e400,1\n")
+    @example(text="nan,1\n")
+    @example(text="1/" + "3" * 639 + ",1\n")
+    @example(text="1,,2\n")
+    @example(text="1,2\n3\n")
+    @example(text="\n1,2\n \n3,4\n\n")
+    @example(text="1/2,1/3\r\n1/2,2/3\r\n")
+    def test_same_matrix_or_error_as_the_step_by_step_reader(self, text):
+        assert _read_with(cli._parse_csv_matrix, text) == _read_with(reference_csv_matrix, text)
 
 
 class TestVariationCommand:
@@ -892,3 +991,50 @@ class TestArbitraryInput:
     def test_classify_arguments(self, a, b):
         # "--" keeps an argument such as "--json" or "--help" a value
         self._check(CliRunner().invoke(main, ["classify2x2", "--", a, b]), False)
+
+
+_JSON_TEXT = st.text(st.characters(exclude_categories=()))  # lone surrogates included
+_JSON_LEAVES = st.one_of(
+    _JSON_TEXT,
+    st.sampled_from(["\x00", "\x1b[31m", "\x7f", "é", "\u2028", "\ud800", "\udfff", "\U0001f600"]),
+    st.integers(-(10**300), 10**300),
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0]),
+    st.booleans(),
+    st.none(),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.dictionaries(_JSON_TEXT, inner, max_size=5),
+        # one element repeated, as in the rows of a projection
+        st.tuples(inner, st.integers(0, 5)).map(lambda pair: [pair[0]] * pair[1]),
+    ),
+    max_leaves=30,
+)
+
+
+class TestReportEncoder:
+    @settings(max_examples=500, deadline=None)
+    @given(_JSON_VALUES)
+    @example(float("nan"))
+    @example({"projection": [["1/3"] * 3] * 3, "empty": [{}, []]})
+    def test_same_text_as_the_stock_encoder(self, value):
+        assert json.dumps(value, indent=2, cls=cli._ReportEncoder) == json.dumps(value, indent=2)
+
+
+class TestReportEcho:
+    def test_reports_skip_the_escape_scan(self, runner, tmp_path, monkeypatch):
+        scanned = []
+        monkeypatch.setattr(click.utils, "strip_ansi", lambda text: scanned.append(text) or text)
+        path = write(tmp_path, "m\x1b[31m.csv", EX_M_CSV)
+        for args in (["analyze", path, "--json"], ["analyze", path], ["variation", path, "--json"]):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0
+            assert "\x1b" not in result.stdout
+        assert json.loads(result.stdout)["input"]["path"] == path
+        assert scanned == []
+        result = runner.invoke(main, ["analyze", path + ".missing"])
+        assert result.exit_code == 1
+        assert len(scanned) == 1 and scanned[0].startswith("error: cannot read")
