@@ -507,7 +507,11 @@ def decay_bound(var_m: Scalar, var_mp: Scalar, p: int, k: int) -> Scalar:
     if not var_mp < 1:
         raise ValueError("decay bound requires variation below one at power p")
     q, r = divmod(k, p)
-    return var_m**r * var_mp**q
+    try:
+        bound = var_m**r * var_mp**q
+    except OverflowError:  # a float power past the float range
+        bound = inf
+    return _finite([bound], Domain.FLOAT)[0] if isinstance(bound, float) else bound
 
 
 def iterate_error_bound(
@@ -611,7 +615,7 @@ def determinant(m: Matrix) -> Scalar:
     sign, rank = _float_eliminate(work, n, 0.0)
     if rank < n:
         return 0.0
-    return prod((row[i] for i, row in enumerate(work)), start=float(sign))
+    return _finite([prod((row[i] for i, row in enumerate(work)), start=float(sign))], m.domain)[0]
 
 
 def _rank(rows: list[list[Fraction]]) -> int:
@@ -666,7 +670,7 @@ def classify_2x2(a: ScalarLike, b: ScalarLike) -> Classification2x2:
     clearly inside (0, 2).
     """
     a, b, domain = _weights_2x2(a, b)
-    c = a + b
+    c = _finite([a + b], domain)[0]
     one = one_of(domain)
     var_value = abs(one - c)
     eigenvalues = (one, one - c)

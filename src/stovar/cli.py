@@ -59,6 +59,7 @@ from .core import (
     TypeReport,
     VariationReport,
     _finite,
+    _row_slices,
     set_tolerance,
     type_of,
     variation,
@@ -187,36 +188,30 @@ def _entries_to_matrix(rows: int, cols: int, tokens: list[Union[int, str]], rati
         raise MatrixParseError(str(exc)) from exc
 
 
-def _csv_rows(text: str, what: str) -> list[list[str]]:
-    """Stripped comma-separated tokens of each non-blank line; same count per line."""
-    rows = [[tok.strip() for tok in line.split(",")] for line in text.splitlines() if line.strip()]
-    if not rows:
+def _csv_tokens(text: str, what: str) -> tuple[int, list[str]]:
+    """Number of non-blank lines and their comma-separated tokens, as they stand."""
+    lines = [line for line in text.splitlines() if line.strip()]
+    if not lines:
         raise MatrixParseError(f"empty {what} file")
-    if any(len(row) != len(rows[0]) for row in rows):
+    if len({line.count(",") for line in lines}) > 1:
         raise MatrixParseError("ragged rows: every line needs the same number of entries")
-    return rows
+    return len(lines), ",".join(lines).split(",")
 
 
 def _parse_csv_matrix(text: str) -> Matrix:
-    """Read the whole text in one pass; on any failure, name the error step by step.
+    """Read the tokens as they stand; if that fails, read them stripped, naming the error.
 
-    ``float`` and ``Fraction(str)`` skip the whitespace around a token
-    themselves; a token they cannot read as it stands (an empty one, or
-    one padded with U+001F, which ``str.strip`` removes) fails the pass.
+    ``float`` and ``Fraction(str)`` skip whitespace around a token but read
+    no empty token and none padded with U+001F, which ``str.strip`` removes.
     """
-    lines = [line for line in text.splitlines() if line.strip()]
-    commas = {line.count(",") for line in lines}
-    if len(commas) == 1:
-        tokens = ",".join(lines).split(",")
-        try:
-            return _entries_to_matrix(len(lines), commas.pop() + 1, tokens, "/" in text)
-        except MatrixParseError:
-            pass
-    rows = _csv_rows(text, "matrix")
-    if any(tok == "" for row in rows for tok in row):
+    rows, tokens = _csv_tokens(text, "matrix")
+    try:
+        return _entries_to_matrix(rows, len(tokens) // rows, tokens, "/" in text)
+    except MatrixParseError:
+        tokens = [tok.strip() for tok in tokens]
+    if "" in tokens:
         raise MatrixParseError("empty entry in matrix file")
-    tokens = [tok for row in rows for tok in row]
-    return _entries_to_matrix(len(rows), len(rows[0]), tokens, "/" in text)
+    return _entries_to_matrix(rows, len(tokens) // rows, tokens, "/" in text)
 
 
 def _parse_json_matrix(text: str) -> Matrix:
@@ -289,9 +284,9 @@ def serialize_matrix(m: Matrix, fmt: str = "csv") -> str:
 
 def parse_pattern(path: str) -> SignPattern:
     """Load a sign pattern from a CSV-style file of 0 and + entries."""
-    rows = _csv_rows(_read_text(path), "pattern")
+    rows, tokens = _csv_tokens(_read_text(path), "pattern")
     try:
-        return SignPattern(rows)
+        return SignPattern(_row_slices([tok.strip() for tok in tokens], len(tokens) // rows))
     except ValueError as exc:
         raise MatrixParseError("pattern entries must be 0 or +") from exc
 

@@ -419,18 +419,19 @@ class VariationReport:
 
 def vsum(x: Union[Vector, RowVector]) -> Scalar:
     """Sum of the entries; equals the all-ones row applied to the vector."""
+    # a loop, not sum(): from CPython 3.12 sum() compensates, which changes the last bits
     total = zero_of(x.domain)
     for value in x:
         total = total + value
-    return total
+    return _finite([total], x.domain)[0]
 
 
 def l1_norm(x: Union[Vector, RowVector]) -> Scalar:
-    """Sum of absolute values of the entries."""
+    """Sum of absolute values of the entries, left to right as in :func:`vsum`."""
     total = zero_of(x.domain)
     for value in x:
         total = total + abs(value)
-    return total
+    return _finite([total], x.domain)[0]
 
 
 def variation(a: Matrix) -> VariationReport:
@@ -548,7 +549,7 @@ def _code_distances(entries: Sequence, cols: list[Sequence]) -> Optional[tuple]:
 
 def row_variation(z: RowVector) -> Scalar:
     """Half of (max entry - min entry); the variation of z as a 1-row matrix."""
-    return (max(z.entries) - min(z.entries)) / 2
+    return _finite([(max(z.entries) - min(z.entries)) / 2], z.domain)[0]
 
 
 def type_of(a: Matrix) -> TypeReport:

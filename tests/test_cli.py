@@ -212,6 +212,24 @@ class TestParsePattern:
         path = write(tmp_path, "p.csv", "\ufeff0,+\n+,0\n")
         assert parse_pattern(path).row_strings() == ("0+", "+0")
 
+    def test_padded_cells(self, tmp_path):
+        path = write(tmp_path, "p.csv", " 0\x1f,\t+ \n\x1f+, 0\x1f\n")
+        assert parse_pattern(path).row_strings() == ("0+", "+0")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0, \n+,0\n", "pattern entries must be 0 or +"),
+            (" \n\n\t\n", "empty pattern file"),
+            ("0,+\n+\n", "ragged rows: every line needs the same number of entries"),
+        ],
+        ids=["whitespace-cell", "blank-file", "ragged"],
+    )
+    def test_error_line(self, runner, tmp_path, text, message):
+        result = runner.invoke(main, ["pattern", write(tmp_path, "p.csv", text)])
+        assert result.exit_code == 1
+        assert result.stderr == f"error: {message}\n"
+
 
 class TestAnalyzeCommand:
     def test_worked_example_converges(self, runner, tmp_path):
@@ -459,8 +477,8 @@ def _exhaustive_variation(text):
 
 WIDE_COLUMNS = _wide_columns()
 
-# The files and commands of the CI "installed console script" step, which
-# runs them through the installed `stovar` script; keep the two in step.
+# Console checks: each command runs on these files through check_console_command,
+# which CI also calls with the installed `stovar` script.
 CONSOLE_FILES = {
     "worked.csv": EX_M_CSV,
     "dense-float.csv": "0.3,0.3,0.4\n0.3,0.4,0.3\n0.4,0.3,0.3\n",
@@ -490,7 +508,7 @@ CONSOLE_FILES = {
     "bom.csv": "\ufeff" + EX_M_CSV,
     **WIDE_COLUMNS,
 }
-# the contraction power the step reads from each analyze --json report
+# the contraction power of each analyze --json report
 CONSOLE_POWERS = {"worked.csv": 2, "lazy-path.csv": 4, "dense-float.csv": 1}
 CONSOLE_COMMANDS = [
     (["analyze", "worked.csv"], 0),
@@ -522,36 +540,48 @@ CONSOLE_COMMANDS = [
 ]
 
 
+def check_console_command(command, workdir, args, code, env=None):
+    """Run ``command + args`` on ``CONSOLE_FILES`` written into ``workdir``, and check the output.
+
+    ``command`` starts the CLI: ``[sys.executable, "-m", "stovar.cli"]`` in
+    the tests, the installed ``stovar`` script in CI.  The exit code must be
+    ``code``; exit 2 prints one ``error:`` line; ``--json`` output is byte for
+    byte the stock encoder's text; ``analyze --json`` finds the power of
+    ``CONSOLE_POWERS``; ``variation --json`` on a wide file finds the value and
+    pair of an exhaustive search.
+    """
+    workdir = Path(workdir)
+    for name, text in CONSOLE_FILES.items():
+        write(workdir, name, text)
+    done = subprocess.run(
+        command + [str(workdir / a) if a in CONSOLE_FILES else a for a in args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == code, (args, done.stderr)
+    if code == 2:
+        assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1, done.stderr
+    if "--json" in args:
+        assert done.stdout == json.dumps(json.loads(done.stdout), indent=2) + "\n", args
+    if args[:2] == ["analyze", "--json"]:
+        assert json.loads(done.stdout)["contraction_power"] == CONSOLE_POWERS[args[-1]], args
+    if args[:2] == ["variation", "--json"] and args[-1] in WIDE_COLUMNS:
+        got = json.loads(done.stdout)["variation"]
+        want = _exhaustive_variation(CONSOLE_FILES[args[-1]])
+        assert (got["value"], got["columns"]) == want, args
+
+
 class TestConsoleScriptChecks:
     @pytest.mark.parametrize(
         "args, code", CONSOLE_COMMANDS, ids=[" ".join(args) for args, _ in CONSOLE_COMMANDS]
     )
     def test_command_exit_code(self, tmp_path, args, code):
-        for name, text in CONSOLE_FILES.items():
-            write(tmp_path, name, text)
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-m", "stovar.cli"]
-            + [str(tmp_path / a) if a in CONSOLE_FILES else a for a in args],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=120,
-        )
-        assert done.returncode == code, done.stderr
-        if code == 2:
-            assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1
-        if "--json" in args:
-            # byte for byte the stock encoder's text
-            assert done.stdout == json.dumps(json.loads(done.stdout), indent=2) + "\n"
-        if args[:2] == ["analyze", "--json"]:
-            assert json.loads(done.stdout)["contraction_power"] == CONSOLE_POWERS[args[-1]]
-        if args[:2] == ["variation", "--json"] and args[-1] in WIDE_COLUMNS:
-            got = json.loads(done.stdout)["variation"]
-            want = _exhaustive_variation(CONSOLE_FILES[args[-1]])
-            assert (got["value"], got["columns"]) == want
+        check_console_command([sys.executable, "-m", "stovar.cli"], tmp_path, args, code, env)
 
 
 USAGE_ERRORS = [

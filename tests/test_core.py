@@ -21,8 +21,13 @@ from stovar import (
     NotTypedError,
     RowVector,
     Vector,
+    classify_2x2,
+    decay_bound,
+    determinant,
     find_contraction_power,
+    iterate_error_bound,
     l1_norm,
+    limit_projection,
     mat_mul,
     mat_pow,
     mat_vec,
@@ -702,6 +707,10 @@ class TestValueContract:
 _OVERFLOWING = Matrix([[1e200, 0.0, 0.0], [-1e200, 1.0, 0.0], [1.0, 0.0, 1.0]])
 
 
+# entries summing past the float range
+_SUMS_PAST_THE_RANGE = Vector([1e308, 1e308])
+
+
 class TestFloatOverflow:
     def test_contraction_search_rejects_an_overflowing_power(self):
         with pytest.raises(DomainMismatchError, match="non-finite entry"):
@@ -789,6 +798,38 @@ class TestFloatOverflow:
         # repr of this int raises ValueError, so the message must not use it
         with pytest.raises(DomainMismatchError, match="^entry beyond the float range"):
             Vector([10**5000, 0.5])
+
+    @pytest.mark.parametrize(
+        "compute",
+        [
+            lambda: vsum(_SUMS_PAST_THE_RANGE),
+            lambda: l1_norm(_SUMS_PAST_THE_RANGE),
+            lambda: row_variation(RowVector([1e308, -1e308])),
+            lambda: limit_projection(_SUMS_PAST_THE_RANGE),
+            lambda: iterate_error_bound(
+                Matrix([[0.5, 0.5], [0.5, 0.5]]), 1, _SUMS_PAST_THE_RANGE, Vector([0.5, 0.5])
+            ),
+            lambda: classify_2x2(1e308, 1e308),
+            lambda: determinant(Matrix([[1e200, 0.0], [0.0, 1e200]])),
+            lambda: decay_bound(1e200, 0.5, 3, 2),
+        ],
+        ids=[
+            "vsum",
+            "l1_norm",
+            "row_variation",
+            "limit_projection",
+            "iterate_error_bound",
+            "classify_2x2",
+            "determinant",
+            "decay_bound",
+        ],
+    )
+    def test_result_past_the_float_range_is_rejected(self, compute):
+        # finite entries whose sum, difference, product or power overflows
+        with pytest.raises(
+            DomainMismatchError, match="^non-finite entry inf in a float-domain value$"
+        ):
+            compute()
 
     def test_column_sums_that_overflow_are_rejected(self):
         # equal columns, so no type deviation may be hidden behind inf - inf
