@@ -31,6 +31,7 @@ from .core import (
     _ensure_typed,
     _finite,
     _over_lcm,
+    _power_by_squaring,
     _row_slices,
     _widest_pair,
     ensure_type_one,
@@ -168,14 +169,19 @@ def _variation_scan(
     the computed power too.  A non-negative type-1 matrix has variation
     exactly 1 when two of its columns have disjoint supports, and below
     1 otherwise, so every power before the first one k0 whose columns
-    overlap pairwise has variation 1: those powers are formed but
-    reported as exactly 1, with no variation computed or repeat looked
-    for.  With no such k0 up to p_max, or once a pattern equals an
-    earlier one, the scan ends inconclusive and forms no product.
-    Without the walk, k0 is 1.
+    overlap pairwise has variation 1 and is reported as exactly 1, with
+    no variation computed or repeat looked for.  With no such k0 up to
+    p_max, or once a pattern equals an earlier one, the scan ends
+    inconclusive and forms no product.  Without the walk, k0 is 1.
 
-    Each new power M^k, k >= k0, is compared by value with the saved
-    M^j, k0 <= j < k, with j <= n or j a power of two.  When it equals
+    A rational M and its powers are read as integer numerators over one
+    denominator (:meth:`Matrix._integer_form`, :func:`_integer_step`).
+    As var(M^k0) < 1 exactly, a rational M^k0 alone is formed, by
+    squaring, and p = k0.  A float M^k0 is formed power by power: squaring
+    rounds differently, and var(M^k0) may lie within the tolerance of 1.
+
+    Otherwise each new power M^k, k >= k0, is compared by value with the
+    saved M^j, k0 <= j < k, with j <= n or j a power of two.  When it equals
     M^j, every later power repeats with period k - j, since a product
     depends only on the values of its factors, and no repeated variation
     is below one: the history is filled up to p_max by copying, and the
@@ -185,9 +191,6 @@ def _variation_scan(
     no power from k0 on equals one before k0.  A float rounding cycle
     with tail t and period l is caught at a power-of-two checkpoint
     after about 2t + l products.  At most n + log2(p_max) powers are held.
-    A rational M^k is held as integer numerators over its denominator
-    d_k (:func:`_integer_step`), and var(M^k) is the fraction best / 2 d_k
-    that :func:`variation` gives; a float M^k is a :func:`mat_mul` product.
     """
     if not isinstance(p_max, int) or p_max < 1:
         raise ValueError("p_max must be a positive integer")
@@ -196,13 +199,21 @@ def _variation_scan(
     one = one_of(m.domain)
     if strictly_less(first.value, one, m.domain):
         return 1, history, first
+    rational = m.domain is Domain.RATIONAL
+    base = m._integer_form() if rational else m
+    cells = base[0] if rational else m.entries
     k0 = 1
-    if p_max > 1 and min(m.entries) >= 0:
-        k0 = _power_walk(_column_masks(m.entries, m.cols), p_max, _masks_overlap)[0]
+    if p_max > 1 and min(cells) >= 0:
+        k0 = _power_walk(_column_masks(cells, m.cols), p_max, _masks_overlap)[0]
         if k0 is None:
             return None, history + [one] * (p_max - 1), first
-    rational = m.domain is Domain.RATIONAL
-    power = base = _over_lcm(m.entries) if rational else m
+        if rational and k0 > 1:
+            numerators, d = _power_by_squaring(
+                base, k0, lambda a, b: _integer_step(a, b, m.rows)
+            )
+            last = Fraction(_widest_pair(numerators, m.rows)[0], 2 * d)
+            return k0, history + [one] * (k0 - 2) + [last], first
+    power = base
     saved: list[tuple[int, object]] = []
     while not strictly_less(history[-1], one, m.domain):
         k = len(history)  # power is M^k
@@ -230,15 +241,14 @@ def _variation_scan(
     return len(history), history, first
 
 
-def _integer_step(power: tuple, base: tuple, n: int) -> tuple[list[int], int]:
-    """M^k times M, each n-by-n and held as (integer numerators, denominator).
+def _integer_step(left: tuple, right: tuple, n: int) -> tuple[list[int], int]:
+    """The product of two n-by-n matrices, each held as (integer numerators, denominator).
 
-    ``base`` is M as its numerators over the lcm of its denominators.  The
-    product is divided by the gcd of its numerators and denominator: in
-    that lowest form the denominator is the lcm of the entries' own, and
-    equal powers are equal pairs.
+    The product is divided by the gcd of its numerators and denominator:
+    in that lowest form it is :func:`_over_lcm` of its entries, and equal
+    powers are equal pairs.
     """
-    (numerators, d), (factor, scale) = power, base
+    (numerators, d), (factor, scale) = left, right
     cols = _column_slices(factor, n)
     product = [sum(map(mul, r, c)) for r in _row_slices(numerators, n) for c in cols]
     g = gcd(d * scale, *product)
@@ -425,13 +435,22 @@ def _solved_stationary(m: Matrix) -> Vector:
 
 
 def _fixed_vector(m: Matrix, values: list[Scalar]) -> Optional[Vector]:
-    """The values as a vector E when M E = E and its entry sum is one, else None."""
+    """The values as a vector E when M E = E and its entry sum is one, else None.
+
+    Rationals are checked in integers: for M = N / D, its integer form,
+    and E = X / dx, :func:`_over_lcm` of E, N X = D X and sum(X) = dx.
+    """
     domain = m.domain
     candidate = Vector._of(_finite(values, domain), domain)
-    image = mat_vec(m, candidate)
-    fixed = all(
-        scalars_equal(u, v, domain) for u, v in zip(image, candidate)
-    ) and scalars_equal(vsum(candidate), 1, domain)
+    if domain is Domain.RATIONAL:
+        (numerators, d), (x, dx) = m._integer_form(), _over_lcm(values)
+        fixed = sum(x) == dx and all(
+            sum(map(mul, row, x)) == d * v for row, v in zip(_row_slices(numerators, m.cols), x)
+        )
+    else:
+        fixed = all(
+            scalars_equal(u, v, domain) for u, v in zip(mat_vec(m, candidate), candidate)
+        ) and scalars_equal(vsum(candidate), 1, domain)
     return candidate if fixed else None
 
 
@@ -561,17 +580,20 @@ def analyze(
     computed, and the numeric scan starts at the first power whose
     columns overlap pairwise.  With no such power up to p_max, or once a support
     pattern equals an earlier one, the verdict is inconclusive and no
-    product is formed.  Rational reports are the same as from a full
-    scan; a float report says 1 where the full scan gave 1 up to
-    rounding.
+    product is formed.  A rational M^k0 is formed alone, by squaring, as
+    its variation is below one exactly.  Rational reports are the same
+    as from a full scan; a float report says 1 where the full scan gave
+    1 up to rounding.
 
     Once a power equals an earlier one, the later powers repeat with a
     fixed period, so the scan copies the variations up to p_max instead
     of forming more products; the report is the same.  Exact powers stop
     at their first repeat, a float rounding cycle at a power-of-two
     checkpoint inside it, and at most n + log2(p_max) powers are kept,
-    whatever p_max is.  A rational power is kept as integer numerators
-    over one denominator in lowest terms, a float one as a matrix.
+    whatever p_max is.  A rational M, and each rational power, is read as
+    integer numerators over one denominator, in lowest terms for a
+    power; a float power is a matrix.  The type check and the fixed-point
+    check of a rational E read the same integers.
 
     E comes from the solve of :func:`stationary_vector`, except for a
     float Markov matrix (no negative entry) with var(M) < 1.  There E

@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import compress, repeat
 from math import floor, frexp, inf, isfinite, lcm, ldexp
 from operator import add, mul, rshift, sub, xor
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import (
     DimensionError,
@@ -298,9 +298,14 @@ class Matrix(_Dense):
 
     Both dimensions must be at least one; empty matrices are rejected at
     construction.  Index accessors are 0-based.
+
+    A rational matrix keeps its integer form (:meth:`_integer_form`) in
+    the slot ``_integers``, computed on first use and left out of
+    equality, hashing and repr.  Two threads that both find it missing
+    store equal forms, so the race repeats work and changes no result.
     """
 
-    __slots__ = ()
+    __slots__ = ("_integers",)
 
     def __init__(
         self,
@@ -359,10 +364,18 @@ class Matrix(_Dense):
     def columns(self) -> tuple[Vector, ...]:
         return tuple(self.column(j) for j in range(self._cols))
 
+    def _integer_form(self) -> tuple[list[int], int]:
+        """:func:`_over_lcm` of the rational entries, kept; shared, so never mutated."""
+        form = getattr(self, "_integers", None)
+        if form is None:
+            form = self._integers = _over_lcm(self._entries)
+        return form
+
     def col_sums(self) -> tuple[Scalar, ...]:
-        cols = _column_slices(self._entries, self._cols)
         if self._domain is Domain.RATIONAL:
-            return tuple(Fraction(sum(c), d) for c, d in map(_over_lcm, cols))
+            entries, d = self._integer_form()
+            return tuple(Fraction(sum(c), d) for c in _column_slices(entries, self._cols))
+        cols = _column_slices(self._entries, self._cols)
         return tuple(_finite(list(map(sum, cols)), self._domain))
 
     def row_lists(self) -> list[list[Scalar]]:
@@ -437,9 +450,9 @@ def l1_norm(x: Union[Vector, RowVector]) -> Scalar:
 def variation(a: Matrix) -> VariationReport:
     """Column variation: half the maximum l1 distance between two columns.
 
-    Rational matrices are scaled once to integer numerators over the lcm
-    d of all their denominators; the integer distances are compared and
-    the result is the same exact fraction, ``best / (2 d)``.  Float
+    Rational matrices are read as their integer form, numerators over the
+    lcm d of all their denominators; the integer distances are compared
+    and the result is the same exact fraction, ``best / (2 d)``.  Float
     distances are summed row by row, left to right (CPython 3.12+ sums
     floats with compensation, so the last bits may differ across
     interpreters); a float distance that overflows raises
@@ -448,7 +461,7 @@ def variation(a: Matrix) -> VariationReport:
     it changes neither the value nor the pair, to the last bit.
     """
     if a.domain is Domain.RATIONAL:
-        entries, d = _over_lcm(a.entries)
+        entries, d = a._integer_form()
         best, pair = _widest_pair(entries, a.cols)
         return VariationReport(Fraction(best, 2 * d), *pair)
     best, pair = _widest_pair(a.entries, a.cols)
@@ -555,9 +568,16 @@ def row_variation(z: RowVector) -> Scalar:
 def type_of(a: Matrix) -> TypeReport:
     """Detect a constant column sum.
 
-    Rational matrices are typed only when the column sums are exactly
-    equal; float matrices compare sums within the current tolerance.
+    Rational matrices are typed only when the integer form's column sums
+    S_j are all equal; the type is S_0 / D and the deviation
+    max |S_j - S_0| / D, with no Fraction formed per column.  Float
+    matrices compare sums within the current tolerance.
     """
+    if a.domain is Domain.RATIONAL:
+        entries, d = a._integer_form()
+        sums = list(map(sum, _column_slices(entries, a.cols)))
+        dev = max(abs(s - sums[0]) for s in sums)
+        return TypeReport(not dev, Fraction(sums[0], d), Fraction(dev, d))
     sums = a.col_sums()
     reference = sums[0]
     max_dev = zero_of(a.domain)
@@ -659,6 +679,17 @@ def mat_vec(a: Matrix, x: Vector) -> Vector:
 def row_mat_mul(z: RowVector, a: Matrix) -> RowVector:
     """Row-vector-matrix product."""
     return _product(z, a, RowVector)
+
+
+def _power_by_squaring(x, k: int, times: Callable):
+    """x^k, k >= 1, under the associative ``times``, in O(log k) products: x^2, x^4 for k = 4."""
+    result = None
+    while k:
+        if k & 1:
+            result = x if result is None else times(result, x)
+        k >>= 1
+        x = times(x, x) if k else x
+    return result
 
 
 def mat_pow(m: Matrix, k: int) -> Matrix:

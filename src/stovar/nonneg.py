@@ -34,6 +34,7 @@ from .core import (
     Scalar,
     _column_slices,
     _ensure_typed,
+    _power_by_squaring,
     ensure_type_one,
     mat_pow,
     scalars_equal,
@@ -203,14 +204,10 @@ def pattern_power(p: SignPattern, k: int) -> SignPattern:
         raise NotSquareError(f"cannot raise a {p.rows}x{p.cols} pattern to a power")
     if not isinstance(k, int) or k < 0:
         raise ValueError("exponent must be a non-negative integer")
-    result, square = SignPattern.identity(p.rows)._masks, p._masks
-    while k:
-        if k & 1:
-            result = _mask_product(result, _supports(square))
-        k >>= 1
-        if k:
-            square = _mask_product(square, _supports(square))
-    return SignPattern._of(p.rows, result)
+    if not k:
+        return SignPattern.identity(p.rows)
+    power = _power_by_squaring(p._masks, k, lambda a, b: _mask_product(a, _supports(b)))
+    return SignPattern._of(p.rows, power)
 
 
 def _power_walk(

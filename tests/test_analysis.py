@@ -3,7 +3,7 @@
 import threading
 from dataclasses import fields
 from fractions import Fraction
-from math import fsum, gcd, inf
+from math import fsum, gcd, inf, log2
 from unittest import mock
 
 import pytest
@@ -160,7 +160,9 @@ def _has_disjoint_columns(m):
 
 
 @st.composite
-def _random_support_markov(draw):
+def _random_support_markov(
+    draw, lazy_sizes=st.integers(4, 12), sizes=st.integers(1, 8), densities=(0.0, 0.1, 0.25, 0.5)
+):
     """Rational Markov matrices on random supports, n = 1..8, or lazy paths.
 
     Weights 1..9 sit on a random mask plus the diagonal, over their column
@@ -168,17 +170,32 @@ def _random_support_markov(draw):
     neighbours, so its columns 1 and n first overlap at power n // 2.
     """
     lazy = draw(st.booleans())
-    n = draw(st.integers(4, 12) if lazy else st.integers(1, 8))
+    n = draw(lazy_sizes if lazy else sizes)
     if lazy:
         mask = [[abs(i - j) <= 1 for j in range(n)] for i in range(n)]
     else:
-        density = draw(st.sampled_from([0.0, 0.1, 0.25, 0.5]))
+        density = draw(st.sampled_from(densities))
         mask = [
             [i == j or draw(st.floats(0, 1)) < density for j in range(n)] for i in range(n)
         ]
     weights = [[draw(st.integers(1, 9)) if cell else 0 for cell in row] for row in mask]
     totals = [sum(col) for col in zip(*weights)]
     return lazy, Matrix([[F(w, t) for w, t in zip(row, totals)] for row in weights])
+
+
+# n = 6..16: a lazy path has k0 = n // 2 >= 3, and a sparse random support
+# often has k0 above 2, or none
+_late_overlap_markov = _random_support_markov(
+    st.integers(6, 16), st.integers(6, 16), (0.05, 0.1, 0.2)
+).map(lambda drawn: drawn[1])
+
+
+def _lazy_path(n):
+    """The lazy path on n states: columns 1 and n first share a row at power n // 2."""
+    weight = {0: F(1, 2), 1: F(1, 4)}
+    rows = [[weight.get(abs(i - j), F(0)) for j in range(n)] for i in range(n)]
+    rows[0][0] = rows[n - 1][n - 1] = F(3, 4)
+    return Matrix(rows)
 
 
 def _signed_twin(rows, low):
@@ -229,6 +246,24 @@ class TestVariationScanMatchesNaiveScan:
             want = analyze(m, p_max)
         assert analyze(m, p_max) == want
 
+    @given(_late_overlap_markov, st.integers(1, 40))
+    @settings(max_examples=100, deadline=None)
+    def test_squaring_to_the_first_overlapping_power_matches_the_naive_scan(self, m, p_max):
+        p, history, first = _variation_scan(m, p_max)
+        want_p, want_history, want_first = _naive_scan(m, p_max)
+        assert (p, first) == (want_p, want_first)
+        assert list(map(repr, history)) == list(map(repr, want_history))
+
+    def test_lazy_path_squares_its_way_to_the_first_overlapping_power(self, monkeypatch):
+        # k0 = 30: M^2, M^4, M^8, M^16 and three more products, not 29
+        calls = self._count_calls(monkeypatch, {"_integer_step": "step"})
+        m = _lazy_path(60)
+        p, history, first = _variation_scan(m, 64)
+        assert calls["step"] <= 2 * log2(30)
+        assert p == 30 and len(history) == 30
+        assert history[1:29] == [1] * 28 and history[-1] < 1
+        assert history[-1] == variation(mat_pow(m, 30)).value
+
     # a rational power is formed by the integer step and measured by the
     # column-distance loop alone; a float one by mat_mul and variation
     _COUNTED = {
@@ -262,18 +297,24 @@ class TestVariationScanMatchesNaiveScan:
     )
     @settings(max_examples=150, deadline=None)
     def test_rational_powers_are_integer_numerators_in_lowest_terms(self, m, p_max):
-        states = []
+        # each step multiplies two powers, M^a M^b = M^(a+b); a factor that
+        # no step returned is M itself (states keeps every result alive)
         step = analysis._integer_step
+        exponents = {}
+        states = []
 
-        def recording(*args):
-            states.append(step(*args))
-            return states[-1]
+        def recording(left, right, n):
+            k = exponents.get(id(left), 1) + exponents.get(id(right), 1)
+            state = step(left, right, n)
+            exponents[id(state)] = k
+            states.append((k, state))
+            return state
 
         with mock.patch.object(analysis, "_integer_step", recording):
             _variation_scan(m, p_max)
-        powers = _naive_powers(m, len(states) + 1)[1:]
-        for (numerators, d), power in zip(states, powers):
-            assert (numerators, d) == core._over_lcm(power.entries)
+        powers = _naive_powers(m, max((k for k, _ in states), default=1))
+        for k, (numerators, d) in states:
+            assert (numerators, d) == core._over_lcm(powers[k - 1].entries)
             assert gcd(d, *numerators) == 1
 
     @pytest.mark.parametrize("domain", [Domain.RATIONAL, Domain.FLOAT], ids=lambda d: d.value)
@@ -411,15 +452,14 @@ class TestVariationScanMatchesNaiveScan:
 
     def test_walk_stops_at_the_first_overlapping_power(self, monkeypatch):
         # a lazy path on 9 states: columns 1 and 9 first share a row at power 4
-        weight = {0: F(1, 2), 1: F(1, 4)}
-        rows = [[weight.get(abs(i - j), F(0)) for j in range(9)] for i in range(9)]
-        rows[0][0] = rows[8][8] = F(3, 4)
+        m = _lazy_path(9)
         calls = self._count_calls(monkeypatch)
-        p, history, _ = _variation_scan(Matrix(rows), 64)
+        p, history, _ = _variation_scan(m, 64)
         assert p == 4
-        assert calls == {"mat_mul": 3, "variation": 2}
+        # M^2, then M^4 by squaring
+        assert calls == {"mat_mul": 2, "variation": 2}
         assert history[1:3] == [1, 1] and history[3] < 1
-        assert _naive_scan(Matrix(rows), 64)[1] == history
+        assert _naive_scan(m, 64)[1] == history
 
     @pytest.mark.parametrize("domain", [Domain.RATIONAL, Domain.FLOAT], ids=lambda d: d.value)
     def test_tail_into_a_long_cycle_stops_at_its_first_repeat(self, monkeypatch, domain):
@@ -462,6 +502,23 @@ class TestStationaryVector:
     def test_identity_has_no_unique_fixed_vector(self):
         with pytest.raises(NonUniqueFixedVectorError):
             stationary_vector(Matrix.identity(3))
+
+    _FIXED = [
+        (EX_M, EX_E),
+        (Matrix([[F(1, 2), F(1, 4)], [F(1, 2), F(3, 4)]]), Vector([F(1, 3), F(2, 3)])),
+        (support.L_INSTANCE, Vector([F(1, 3)] * 3)),
+    ]
+
+    @pytest.mark.parametrize("m, e", _FIXED)
+    def test_rational_fixed_point_check_is_exact(self, m, e):
+        values = list(e)
+        assert analysis._fixed_vector(m, values) == e
+        moved = values[:]
+        moved[0] += F(1, 7)
+        moved[1] -= F(1, 7)
+        assert analysis._fixed_vector(m, moved) is None
+        # M (2E) = 2E, but the entry sum is 2
+        assert analysis._fixed_vector(m, [2 * v for v in values]) is None
 
     def test_defective_eigenvalue_one(self):
         # type 1, eigenvalue 1 of algebraic multiplicity 2, kernel sums to zero

@@ -1,6 +1,8 @@
 """Unit and property tests for the scalar-domain and variation primitives."""
 
+import copy
 import math
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -403,6 +405,22 @@ class TestKernelsMatchNaiveLoops:
         want = [_ref_dot(col, [1] * a.rows, _ZERO[domain]) for col in _ref_columns(a)]
         _assert_same(a.col_sums(), want, domain)
 
+    @given(
+        st.one_of(
+            support.rational_matrices(max_rows=5, max_cols=5),
+            support.typed_matrices(max_rows=5, max_cols=5).map(lambda drawn: drawn[0]),
+            st.builds(lambda v: Matrix([[v]]), support.small_fractions),
+            _matrices(Domain.RATIONAL),
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_rational_type_of(self, m):
+        sums = [sum(col, F(0)) for col in zip(*m.row_lists())]
+        want = core.TypeReport(
+            all(s == sums[0] for s in sums), sums[0], max(abs(s - sums[0]) for s in sums)
+        )
+        assert repr(type_of(m)) == repr(want)
+
     @given(_domains, st.data())
     @settings(max_examples=100, deadline=None)
     def test_mat_vec_and_row_mat_mul(self, domain, data):
@@ -687,6 +705,19 @@ class TestValueContract:
             assert type(row) is RowVector
             assert row.entries == column.entries
             assert row.domain is column.domain is domain
+
+    def test_integer_form_cache_is_not_part_of_the_value(self):
+        rows = [[F(1, 2), F(-1, 3)], [F(1, 2), F(4, 3)]]
+        filled, empty = Matrix(rows), Matrix(rows)
+        assert filled._integer_form() == ([3, -2, 3, 8], 6)
+        for twin in (copy.copy(filled), pickle.loads(pickle.dumps(filled))):
+            assert twin == filled == empty and empty == twin
+            assert hash(twin) == hash(filled) == hash(empty)
+            assert repr(twin) == repr(filled) == repr(empty)
+            assert twin._integer_form() == filled._integer_form()
+        assert getattr(empty, "_integers", None) is None
+        assert {filled, empty} == {empty}
+        assert empty._integer_form() == filled._integer_form()
 
     @pytest.mark.parametrize(
         "cls, shape", [(Matrix, (3, 1)), (Vector, (3, 1)), (RowVector, (1, 3))]
