@@ -114,7 +114,7 @@ class ConvergenceAnalysis:
         return tuple((k, self.decay_bound_at(k)) for k in sorted(powers) if k <= self.k_report)
 
     def decay_bound_at(self, k: int) -> Scalar:
-        """Certified upper bound on the variation of M^k."""
+        """Upper bound on the variation of M^k; certified for rational input, rounded for floats."""
         if not self.converged:
             raise ValueError("decay bounds require a contraction power")
         p = self.contraction_power
@@ -536,8 +536,9 @@ def decay_bound(var_m: Scalar, var_mp: Scalar, p: int, k: int) -> Scalar:
 def iterate_error_bound(
     m: Matrix, k: int, x: Vector, e: Vector
 ) -> tuple[Scalar, Scalar]:
-    """Actual distance of M^k x from e, next to its certified bound.
+    """Actual distance of M^k x from e, next to its bound.
 
+    The bound is certified for rational input only; in floats both are rounded.
     Requires a type-1 square matrix and entry sum one for both x and e.
     Returns (|M^k x - e|, variation(M^k) * |x - e|) in the l1 norm; the
     first component never exceeds the second.

@@ -23,14 +23,16 @@ Exit codes: 0 success (analysis converged), 1 parse error,
 error (unknown command or option; a command's bad option value or
 missing argument), 3 inconclusive (no contraction power within the
 search bound).  Each error prints one ``error:`` line on stderr.
-Each command hands its report to ``_run``, the one place where these
-codes are decided and where only the requested form, JSON or text, is
-rendered; the command group turns a usage error into its ``error:`` line.
+``run`` is the one place where these codes are decided: it parses the
+command line, builds the command's report, and renders only the form
+asked for, JSON or text.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextvars
+import functools
 import json
 import re
 import sys
@@ -38,9 +40,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import isfinite
 from pathlib import Path
-from typing import Callable, Optional, Union
-
-import click
+from typing import Callable, NoReturn, Optional, Sequence, Union
 
 from . import analysis as _analysis
 from .analysis import (
@@ -541,162 +541,147 @@ class _ReportEncoder(json.JSONEncoder):
 # commands
 
 
-def _run(
-    build: Callable[[], dict],
-    render: Callable[[dict], str],
-    as_json: bool,
-    code: Callable[[dict], int] = lambda report: EXIT_OK,
-) -> None:
-    """Build a command's report, print it in the form asked for, and exit.
-
-    The one place exit codes are decided: a :class:`MatrixParseError` from
-    ``build`` exits 1 and any other :class:`StovarError` exits 2, each with
-    one ``error:`` line on stderr; a report exits with ``code(report)``.
-    ``build`` runs in a copy of the context, so a tolerance it sets ends there.
-    """
-    try:
-        report = contextvars.copy_context().run(build)
-    except StovarError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_PARSE if isinstance(exc, MatrixParseError) else EXIT_PRECONDITION)
-    # a report holds no raw escape character, so color=True skips click's scan for one
-    text = json.dumps(report, indent=2, cls=_ReportEncoder) if as_json else render(report)
-    click.echo(text, color=True)
-    sys.exit(code(report))
-
-
-def _analyze_exit_code(report: dict) -> int:
-    return EXIT_INCONCLUSIVE if report["contraction_power"] is None else EXIT_OK
-
-
-_format_option = click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["csv", "json"]),
-    default=None,
-    help="Input file format; default is by file extension.",
-)
-_json_option = click.option(
-    "--json", "as_json", is_flag=True, help="Emit the machine-readable JSON report."
-)
-
-
-class _Group(click.Group):
-    """Command group whose usage errors exit 2 with one ``error:`` line.
-
-    Click parses the group's own options before ``invoke`` runs, and a
-    command's name and options inside it, so both steps go through
-    ``_one_line``.  Bare ``stovar`` keeps the group help, with exit 2.
-    """
-
-    def parse_args(self, ctx: click.Context, args: list[str]) -> list[str]:
-        step = super().parse_args
-        return self._one_line(step, ctx, args) if args else step(ctx, args)
-
-    def invoke(self, ctx: click.Context):
-        return self._one_line(super().invoke, ctx)
-
-    @staticmethod
-    def _one_line(step: Callable, *args):
-        try:
-            return step(*args)
-        except click.UsageError as exc:
-            click.echo(f"error: {exc.format_message()}", err=True)
-            sys.exit(EXIT_PRECONDITION)
-
-
-@click.group(cls=_Group)
-def main() -> None:
-    """Convergence analysis of matrix powers via the column variation."""
-
-
-@main.command("analyze")
-@click.argument("path")
-@click.option(
-    "--pmax",
-    type=click.IntRange(min=1),
-    default=DEFAULT_P_MAX,
-    show_default=True,
-    help="Largest power searched for a variation below one.",
-)
-@click.option(
-    "--tol",
-    type=click.FloatRange(min=0, min_open=True),
-    default=DEFAULT_TOLERANCE,
-    show_default=True,
-    help="Float-domain comparison tolerance.",
-)
-@click.option(
-    "--k-report",
-    type=click.IntRange(min=1),
-    default=DEFAULT_K_REPORT,
-    show_default=True,
-    help="Largest power covered by the decay-bound table.",
-)
-@_json_option
-@_format_option
-def analyze_cmd(path: str, pmax: int, tol: float, k_report: int, as_json: bool, fmt: Optional[str]) -> None:
+def _analyze(opts: argparse.Namespace) -> dict:
     """Full convergence analysis of a square matrix file."""
-
-    def build() -> dict:
-        m = parse_matrix(path, fmt)
-        set_tolerance(tol)
-        return analysis_report(m, _analysis.analyze(m, p_max=pmax, k_report=k_report), path=path)
-
-    _run(build, analysis_text, as_json, _analyze_exit_code)
+    m = parse_matrix(opts.path, opts.format)
+    set_tolerance(opts.tol)
+    result = _analysis.analyze(m, p_max=opts.pmax, k_report=opts.k_report)
+    return analysis_report(m, result, path=opts.path)
 
 
-@main.command("variation")
-@click.argument("path")
-@_json_option
-@_format_option
-def variation_cmd(path: str, as_json: bool, fmt: Optional[str]) -> None:
+def _variation(opts: argparse.Namespace) -> dict:
     """Column variation and type report of a matrix file."""
-    _run(lambda: variation_report_dict(parse_matrix(path, fmt), path=path), variation_text, as_json)
+    return variation_report_dict(parse_matrix(opts.path, opts.format), path=opts.path)
 
 
-@main.command("pattern")
-@click.argument("path")
-@click.option(
-    "--kmax",
-    type=click.IntRange(min=1),
-    default=32,
-    show_default=True,
-    help="Largest power searched for an all-positive pattern.",
-)
-@_json_option
-def pattern_cmd(path: str, kmax: int, as_json: bool) -> None:
+def _pattern(opts: argparse.Namespace) -> dict:
     """Sign-pattern powers for a file of 0 and + entries.
 
     Prints the pattern powers (stopping at the first all-positive power
     or when the patterns start repeating), the first positive power, and
     whether every column pair shares a positive row.
     """
-    _run(lambda: pattern_report_dict(parse_pattern(path), kmax), pattern_text, as_json)
+    return pattern_report_dict(parse_pattern(opts.path), opts.kmax)
 
 
-# ignore_unknown_options lets negative weights like -1/2 through as arguments
-@main.command("classify2x2", context_settings={"ignore_unknown_options": True})
-@click.argument("a")
-@click.argument("b")
-@_json_option
-def classify_cmd(a: str, b: str, as_json: bool) -> None:
+def _classify(opts: argparse.Namespace) -> dict:
     """Classify the 2x2 type-1 matrix [[1-A, B], [A, 1-B]].
 
     A and B follow the entry syntax of matrix files: a fraction p/q selects
     the exact rational domain for both, otherwise they load as floats.
     """
+    # argparse drops a "--" argument after the "--" marker, and leaves [] in its place
+    a, b = ("--" if value == [] else value for value in (opts.a, opts.b))
+    try:
+        pair, domain = _token_values([a, b], "/" in a + b)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise MatrixParseError(f"bad scalar: {exc}") from exc
+    if domain is Domain.FLOAT and not all(map(isfinite, pair)):
+        raise MatrixParseError(f"non-finite scalar: A={a.strip()}, B={b.strip()}")
+    return classification_report_dict(classify_2x2(*pair))
 
-    def build() -> dict:
+
+def _positive(kind: type) -> Callable[[str], Union[int, float]]:
+    """Option type: a ``kind`` read from the option's text, above zero (so not nan)."""
+
+    def value(text: str) -> Union[int, float]:
         try:
-            pair, domain = _token_values([a, b], "/" in a + b)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise MatrixParseError(f"bad scalar: {exc}") from exc
-        if domain is Domain.FLOAT and not all(map(isfinite, pair)):
-            raise MatrixParseError(f"non-finite scalar: A={a.strip()}, B={b.strip()}")
-        return classification_report_dict(classify_2x2(*pair))
+            number = kind(text)
+            if number > 0:
+                return number
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive {kind.__name__}")
 
-    _run(build, classification_text, as_json)
+    return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors print one ``error:`` line and exit 2."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(EXIT_PRECONDITION, f"error: {message}\n")
+
+
+@functools.cache
+def _parser() -> _Parser:
+    """The ``stovar`` parser, built once; each command's help is its report builder's docstring."""
+    parser = _Parser(prog="stovar", description=main.__doc__, allow_abbrev=False)
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND", dest="command")
+
+    def command(name: str, build: Callable) -> _Parser:
+        doc = build.__doc__
+        sub = commands.add_parser(name, help=doc.split("\n")[0], description=doc, allow_abbrev=False)
+        sub.add_argument("--json", action="store_true", help="emit the machine-readable JSON report")
+        return sub
+
+    analyze = command("analyze", _analyze)
+    variation_ = command("variation", _variation)
+    pattern = command("pattern", _pattern)
+    classify = command("classify2x2", _classify)
+    for sub in (analyze, variation_, pattern):
+        sub.add_argument("path")
+    for sub in (analyze, variation_):
+        sub.add_argument("--format", choices=["csv", "json"],
+                         help="input file format; default is by file extension")
+    for sub, option, kind, default, text in (
+        (analyze, "--pmax", int, DEFAULT_P_MAX, "largest power searched for a variation below one"),
+        (analyze, "--tol", float, DEFAULT_TOLERANCE, "float-domain comparison tolerance"),
+        (analyze, "--k-report", int, DEFAULT_K_REPORT, "largest power covered by the decay-bound table"),
+        (pattern, "--kmax", int, 32, "largest power searched for an all-positive pattern"),
+    ):
+        sub.add_argument(option, type=_positive(kind), default=default,
+                         help=f"{text} (default: %(default)s)")
+    classify.add_argument("a", metavar="A")
+    classify.add_argument("b", metavar="B")
+    # any other argument with one leading dash is a value, such as -1/2, -1e-3 or -inf
+    classify._negative_number_matcher = re.compile(r"-(?!-)")
+    return parser
+
+
+def run(args: Sequence[str]) -> int:
+    """Run one ``stovar`` command line: print its report or its ``error:`` line, return its exit code.
+
+    The one place exit codes are decided.  A usage error exits 2 with one
+    ``error:`` line, and ``--help`` prints on stdout and exits 0; a command
+    line without a command prints the help on stderr and exits 2.  A
+    :class:`MatrixParseError` exits 1 and any other :class:`StovarError`
+    exits 2, each with one ``error:`` line on stderr.  A report is printed
+    in the form asked for, JSON or text, and exits 0, or 3 for an analysis
+    without a contraction power.  The report is built in a copy of the
+    context, so a tolerance set there ends with it.
+    """
+    parser = _parser()
+    try:
+        opts = parser.parse_args(args)
+    except SystemExit as exc:  # --help, or a usage error after its error: line
+        return exc.code
+    if opts.command is None:
+        parser.print_help(sys.stderr)
+        return EXIT_PRECONDITION
+    build, render = {
+        "analyze": (_analyze, analysis_text),
+        "variation": (_variation, variation_text),
+        "pattern": (_pattern, pattern_text),
+        "classify2x2": (_classify, classification_text),
+    }[opts.command]
+    try:
+        report = contextvars.copy_context().run(build, opts)
+    except StovarError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE if isinstance(exc, MatrixParseError) else EXIT_PRECONDITION
+    print(json.dumps(report, indent=2, cls=_ReportEncoder) if opts.json else render(report))
+    if opts.command == "analyze" and report["contraction_power"] is None:
+        return EXIT_INCONCLUSIVE
+    return EXIT_OK
+
+
+def main(args: Optional[Sequence[str]] = None) -> NoReturn:
+    """Convergence analysis of matrix powers via the column variation."""
+    sys.exit(run(sys.argv[1:] if args is None else args))
+
+
+main.main = lambda args=None, prog_name=None: main(args)  # click's in-process form; perfbench calls it
 
 
 if __name__ == "__main__":

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import io
 import random
 import re
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from hypothesis import strategies as st
 
@@ -124,6 +127,40 @@ def kernel_fixed_vector(m: Matrix) -> Optional[Vector]:
     if total == 0:
         return None
     return Vector([v / total for v in vec])
+
+
+# ---------------------------------------------------------------------------
+# in-process command runner
+
+
+@dataclass
+class Result:
+    exit_code: int
+    stdout: str
+    stderr: str
+    exception: Optional[BaseException]
+
+    @property
+    def output(self) -> str:
+        return self.stdout + self.stderr
+
+
+class CliRunner:
+    """Runs ``main(args)`` in this process, with stdout and stderr captured.
+
+    The result has the fields of click's ``CliRunner`` result; ``exception``
+    is the ``SystemExit`` that ends the command.  Any other exception
+    propagates and fails the test with its traceback.
+    """
+
+    def invoke(self, main: Callable, args: list[str]) -> Result:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                main(args)
+            except SystemExit as exc:
+                return Result(exc.code, out.getvalue(), err.getvalue(), exc)
+        raise AssertionError(f"main({args!r}) returned without exiting")
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,10 @@ import json
 import random
 from fractions import Fraction
 
-from click.testing import CliRunner
-
 import support
 from conftest import criterion
 from support import (
+    CliRunner,
     EX_E,
     EX_LIMIT,
     EX_M,

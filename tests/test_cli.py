@@ -9,13 +9,12 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-import click
 import pytest
-from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from support import (
+    CliRunner,
     EX_M,
     EX_M_CSV,
     TAIL_CYCLE_ROWS,
@@ -537,6 +536,7 @@ CONSOLE_COMMANDS = [
     (["variation", "--json", "dense-float.csv"], 0),
     (["pattern", "--json", "two-cycle.csv"], 0),
     (["classify2x2", "1/3", "1/4", "--json"], 0),
+    (["analyze", "--tol", "nan", "worked.csv"], 2),
 ]
 
 
@@ -584,6 +584,26 @@ class TestConsoleScriptChecks:
         check_console_command([sys.executable, "-m", "stovar.cli"], tmp_path, args, code, env)
 
 
+# imports stovar.cli in a fresh interpreter; prints the top-level modules it adds from outside the stdlib
+_THIRD_PARTY_IMPORTS = """
+import sys
+before = set(sys.modules)
+import stovar.cli
+added = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(sorted(added - {"stovar"} - set(sys.stdlib_module_names)))
+"""
+
+
+def test_cli_needs_only_the_standard_library():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _THIRD_PARTY_IMPORTS], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+
+
 USAGE_ERRORS = [
     ["analyze", "--pmax", "0", "m.csv"],
     ["analyze"],
@@ -591,6 +611,8 @@ USAGE_ERRORS = [
     ["nosuch"],
     ["classify2x2", "--json", "1/2"],
     ["--bogus"],
+    ["analyze", "--tol", "nan", "m.csv"],
+    ["analyze", "--js", "m.csv"],
 ]
 
 
@@ -612,13 +634,13 @@ class TestUsageErrors:
     def test_group_help(self, runner):
         result = runner.invoke(main, ["--help"])
         assert result.exit_code == 0
-        assert "Commands:" in result.stdout
+        assert "commands:" in result.stdout
 
     def test_bare_command_prints_the_group_help(self, runner):
         result = runner.invoke(main, [])
         assert result.exit_code == 2
         assert result.stdout == ""
-        assert result.stderr.startswith("Usage: ") and "Commands:" in result.stderr
+        assert result.stderr.startswith("usage: ") and "commands:" in result.stderr
 
 
 class TestOversizedInput:
@@ -921,6 +943,20 @@ class TestClassifyCommand:
         result = runner.invoke(main, ["classify2x2", "x", "0"])
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize(
+        "args, code, line",
+        [
+            (["-inf", "0"], 1, "error: non-finite scalar: A=-inf, B=0"),
+            (["-1e-3", "0"], 0, "case: DivergesGeneric"),
+            # a "--" after the "--" marker is a value too
+            (["--", "1/2", "--"], 1, "error: bad scalar: Invalid literal for Fraction: '--'"),
+        ],
+    )
+    def test_arguments_that_start_with_a_dash(self, runner, args, code, line):
+        result = runner.invoke(main, ["classify2x2", *args])
+        assert result.exit_code == code
+        assert line in result.output.splitlines()
+
     @pytest.mark.parametrize("pair", [("inf", "nan"), ("nan", "0.5")], ids=["inf-nan", "nan"])
     def test_non_finite_scalar(self, runner, pair):
         result = runner.invoke(main, ["classify2x2", *pair])
@@ -1055,16 +1091,13 @@ class TestReportEncoder:
 
 
 class TestReportEcho:
-    def test_reports_skip_the_escape_scan(self, runner, tmp_path, monkeypatch):
-        scanned = []
-        monkeypatch.setattr(click.utils, "strip_ansi", lambda text: scanned.append(text) or text)
+    def test_reports_skip_the_escape_scan(self, runner, tmp_path):
         path = write(tmp_path, "m\x1b[31m.csv", EX_M_CSV)
         for args in (["analyze", path, "--json"], ["analyze", path], ["variation", path, "--json"]):
             result = runner.invoke(main, args)
             assert result.exit_code == 0
             assert "\x1b" not in result.stdout
         assert json.loads(result.stdout)["input"]["path"] == path
-        assert scanned == []
         result = runner.invoke(main, ["analyze", path + ".missing"])
         assert result.exit_code == 1
-        assert len(scanned) == 1 and scanned[0].startswith("error: cannot read")
+        assert result.stderr.startswith("error: cannot read")
