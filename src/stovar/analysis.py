@@ -12,12 +12,11 @@ contraction provides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd, inf, log, prod
 from operator import mul, sub
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import (
     Domain,
@@ -65,8 +64,7 @@ class Verdict(Enum):
     NO_CONTRACTION_FOUND = "no-contraction-found"
 
 
-@dataclass(frozen=True)
-class ConvergenceAnalysis:
+class ConvergenceAnalysis(NamedTuple):
     """Full convergence report for a type-1 square matrix.
 
     It stores what :func:`analyze` found.  ``variation_per_power`` holds
@@ -128,8 +126,7 @@ class Case2x2(Enum):
     IDENTITY = "Identity"
 
 
-@dataclass(frozen=True)
-class Classification2x2:
+class Classification2x2(NamedTuple):
     """Complete taxonomy of the 2x2 type-1 matrix [[1-a, b], [a, 1-b]].
 
     With c = a + b the eigenvalues are 1 and 1 - c and the variation is
@@ -710,13 +707,4 @@ def classify_2x2(a: ScalarLike, b: ScalarLike) -> Classification2x2:
     else:
         case = Case2x2.DIVERGES_GENERIC
         stationary = None
-    return Classification2x2(
-        case=case,
-        a=a,
-        b=b,
-        c=c,
-        variation=var_value,
-        eigenvalues=eigenvalues,
-        eigenvectors=eigenvectors,
-        stationary=stationary,
-    )
+    return Classification2x2(case, a, b, c, var_value, eigenvalues, eigenvectors, stationary)

@@ -34,6 +34,7 @@ import argparse
 import contextvars
 import functools
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -596,11 +597,17 @@ def _positive(kind: type) -> Callable[[str], Union[int, float]]:
     return value
 
 
+def _error_line(message: str) -> str:
+    """``error: message`` on one line: each character where ``str.splitlines`` breaks escaped by repr."""
+    escaped = re.sub("[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]", lambda c: repr(c[0])[1:-1], message)
+    return f"error: {escaped}\n"
+
+
 class _Parser(argparse.ArgumentParser):
     """Argument parser whose usage errors print one ``error:`` line and exit 2."""
 
     def error(self, message: str) -> NoReturn:
-        self.exit(EXIT_PRECONDITION, f"error: {message}\n")
+        self.exit(EXIT_PRECONDITION, _error_line(message))
 
 
 @functools.cache
@@ -646,10 +653,11 @@ def run(args: Sequence[str]) -> int:
     ``error:`` line, and ``--help`` prints on stdout and exits 0; a command
     line without a command prints the help on stderr and exits 2.  A
     :class:`MatrixParseError` exits 1 and any other :class:`StovarError`
-    exits 2, each with one ``error:`` line on stderr.  A report is printed
-    in the form asked for, JSON or text, and exits 0, or 3 for an analysis
-    without a contraction power.  The report is built in a copy of the
-    context, so a tolerance set there ends with it.
+    exits 2, each with one ``error:`` line on stderr; a line break in the
+    message is escaped.  A report is printed in the form asked for, JSON or
+    text, and exits 0, or 3 for an analysis without a contraction power,
+    also when the reader has closed stdout early.  The report is built in a
+    copy of the context, so a tolerance set there ends with it.
     """
     parser = _parser()
     try:
@@ -668,12 +676,16 @@ def run(args: Sequence[str]) -> int:
     try:
         report = contextvars.copy_context().run(build, opts)
     except StovarError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        sys.stderr.write(_error_line(str(exc)))
         return EXIT_PARSE if isinstance(exc, MatrixParseError) else EXIT_PRECONDITION
-    print(json.dumps(report, indent=2, cls=_ReportEncoder) if opts.json else render(report))
-    if opts.command == "analyze" and report["contraction_power"] is None:
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK
+    inconclusive = opts.command == "analyze" and report["contraction_power"] is None
+    text = json.dumps(report, indent=2, cls=_ReportEncoder) if opts.json else render(report)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout; as Python's signal docs advise, the final flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return EXIT_INCONCLUSIVE if inconclusive else EXIT_OK
 
 
 def main(args: Optional[Sequence[str]] = None) -> NoReturn:

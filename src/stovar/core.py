@@ -17,13 +17,12 @@ has its own, so setting it in one thread leaves every other unchanged.
 from __future__ import annotations
 
 from contextvars import ContextVar
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import compress, repeat
 from math import floor, frexp, inf, isfinite, lcm, ldexp
 from operator import add, mul, rshift, sub, xor
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
     DimensionError,
@@ -402,8 +401,7 @@ class Matrix(_Dense):
         return f"Matrix([{', '.join(rows)}], {self._domain.value})"
 
 
-@dataclass(frozen=True)
-class TypeReport:
+class TypeReport(NamedTuple):
     """Whether all column sums agree, and by how much they fail to.
 
     ``type_value`` is the first column's sum and is meaningful only when
@@ -416,8 +414,7 @@ class TypeReport:
     max_deviation: Scalar
 
 
-@dataclass(frozen=True)
-class VariationReport:
+class VariationReport(NamedTuple):
     """Half the largest pairwise column distance, with the achieving pair.
 
     Column indices are 1-based.  ``(arg_j, arg_k)`` is the lexicographically

@@ -1,7 +1,6 @@
 """Tests for contraction search, stationary vectors, bounds, and the 2x2 taxonomy."""
 
 import threading
-from dataclasses import fields
 from fractions import Fraction
 from math import fsum, gcd, inf, log2
 from unittest import mock
@@ -850,7 +849,7 @@ class TestAnalysisRecord:
     """The record stores what analyze found; the rest is derived on access."""
 
     def test_stores_only_the_facts(self):
-        assert [f.name for f in fields(ConvergenceAnalysis)] == [
+        assert list(ConvergenceAnalysis._fields) == [
             "p_max",
             "k_report",
             "contraction_power",

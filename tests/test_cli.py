@@ -584,13 +584,15 @@ class TestConsoleScriptChecks:
         check_console_command([sys.executable, "-m", "stovar.cli"], tmp_path, args, code, env)
 
 
-# imports stovar.cli in a fresh interpreter; prints the top-level modules it adds from outside the stdlib
+# imports stovar.cli in a fresh interpreter; prints the top-level modules it adds from outside the
+# stdlib, then those it adds of dataclasses and inspect, which cost about 10 ms to import
 _THIRD_PARTY_IMPORTS = """
 import sys
 before = set(sys.modules)
 import stovar.cli
 added = {name.partition(".")[0] for name in set(sys.modules) - before}
 print(sorted(added - {"stovar"} - set(sys.stdlib_module_names)))
+print(sorted(added & {"dataclasses", "inspect"}))
 """
 
 
@@ -601,7 +603,22 @@ def test_cli_needs_only_the_standard_library():
     done = subprocess.run(
         [sys.executable, "-c", _THIRD_PARTY_IMPORTS], capture_output=True, text=True, env=env, timeout=120
     )
-    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+    assert (done.returncode, done.stdout) == (0, "[]\n[]\n"), done.stderr
+
+
+def test_stdout_closed_by_the_reader_keeps_the_exit_code(tmp_path):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    (tmp_path / "worked.csv").write_text(CONSOLE_FILES["worked.csv"], encoding="utf-8")
+    child = subprocess.Popen(
+        [sys.executable, "-m", "stovar.cli", "analyze", "--json", "worked.csv"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=tmp_path, env=env,
+    )
+    child.stdout.close()  # before the child has imported stovar, so its report finds no reader
+    stderr = child.stderr.read()
+    child.stderr.close()
+    assert (child.wait(timeout=120), stderr) == (0, b"")
 
 
 USAGE_ERRORS = [
@@ -613,6 +630,8 @@ USAGE_ERRORS = [
     ["--bogus"],
     ["analyze", "--tol", "nan", "m.csv"],
     ["analyze", "--js", "m.csv"],
+    ["classify2x2", "1/2", "1/2", "a\nb"],
+    ["analyze", "--bo\ngus", "m.csv"],
 ]
 
 
@@ -625,6 +644,14 @@ class TestUsageErrors:
         assert result.stdout == ""
         assert result.stderr.startswith("error: ")
         assert result.stderr.count("\n") == 1 and result.stderr.endswith("\n")
+        assert len(result.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize("name", ["no\nsuch.csv", "no\u2028such.csv"], ids=["newline", "u2028"])
+    def test_missing_path_with_a_line_break_is_one_error_line(self, runner, tmp_path, name):
+        result = runner.invoke(main, ["analyze", str(tmp_path / name)])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: cannot read ")
+        assert len(result.stderr.splitlines()) == 1 and result.stderr.endswith("\n")
 
     def test_help_still_prints_help(self, runner):
         result = runner.invoke(main, ["analyze", "--help"])
