@@ -15,7 +15,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from math import gcd, inf, log, prod
-from operator import mul, sub
+from operator import floordiv, mul, sub
 from typing import NamedTuple, Optional
 
 from .core import (
@@ -295,16 +295,7 @@ def _solve_square(
     """
     n = len(rows)
     if domain is Domain.RATIONAL:
-        scales, aug = _scale_columns([row + [b] for row, b in zip(rows, rhs)])
-        if _bareiss_eliminate(aug, n)[1] < n:
-            return None
-        det = aug[n - 1][n - 1]
-        scaled: list[int] = [0] * n  # det * z_i
-        for i in range(n - 1, -1, -1):
-            row = aug[i]
-            acc = det * row[n] - sum(map(mul, row[i + 1 : n], scaled[i + 1 :]))
-            scaled[i] = acc // row[i]
-        return [Fraction(c * v, det * scales[n]) for c, v in zip(scales, scaled)]
+        return _integer_solve(*_scale_columns([row + [b] for row, b in zip(rows, rhs)]))
     aug = [list(row) + [b] for row, b in zip(rows, rhs)]
     if _float_eliminate(aug, n, _guard_band(rows))[1] < n:
         return None
@@ -316,6 +307,24 @@ def _solve_square(
             acc = acc - a * x
         solution[i] = acc / row[i]
     return solution
+
+
+def _integer_solve(scales: list[int], aug: list[list[int]]) -> Optional[list[Fraction]]:
+    """x with x_j = c_j z_j / c_n, for z the solution of the n-by-(n + 1) ``aug``; None when singular.
+
+    ``scales`` are the c_j of :func:`_solve_square`.  ``aug`` goes through
+    :func:`_bareiss_eliminate`, in place.
+    """
+    n = len(aug)
+    if _bareiss_eliminate(aug, n)[1] < n:
+        return None
+    det = aug[n - 1][n - 1]
+    scaled: list[int] = [0] * n  # det * z_i
+    for i in range(n - 1, -1, -1):
+        row = aug[i]
+        acc = det * row[n] - sum(map(mul, row[i + 1 : n], scaled[i + 1 :]))
+        scaled[i] = acc // row[i]
+    return [Fraction(c * v, det * scales[n]) for c, v in zip(scales, scaled)]
 
 
 def _scale_columns(rows: list[list[Fraction]]) -> tuple[list[int], list[list[int]]]:
@@ -407,17 +416,27 @@ def stationary_vector(m: Matrix) -> Vector:
 
 
 def _solved_stationary(m: Matrix) -> Vector:
-    """:func:`stationary_vector` of a square type-1 M, without checking either."""
+    """:func:`stationary_vector` of a square type-1 M, without checking either.
+
+    A rational M = N / D is solved from its integer form: the rows of
+    N - D I but the last, then a row of D's, each column divided by its
+    gcd (which divides D), are the integers that :func:`_solve_square`
+    scales the system over D to, with c_j = D / gcd.
+    """
     n = m.rows
-    domain = m.domain
-    one = one_of(domain)
-    zero = zero_of(domain)
-    rows = m.row_lists()
+    rational = m.domain is Domain.RATIONAL
+    cells, d = m._integer_form() if rational else (m.entries, 1.0)
+    rows = [list(row) for row in _row_slices(cells, n)]
     for i in range(n - 1):
-        rows[i][i] -= one
-    rows[-1] = [one] * n
-    rhs = [zero] * (n - 1) + [one]
-    solution = _solve_square(rows, rhs, domain)
+        rows[i][i] -= d
+    rows[-1] = [d] * n
+    if rational:
+        g = list(map(gcd, *rows))
+        aug = [list(map(floordiv, row, g)) + [0] for row in rows]
+        aug[-1][-1] = 1
+        solution = _integer_solve([d // c for c in g] + [1], aug)
+    else:
+        solution = _solve_square(rows, [0.0] * (n - 1) + [1.0], Domain.FLOAT)
     if solution is None:
         raise NonUniqueFixedVectorError(
             "no unique fixed vector with entry sum one "

@@ -60,6 +60,7 @@ from .core import (
     TypeReport,
     VariationReport,
     _finite,
+    _over_lcm,
     _row_slices,
     set_tolerance,
     type_of,
@@ -140,16 +141,18 @@ def _exact(token: Union[int, str]) -> Fraction:
     return Fraction(0)
 
 
-def _fractions(tokens: list[Union[int, str]]) -> list[Fraction]:
-    """Exact values of the tokens; MatrixParseError if ``str`` cannot print one.
+def _distinct_fractions(tokens: list[Union[int, str]]) -> tuple[list, list[Fraction]]:
+    """The distinct tokens in first-seen order and their exact values; MatrixParseError if ``str`` cannot print one.
 
-    A token without an exponent has no fewer characters than its reduced
-    numerator or denominator has digits, so the values are printed on
-    trial only when some token has an exponent or is longer than the
-    smallest limit Python allows.
+    Each distinct token is read once, in order, so the first bad token
+    names the error.  A token without an exponent has no fewer characters
+    than its reduced numerator or denominator has digits, so the values
+    are printed on trial only when some token has an exponent or is longer
+    than the smallest limit Python allows.
     """
-    values = list(map(_exact, tokens))
-    pieces = list(map(str, tokens))
+    distinct = list(dict.fromkeys(tokens))
+    values = list(map(_exact, distinct))
+    pieces = list(map(str, distinct))
     text = "".join(pieces)
     if "e" in text or "E" in text or max(map(len, pieces)) > _MIN_INT_STR_LIMIT:
         for value in values:
@@ -157,7 +160,17 @@ def _fractions(tokens: list[Union[int, str]]) -> list[Fraction]:
                 str(value)
             except ValueError as exc:
                 raise MatrixParseError(f"entry too long to print: {exc}") from exc
-    return values
+    return distinct, values
+
+
+def _spread(tokens: list, distinct: list, values: list) -> list:
+    """The value of each token, from the values of the distinct tokens."""
+    return list(map(dict(zip(distinct, values)).__getitem__, tokens))
+
+
+def _fractions(tokens: list[Union[int, str]]) -> list[Fraction]:
+    """Exact values of the tokens (:func:`_distinct_fractions`)."""
+    return _spread(tokens, *_distinct_fractions(tokens))
 
 
 def _fraction_file_token(value: Fraction) -> str:
@@ -179,9 +192,15 @@ def _token_values(tokens: list[Union[int, str]], ratio: bool) -> tuple[list[Scal
 
 
 def _entries_to_matrix(rows: int, cols: int, tokens: list[Union[int, str]], ratio: bool) -> Matrix:
+    """The matrix of the tokens; a rational one with its integer form, scaled once per distinct token."""
     try:
-        values, domain = _token_values(tokens, ratio)
-        return Matrix._of(rows, cols, _finite(values, domain), domain)
+        if not ratio:
+            return Matrix._of(rows, cols, _finite(list(map(float, tokens)), Domain.FLOAT), Domain.FLOAT)
+        distinct, values = _distinct_fractions(tokens)
+        numerators, d = _over_lcm(values)
+        if len(distinct) < len(tokens):
+            values, numerators = _spread(tokens, distinct, values), _spread(tokens, distinct, numerators)
+        return Matrix._of_integers(rows, cols, values, (numerators, d))
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         # OverflowError: a JSON integer too large for a float
         raise MatrixParseError(f"bad matrix entry: {exc}") from exc
@@ -655,8 +674,9 @@ def run(args: Sequence[str]) -> int:
     :class:`MatrixParseError` exits 1 and any other :class:`StovarError`
     exits 2, each with one ``error:`` line on stderr; a line break in the
     message is escaped.  A report is printed in the form asked for, JSON or
-    text, and exits 0, or 3 for an analysis without a contraction power,
-    also when the reader has closed stdout early.  The report is built in a
+    text, and exits 0, or 3 for an analysis without a contraction power.
+    The help and the report keep their exit code, with nothing on stderr,
+    when the reader has closed stdout early.  The report is built in a
     copy of the context, so a tolerance set there ends with it.
     """
     parser = _parser()
@@ -664,6 +684,9 @@ def run(args: Sequence[str]) -> int:
         opts = parser.parse_args(args)
     except SystemExit as exc:  # --help, or a usage error after its error: line
         return exc.code
+    except BrokenPipeError:  # --help to a closed stdout; argparse lets it out before Python 3.11
+        _drop_stdout()
+        return EXIT_OK
     if opts.command is None:
         parser.print_help(sys.stderr)
         return EXIT_PRECONDITION
@@ -683,9 +706,13 @@ def run(args: Sequence[str]) -> int:
     try:
         print(text, flush=True)
     except BrokenPipeError:
-        # the reader closed stdout; as Python's signal docs advise, the final flush goes to devnull
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _drop_stdout()
     return EXIT_INCONCLUSIVE if inconclusive else EXIT_OK
+
+
+def _drop_stdout() -> None:
+    """The reader closed stdout; as Python's signal docs advise, the final flush goes to devnull."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def main(args: Optional[Sequence[str]] = None) -> NoReturn:

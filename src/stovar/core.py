@@ -299,9 +299,10 @@ class Matrix(_Dense):
     construction.  Index accessors are 0-based.
 
     A rational matrix keeps its integer form (:meth:`_integer_form`) in
-    the slot ``_integers``, computed on first use and left out of
-    equality, hashing and repr.  Two threads that both find it missing
-    store equal forms, so the race repeats work and changes no result.
+    the slot ``_integers``, left out of equality, hashing and repr.  The
+    CLI reader sets it as it parses (:meth:`_of_integers`); otherwise it is
+    computed on first use.  Two threads that both find it missing store
+    equal forms, so the race repeats work and changes no result.
     """
 
     __slots__ = ("_integers",)
@@ -320,6 +321,13 @@ class Matrix(_Dense):
         self._fill(len(data), width, [value for row in data for value in row], domain)
 
     _of = classmethod(_Dense._new.__func__)
+
+    @classmethod
+    def _of_integers(cls, rows: int, cols: int, entries: list[Fraction], form: tuple) -> "Matrix":
+        """Rational value over entries already in the domain, with ``form`` their :func:`_over_lcm`."""
+        m = cls._new(rows, cols, entries, Domain.RATIONAL)
+        m._integers = form
+        return m
 
     @classmethod
     def identity(cls, n: int, domain: Domain = Domain.RATIONAL) -> "Matrix":
@@ -453,9 +461,10 @@ def variation(a: Matrix) -> VariationReport:
     distances are summed row by row, left to right (CPython 3.12+ sums
     floats with compensation, so the last bits may differ across
     interpreters); a float distance that overflows raises
-    :class:`DomainMismatchError`.  From 32 columns on, a popcount bound
-    skips the pairs that cannot be the widest (:func:`_widest_pair`);
-    it changes neither the value nor the pair, to the last bit.
+    :class:`DomainMismatchError`.  From 16 integer or 32 float columns on,
+    a popcount bound skips the pairs that cannot be the widest
+    (:func:`_widest_pair`); it changes neither the value nor the pair, to
+    the last bit.
     """
     if a.domain is Domain.RATIONAL:
         entries, d = a._integer_form()
@@ -468,16 +477,18 @@ def variation(a: Matrix) -> VariationReport:
 def _widest_pair(entries: Sequence, n: int) -> tuple:
     """Largest l1 distance between two of the n columns, and the first 1-based pair at it.
 
-    From ``_PRUNE_FROM`` columns on, a pair is summed only when its
-    popcount bound (:func:`_code_distances`) reaches the best distance
-    summed so far, starting from the distance of the pair with the
-    largest popcount.  A skipped pair is strictly below a distance that
-    some pair has, so it is neither the widest nor the first at the widest.
+    From ``_PRUNE_FROM`` columns on (``_PRUNE_INTEGERS_FROM`` for int
+    entries), a pair is summed only when its popcount bound
+    (:func:`_code_distances`) reaches the best distance summed so far,
+    starting from the distance of the pair with the largest popcount.  A
+    skipped pair is strictly below a distance that some pair has, so it is
+    neither the widest nor the first at the widest.
     """
     if n == 1:
         return 0, (1, 1)
     cols = _column_slices(entries, n)
-    bound = _code_distances(entries, cols) if n >= _PRUNE_FROM else None
+    prune_from = _PRUNE_INTEGERS_FROM if isinstance(entries[0], int) else _PRUNE_FROM
+    bound = _code_distances(entries, cols) if n >= prune_from else None
     if bound is not None:
         counts, cut_below = bound
         tops = list(map(max, counts))
@@ -499,8 +510,11 @@ def _widest_pair(entries: Sequence, n: int) -> tuple:
 
 
 # Columns from which _widest_pair bounds pairs before summing them; on fewer
-# columns the bound pass costs more than the sums it saves.
+# columns the bound pass costs more than the sums it saves.  Integer pairs
+# cost more to sum (multi-digit numerators) and their bound has no rounding
+# slack, so it pays from fewer columns.
 _PRUNE_FROM = 32
+_PRUNE_INTEGERS_FROM = 16
 
 # Thermometer code of each level 0..63: its low ``level`` bits set, in 8 bytes.
 _UNARY = [((1 << level) - 1).to_bytes(8, "little") for level in range(64)]

@@ -1,5 +1,6 @@
 """Tests for contraction search, stationary vectors, bounds, and the 2x2 taxonomy."""
 
+import random
 import threading
 from fractions import Fraction
 from math import fsum, gcd, inf, log2
@@ -533,6 +534,54 @@ class TestStationaryVector:
     def test_large_identity_fails_with_one_solve(self):
         with pytest.raises(NonUniqueFixedVectorError):
             stationary_vector(Matrix.identity(30))
+
+
+def _row_list_solve(m):
+    """E from ``_solve_square`` on the ``Fraction`` rows of M - I with the last row all ones."""
+    n = m.rows
+    rows = m.row_lists()
+    for i in range(n - 1):
+        rows[i][i] -= 1
+    rows[-1] = [F(1)] * n
+    return _solve_square(rows, [F(0)] * (n - 1) + [F(1)], Domain.RATIONAL)
+
+
+_NO_UNIQUE_E = (
+    "no unique fixed vector with entry sum one (eigenvalue 1 appears with multiplicity two or more)"
+)
+
+
+class TestIntegerFormSolve:
+    """The rational E solved from the integer form against the solve of its Fraction rows."""
+
+    def _check(self, m):
+        want = _row_list_solve(m)
+        if want is None:
+            with pytest.raises(NonUniqueFixedVectorError) as info:
+                analysis._solved_stationary(m)
+            assert str(info.value) == _NO_UNIQUE_E
+        else:
+            assert analysis._solved_stationary(m).entries == tuple(want)
+
+    @given(st.integers(2, 6).flatmap(lambda n: support.typed_matrices(n, n, n, n, type_value=F(1))))
+    @settings(max_examples=150, deadline=None)
+    def test_signed_type_one_matrices(self, drawn):
+        self._check(drawn[0])
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_nonnegative_type_one_matrices(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 12)
+        self._check(support.rand_nonneg_typed(rng, n, n, F(1)))
+
+    def test_a_singular_matrix_raises_the_same_error_on_both_paths(self):
+        # two closed classes, {1} and {2, 3}: every mix of their fixed vectors is fixed
+        m = Matrix([[1, 0, 0], [0, F(1, 2), F(1, 3)], [0, F(1, 2), F(2, 3)]])
+        assert _row_list_solve(m) is None
+        for matrix in (m, m.to_float()):
+            with pytest.raises(NonUniqueFixedVectorError) as info:
+                analysis._solved_stationary(matrix)
+            assert str(info.value) == _NO_UNIQUE_E
 
 
 # ---------------------------------------------------------------------------

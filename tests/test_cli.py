@@ -30,7 +30,7 @@ from stovar import (
     analyze,
     tolerance,
 )
-from stovar import analysis, cli
+from stovar import analysis, cli, core
 from stovar.cli import (
     main,
     parse_matrix,
@@ -606,19 +606,30 @@ def test_cli_needs_only_the_standard_library():
     assert (done.returncode, done.stdout) == (0, "[]\n[]\n"), done.stderr
 
 
-def test_stdout_closed_by_the_reader_keeps_the_exit_code(tmp_path):
+def _run_with_stdout_closed(tmp_path, args):
+    """Exit code and stderr of ``python -m stovar.cli ARGS`` whose reader closes stdout at once."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    (tmp_path / "worked.csv").write_text(CONSOLE_FILES["worked.csv"], encoding="utf-8")
     child = subprocess.Popen(
-        [sys.executable, "-m", "stovar.cli", "analyze", "--json", "worked.csv"],
+        [sys.executable, "-m", "stovar.cli", *args],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=tmp_path, env=env,
     )
-    child.stdout.close()  # before the child has imported stovar, so its report finds no reader
+    child.stdout.close()  # before the child has imported stovar, so its output finds no reader
     stderr = child.stderr.read()
     child.stderr.close()
-    assert (child.wait(timeout=120), stderr) == (0, b"")
+    return child.wait(timeout=120), stderr
+
+
+def test_stdout_closed_by_the_reader_keeps_the_exit_code(tmp_path):
+    (tmp_path / "worked.csv").write_text(CONSOLE_FILES["worked.csv"], encoding="utf-8")
+    assert _run_with_stdout_closed(tmp_path, ["analyze", "--json", "worked.csv"]) == (0, b"")
+
+
+@pytest.mark.parametrize("args", [["--help"], ["analyze", "--help"]], ids=" ".join)
+def test_help_to_a_closed_stdout_exits_0_with_nothing_on_stderr(tmp_path, args):
+    # argparse before Python 3.11 lets the BrokenPipeError of its help out
+    assert _run_with_stdout_closed(tmp_path, args) == (0, b"")
 
 
 USAGE_ERRORS = [
@@ -799,6 +810,49 @@ class TestDecimalExponentBound:
             assert not printable
         else:
             assert printable and value == [Fraction(token)]
+
+
+# exact tokens of every kind: unreduced and negative p/q, int strings,
+# decimals, exponent literals and JSON int cells
+_RATIONAL_TOKENS = st.one_of(
+    st.builds("{}/{}".format, st.integers(-40, 40), st.integers(1, 40)),
+    st.integers(-(10**20), 10**20),
+    st.integers(-50, 50).map(str),
+    st.from_regex(r"-?[0-9]{1,3}\.[0-9]{1,4}", fullmatch=True),
+    st.builds("{}e{}".format, st.from_regex(r"-?[0-9]{1,3}(\.[0-9]{1,2})?", fullmatch=True),
+              st.integers(-30, 30)),
+)
+
+
+class TestIntegerFormFromTheReader:
+    @given(st.lists(_RATIONAL_TOKENS, min_size=1, max_size=8), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_form_and_entries_match_fraction(self, pool, data):
+        tokens = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=24))
+        m = cli._entries_to_matrix(1, len(tokens), tokens, True)
+        want = [Fraction(t) for t in tokens]
+        assert list(m.entries) == want == cli._fractions(tokens)
+        assert all(type(v) is Fraction for v in m.entries)
+        assert getattr(m, "_integers", None) == core._over_lcm(m.entries)
+
+    def test_each_distinct_token_is_read_once_in_order(self, tmp_path, monkeypatch):
+        calls = []
+        exact = cli._exact
+        monkeypatch.setattr(cli, "_exact", lambda token: calls.append(token) or exact(token))
+        m = parse_matrix(write(tmp_path, "m.csv", "1/2,1/3,2/4\n1/2,2/3,1/2\n"))
+        assert calls == ["1/2", "1/3", "2/4", "2/3"]
+        assert m._integers == ([3, 2, 3, 3, 4, 3], 6)
+
+    @pytest.mark.parametrize(
+        "bad, line",
+        [("1/0", "error: bad matrix entry: Fraction(1, 0)\n"),
+         ("1e-5000", "error: entry too long to print: its exponent gives over "
+                     f"{sys.get_int_max_str_digits()} digits\n")],
+    )
+    def test_a_repeated_bad_token_names_the_same_error(self, runner, tmp_path, bad, line):
+        for text in (f"{bad},1/2\n1/2,1/2\n", f"{bad},{bad}\n1/2,{bad}\n"):
+            result = runner.invoke(main, ["analyze", write(tmp_path, "m.csv", text)])
+            assert (result.exit_code, result.stderr) == (1, line)
 
 
 # tokens that each reader handles in its own way, and short runs of their characters

@@ -509,6 +509,15 @@ _WIDE_FAMILIES = {
 }
 
 
+_INTEGER_CUTOFF = core._PRUNE_INTEGERS_FROM
+
+_INTEGER_FAMILIES = {
+    "small-integer": _WIDE_FAMILIES["small-integer"],
+    "huge-integer": _WIDE_FAMILIES["huge-integer"],
+    "integer-permutation": lambda rng, m, n: list(map(int, _permutation(rng, m, n))),
+}
+
+
 class TestWidestPairBound:
     """Matrices with enough columns that the search bounds pairs before summing."""
 
@@ -521,7 +530,30 @@ class TestWidestPairBound:
     @settings(max_examples=120, deadline=None)
     def test_matches_the_exhaustive_search(self, family, n, m, rng):
         m = n if family == "permutation" else m
-        entries = tuple(_WIDE_FAMILIES[family](rng, m, n))
+        self._check(tuple(_WIDE_FAMILIES[family](rng, m, n)), n)
+
+    @given(
+        st.sampled_from(sorted(_INTEGER_FAMILIES)),
+        st.integers(_INTEGER_CUTOFF, _INTEGER_CUTOFF + 16),
+        st.integers(1, 40),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_integer_columns_match_from_their_own_cutoff(self, family, n, m, rng):
+        m = n if family == "integer-permutation" else m
+        self._check(tuple(_INTEGER_FAMILIES[family](rng, m, n)), n)
+
+    @pytest.mark.parametrize("kind, bounded", [(int, True), (float, False)])
+    def test_integer_columns_are_bounded_from_fewer_columns(self, monkeypatch, kind, bounded):
+        calls = []
+        bound = core._code_distances
+        monkeypatch.setattr(core, "_code_distances", lambda *args: calls.append(1) or bound(*args))
+        n = _INTEGER_CUTOFF
+        core._widest_pair(tuple(map(kind, _permutation(random.Random(3), n, n))), n)
+        assert calls == [1] * bounded
+
+    @staticmethod
+    def _check(entries, n):
         got, want = core._widest_pair(entries, n), support.lexicographic_widest(entries, n)
         assert got == want
         assert type(got[0]) is type(want[0])
