@@ -26,9 +26,9 @@ from .core import (
     TypeReport,
     VariationReport,
     Vector,
-    _column_slices,
     _ensure_typed,
     _finite,
+    _integer_step,
     _over_lcm,
     _power_by_squaring,
     _row_slices,
@@ -238,20 +238,6 @@ def _variation_scan(
     return len(history), history, first
 
 
-def _integer_step(left: tuple, right: tuple, n: int) -> tuple[list[int], int]:
-    """The product of two n-by-n matrices, each held as (integer numerators, denominator).
-
-    The product is divided by the gcd of its numerators and denominator:
-    in that lowest form it is :func:`_over_lcm` of its entries, and equal
-    powers are equal pairs.
-    """
-    (numerators, d), (factor, scale) = left, right
-    cols = _column_slices(factor, n)
-    product = [sum(map(mul, r, c)) for r in _row_slices(numerators, n) for c in cols]
-    g = gcd(d * scale, *product)
-    return [v // g for v in product], d * scale // g
-
-
 def find_contraction_power(
     m: Matrix, p_max: int = DEFAULT_P_MAX
 ) -> Optional[tuple[int, Scalar]]:
@@ -279,15 +265,9 @@ def _solve_square(
 ) -> Optional[list[Scalar]]:
     """Solve ``rows · x = rhs`` for a square system; None when singular.
 
-    Rational systems are solved exactly in integers.  Each column of the
-    augmented matrix, right-hand side included, is scaled by the lcm c_j
-    of its denominators, which leaves the integer system A' z = b' with
-    x_j = c_j z_j / c_n (c_n the right-hand side's scale); it goes
-    through :func:`_bareiss_eliminate`.  Integer back-substitution gives
-    det * z_i exactly, so x_i is the fraction c_i * (det * z_i) /
-    (det * c_n), normalized once.  When a column holds integer weights
-    over their sum, c_j divides that sum and the scaled entries stay
-    small.
+    Rational systems are solved exactly in integers: the augmented
+    matrix's integer form, each column, right-hand side included, divided
+    by its gcd, goes through :func:`_integer_solve`.
 
     Float systems go through :func:`_float_eliminate` and are singular
     when some column has no candidate above the guard band
@@ -295,7 +275,8 @@ def _solve_square(
     """
     n = len(rows)
     if domain is Domain.RATIONAL:
-        return _integer_solve(*_scale_columns([row + [b] for row, b in zip(rows, rhs)]))
+        numerators = _over_lcm([v for row, b in zip(rows, rhs) for v in row + [b]])[0]
+        return _integer_solve(*_over_column_gcds(_row_slices(numerators, n + 1)))
     aug = [list(row) + [b] for row, b in zip(rows, rhs)]
     if _float_eliminate(aug, n, _guard_band(rows))[1] < n:
         return None
@@ -309,11 +290,14 @@ def _solve_square(
     return solution
 
 
-def _integer_solve(scales: list[int], aug: list[list[int]]) -> Optional[list[Fraction]]:
-    """x with x_j = c_j z_j / c_n, for z the solution of the n-by-(n + 1) ``aug``; None when singular.
+def _integer_solve(gcds: list[int], aug: list[list[int]]) -> Optional[list[Fraction]]:
+    """x with x_j = g_n z_j / g_j, for z the solution of the n-by-(n + 1) ``aug``; None when singular.
 
-    ``scales`` are the c_j of :func:`_solve_square`.  ``aug`` goes through
-    :func:`_bareiss_eliminate`, in place.
+    ``gcds`` and ``aug`` are :func:`_over_column_gcds` of an integer system
+    N x = b: column j of N is g_j times column j of ``aug``, and b is g_n
+    times its last column.  ``aug`` goes through :func:`_bareiss_eliminate`,
+    in place, and integer back-substitution gives det * z_i exactly, so
+    x_i is the fraction g_n * (det * z_i) / (det * g_i), normalized once.
     """
     n = len(aug)
     if _bareiss_eliminate(aug, n)[1] < n:
@@ -324,13 +308,13 @@ def _integer_solve(scales: list[int], aug: list[list[int]]) -> Optional[list[Fra
         row = aug[i]
         acc = det * row[n] - sum(map(mul, row[i + 1 : n], scaled[i + 1 :]))
         scaled[i] = acc // row[i]
-    return [Fraction(c * v, det * scales[n]) for c, v in zip(scales, scaled)]
+    return [Fraction(gcds[n] * v, det * g) for g, v in zip(gcds, scaled)]
 
 
-def _scale_columns(rows: list[list[Fraction]]) -> tuple[list[int], list[list[int]]]:
-    """Column lcms c_j and the integer rows of ``rows`` with column j times c_j."""
-    cols, scales = zip(*map(_over_lcm, zip(*rows)))
-    return list(scales), list(map(list, zip(*cols)))
+def _over_column_gcds(rows: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """Column gcds g_j (1 for a zero column) and new rows with column j divided by g_j."""
+    gcds = [g or 1 for g in map(gcd, *rows)]
+    return gcds, [list(map(floordiv, row, gcds)) for row in rows]
 
 
 def _bareiss_eliminate(aug: list[list[int]], ncols: int) -> tuple[int, int]:
@@ -418,10 +402,9 @@ def stationary_vector(m: Matrix) -> Vector:
 def _solved_stationary(m: Matrix) -> Vector:
     """:func:`stationary_vector` of a square type-1 M, without checking either.
 
-    A rational M = N / D is solved from its integer form: the rows of
-    N - D I but the last, then a row of D's, each column divided by its
-    gcd (which divides D), are the integers that :func:`_solve_square`
-    scales the system over D to, with c_j = D / gcd.
+    A rational M = N / D is solved from its integer form: the system
+    times D is the rows of N - D I but the last, then a row of D's, with
+    right-hand side D e_n, and goes through :func:`_integer_solve`.
     """
     n = m.rows
     rational = m.domain is Domain.RATIONAL
@@ -431,10 +414,9 @@ def _solved_stationary(m: Matrix) -> Vector:
         rows[i][i] -= d
     rows[-1] = [d] * n
     if rational:
-        g = list(map(gcd, *rows))
-        aug = [list(map(floordiv, row, g)) + [0] for row in rows]
-        aug[-1][-1] = 1
-        solution = _integer_solve([d // c for c in g] + [1], aug)
+        aug = [row + [0] for row in rows]
+        aug[-1][-1] = d
+        solution = _integer_solve(*_over_column_gcds(aug))
     else:
         solution = _solve_square(rows, [0.0] * (n - 1) + [1.0], Domain.FLOAT)
     if solution is None:
@@ -638,28 +620,31 @@ def analyze(
 def determinant(m: Matrix) -> Scalar:
     """Determinant by elimination; exact in the rational domain.
 
-    A rational matrix is scaled to integers column by column (column j
-    times the lcm c_j of its denominators) and goes through Bareiss's
-    fraction-free elimination, so det M is the signed last pivot over the
-    product of the c_j.  A float matrix goes through partial pivoting,
+    A rational M = N / D is read as its integer form, each column of N
+    divided by its gcd g_j, and goes through Bareiss's fraction-free
+    elimination, so det M is the signed last pivot times the product of
+    the g_j, over D^n.  A float matrix goes through partial pivoting,
     and det M is the signed product of the pivots, left to right.
     """
     _require_square(m)
     n = m.rows
-    work = m.row_lists()
     if m.domain is Domain.RATIONAL:
-        scales, work = _scale_columns(work)
+        numerators, d = m._integer_form()
+        gcds, work = _over_column_gcds(_row_slices(numerators, n))
         sign, rank = _bareiss_eliminate(work, n)
-        return Fraction(sign * work[-1][-1] if rank == n else 0, prod(scales))
+        return Fraction(sign * work[-1][-1] * prod(gcds) if rank == n else 0, d**n)
+    work = m.row_lists()
     sign, rank = _float_eliminate(work, n, 0.0)
     if rank < n:
         return 0.0
     return _finite([prod((row[i] for i, row in enumerate(work)), start=float(sign))], m.domain)[0]
 
 
-def _rank(rows: list[list[Fraction]]) -> int:
-    """Exact row rank: the pivot count of a Bareiss echelon form of ``rows``."""
-    return _bareiss_eliminate(_scale_columns(rows)[1], len(rows[0]))[1]
+def _rank(rows: list[list]) -> int:
+    """Exact row rank of int or Fraction rows: the Bareiss pivot count of their integer form."""
+    width = len(rows[0])
+    numerators = _over_lcm([v for row in rows for v in row])[0]
+    return _bareiss_eliminate(_over_column_gcds(_row_slices(numerators, width))[1], width)[1]
 
 
 def type_eigenvalue_certificate(m: Matrix) -> Scalar:
@@ -669,17 +654,20 @@ def type_eigenvalue_certificate(m: Matrix) -> Scalar:
     vector of M - cI.  For a float matrix that is the certificate: the
     type check has just bounded every column sum of M - cI by the
     tolerance, and a float rank would only measure rounding.  A rational
-    matrix is certified by the exact Bareiss rank as well; a full rank
-    would contradict the vanishing column sums and aborts with
-    RuntimeError rather than returning a wrong certificate.
+    M = N / D of type c = S_0 / D, S_0 the integer column sum, is
+    certified by the exact rank of N - S_0 I as well; a full rank would
+    contradict the vanishing column sums and aborts with RuntimeError
+    rather than returning a wrong certificate.
     """
     _require_square(m)
     c = _ensure_typed(m).type_value
     if m.domain is Domain.FLOAT:
         return c
-    shifted = m.row_lists()
+    numerators = m._integer_form()[0]
+    s0 = sum(numerators[:: m.cols])
+    shifted = _row_slices(numerators, m.rows)
     for i in range(m.rows):
-        shifted[i][i] -= c
+        shifted[i][i] -= s0
     if _rank(shifted) >= m.rows:
         raise RuntimeError(
             "internal certificate failure: M - cI reports full rank for a typed matrix"

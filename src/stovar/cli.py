@@ -184,13 +184,6 @@ def _detect_format(path: str, fmt: Optional[str]) -> str:
     return "json" if Path(path).suffix.lower() == ".json" else "csv"
 
 
-def _token_values(tokens: list[Union[int, str]], ratio: bool) -> tuple[list[Scalar], Domain]:
-    """Values of entry tokens and their domain: all exact if any is a ``p/q`` (``ratio``), else floats."""
-    if ratio:
-        return _fractions(tokens), Domain.RATIONAL
-    return list(map(float, tokens)), Domain.FLOAT
-
-
 def _entries_to_matrix(rows: int, cols: int, tokens: list[Union[int, str]], ratio: bool) -> Matrix:
     """The matrix of the tokens; a rational one with its integer form, scaled once per distinct token."""
     try:
@@ -592,11 +585,12 @@ def _classify(opts: argparse.Namespace) -> dict:
     """
     # argparse drops a "--" argument after the "--" marker, and leaves [] in its place
     a, b = ("--" if value == [] else value for value in (opts.a, opts.b))
+    ratio = "/" in a + b
     try:
-        pair, domain = _token_values([a, b], "/" in a + b)
+        pair = _fractions([a, b]) if ratio else [float(a), float(b)]
     except (ValueError, ZeroDivisionError) as exc:
         raise MatrixParseError(f"bad scalar: {exc}") from exc
-    if domain is Domain.FLOAT and not all(map(isfinite, pair)):
+    if not ratio and not all(map(isfinite, pair)):
         raise MatrixParseError(f"non-finite scalar: A={a.strip()}, B={b.strip()}")
     return classification_report_dict(classify_2x2(*pair))
 

@@ -20,7 +20,7 @@ from contextvars import ContextVar
 from enum import Enum
 from fractions import Fraction
 from itertools import compress, repeat
-from math import floor, frexp, inf, isfinite, lcm, ldexp
+from math import floor, frexp, gcd, inf, isfinite, lcm, ldexp
 from operator import add, mul, rshift, sub, xor
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
@@ -157,9 +157,16 @@ class _Dense:
     The one body of :class:`Matrix`, :class:`Vector` (n-by-1) and
     :class:`RowVector` (1-by-n).  A value equals only a value of its own
     class, and arithmetic needs a peer of the same class, domain and shape.
+
+    A rational value keeps its integer form (:meth:`_integer_form`) in the
+    slot ``_integers``, left out of equality, hashing and repr.  The CLI
+    reader (:meth:`_of_integers`) and the rational product set it as they
+    build a value; otherwise it is computed on first use.  Two threads
+    that both find it missing store equal forms, so the race repeats work
+    and changes no result.
     """
 
-    __slots__ = ("_rows", "_cols", "_entries", "_domain")
+    __slots__ = ("_rows", "_cols", "_entries", "_domain", "_integers")
 
     def _fill(self, rows: int, cols: int, flat: list, domain: Optional[Domain]) -> None:
         """Set this value from outside input, coercing it into one domain."""
@@ -173,6 +180,20 @@ class _Dense:
         v = object.__new__(cls)
         v._rows, v._cols, v._entries, v._domain = rows, cols, tuple(entries), domain
         return v
+
+    @classmethod
+    def _of_integers(cls, rows: int, cols: int, entries: list[Fraction], form: tuple):
+        """Rational value over entries already in the domain, with ``form`` their :func:`_over_lcm`."""
+        v = cls._new(rows, cols, entries, Domain.RATIONAL)
+        v._integers = form
+        return v
+
+    def _integer_form(self) -> tuple[list[int], int]:
+        """:func:`_over_lcm` of the rational entries, kept; shared, so never mutated."""
+        form = getattr(self, "_integers", None)
+        if form is None:
+            form = self._integers = _over_lcm(self._entries)
+        return form
 
     @property
     def entries(self) -> tuple[Scalar, ...]:
@@ -297,15 +318,9 @@ class Matrix(_Dense):
 
     Both dimensions must be at least one; empty matrices are rejected at
     construction.  Index accessors are 0-based.
-
-    A rational matrix keeps its integer form (:meth:`_integer_form`) in
-    the slot ``_integers``, left out of equality, hashing and repr.  The
-    CLI reader sets it as it parses (:meth:`_of_integers`); otherwise it is
-    computed on first use.  Two threads that both find it missing store
-    equal forms, so the race repeats work and changes no result.
     """
 
-    __slots__ = ("_integers",)
+    __slots__ = ()
 
     def __init__(
         self,
@@ -321,13 +336,6 @@ class Matrix(_Dense):
         self._fill(len(data), width, [value for row in data for value in row], domain)
 
     _of = classmethod(_Dense._new.__func__)
-
-    @classmethod
-    def _of_integers(cls, rows: int, cols: int, entries: list[Fraction], form: tuple) -> "Matrix":
-        """Rational value over entries already in the domain, with ``form`` their :func:`_over_lcm`."""
-        m = cls._new(rows, cols, entries, Domain.RATIONAL)
-        m._integers = form
-        return m
 
     @classmethod
     def identity(cls, n: int, domain: Domain = Domain.RATIONAL) -> "Matrix":
@@ -370,13 +378,6 @@ class Matrix(_Dense):
 
     def columns(self) -> tuple[Vector, ...]:
         return tuple(self.column(j) for j in range(self._cols))
-
-    def _integer_form(self) -> tuple[list[int], int]:
-        """:func:`_over_lcm` of the rational entries, kept; shared, so never mutated."""
-        form = getattr(self, "_integers", None)
-        if form is None:
-            form = self._integers = _over_lcm(self._entries)
-        return form
 
     def col_sums(self) -> tuple[Scalar, ...]:
         if self._domain is Domain.RATIONAL:
@@ -639,26 +640,27 @@ def _over_lcm(values: Sequence[Fraction]) -> tuple[list[int], int]:
     return [v.numerator * (d // v.denominator) for v in values], d
 
 
-def _dots(rows: list[Sequence], cols: list[Sequence], domain: Domain) -> list[Scalar]:
-    """Row-major list of the dot product of every row with every column.
+def _integer_step(left: tuple, right: tuple, n: int) -> tuple[list[int], int]:
+    """The product of two values held as (integer numerators, denominator), n the inner dimension.
 
-    Rational rows and columns are each scaled to integers by their own
-    lcm, so an entry costs one integer dot product and one normalization.
-    A float entry that overflows raises :class:`DomainMismatchError`.
+    The product is divided by the gcd of its numerators and denominator:
+    in that lowest form it is :func:`_over_lcm` of its entries, and equal
+    values are equal pairs.
     """
-    if domain is Domain.RATIONAL:
-        scaled_rows = [_over_lcm(r) for r in rows]
-        scaled_cols = [_over_lcm(c) for c in cols]
-        return [
-            Fraction(sum(map(mul, r, c)), dr * dc)
-            for r, dr in scaled_rows
-            for c, dc in scaled_cols
-        ]
-    return _finite([sum(map(mul, r, c)) for r in rows for c in cols], domain)
+    (numerators, d), (factor, scale) = left, right
+    cols = _column_slices(factor, len(factor) // n)
+    product = [sum(map(mul, r, c)) for r in _row_slices(numerators, n) for c in cols]
+    g = gcd(d * scale, *product)
+    return [v // g for v in product], d * scale // g
 
 
 def _product(a: _Dense, b: _Dense, cls):
-    """a times b, built as a value of class cls; TypeError for other operands."""
+    """a times b, built as a value of class cls; TypeError for other operands.
+
+    A rational product is :func:`_integer_step` of the integer forms, and
+    keeps the form it returns.  A float entry that overflows raises
+    :class:`DomainMismatchError`.
+    """
     left = RowVector if cls is RowVector else Matrix
     right = Vector if cls is Vector else Matrix
     if not (isinstance(a, left) and isinstance(b, right)):
@@ -666,18 +668,23 @@ def _product(a: _Dense, b: _Dense, cls):
     _require_same_domain(a._domain, b._domain)
     if a._cols != b._rows:
         raise DimensionError(f"cannot multiply {a._rows}x{a._cols} by {b._rows}x{b._cols}")
-    out = _dots(_row_slices(a._entries, a._cols), _column_slices(b._entries, b._cols), a._domain)
+    if a._domain is Domain.RATIONAL:
+        form = _integer_step(a._integer_form(), b._integer_form(), a._cols)
+        numerators, d = form
+        return cls._of_integers(a._rows, b._cols, [Fraction(v, d) for v in numerators], form)
+    rows, cols = _row_slices(a._entries, a._cols), _column_slices(b._entries, b._cols)
+    out = _finite([sum(map(mul, r, c)) for r in rows for c in cols], a._domain)
     return cls._new(a._rows, b._cols, out, a._domain)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """Standard matrix product; exact in the rational domain.
 
-    Rational entries are integer dot products over the row and column
-    denominators, normalized once, so they are the same exact fractions
-    as a product computed in ``Fraction`` arithmetic.  Float entries are
-    summed left to right, with the same last-bit caveat as
-    :func:`variation`.
+    Rational entries are the integer product of the two integer forms,
+    over the product of their denominators, in lowest terms; the result
+    keeps that form, and its entries are the same exact fractions as a
+    product computed in ``Fraction`` arithmetic.  Float entries are summed
+    left to right, with the same last-bit caveat as :func:`variation`.
     """
     return _product(a, b, Matrix)
 

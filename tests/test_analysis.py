@@ -673,6 +673,8 @@ def _type_one_systems(draw, domain):
 
 class TestSolveSquareMatchesNaiveElimination:
     @given(_type_one_systems(Domain.RATIONAL))
+    # a column gcd need not divide the common denominator: x = 2/3, not 1
+    @example(([[F(1)]], [F(2, 3)]))
     @settings(max_examples=150, deadline=None)
     def test_rational_solution_is_exact(self, system):
         rows, rhs = system
@@ -1139,6 +1141,15 @@ class TestIteratedFloatStationary:
         assert result.stationary == stationary_vector(m)
 
 
+# type 0, forced by the all-zero middle column, over denominators 2 to 35;
+# that column's gcd is 0, which the integer elimination reads as 1
+_ZERO_COLUMN_ROWS = [
+    [F(1, 2), F(0), F(2, 5)],
+    [F(-1, 3), F(0), F(1, 7)],
+    [F(-1, 6), F(0), F(-19, 35)],
+]
+
+
 class TestTypeEigenvalueCertificate:
     def test_worked_example(self):
         assert type_eigenvalue_certificate(EX_M) == 1
@@ -1152,6 +1163,12 @@ class TestTypeEigenvalueCertificate:
     def test_rejects_untyped(self):
         with pytest.raises(NotTypedError):
             type_eigenvalue_certificate(Matrix([[1, 0], [0, 2]]))
+
+    def test_zero_column_and_mixed_denominators(self):
+        m = Matrix(_ZERO_COLUMN_ROWS)
+        assert type_eigenvalue_certificate(m) == 0
+        # type 2/3: the middle column of N - S_0 I is zero
+        assert type_eigenvalue_certificate(m + Matrix.identity(3).scale(F(2, 3))) == F(2, 3)
 
     @given(st.integers(2, 4), st.data())
     @settings(max_examples=60, deadline=None)
@@ -1212,6 +1229,7 @@ def _determinant_matrices(draw):
 
 class TestDeterminant:
     @given(_determinant_matrices())
+    @example(_ZERO_COLUMN_ROWS)
     @settings(max_examples=100, deadline=None)
     def test_rational_matches_naive_elimination(self, rows):
         assert determinant(Matrix(rows)) == _naive_determinant(rows)

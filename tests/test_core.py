@@ -371,6 +371,17 @@ def _assert_same(got, want, domain):
 _domains = st.sampled_from([Domain.RATIONAL, Domain.FLOAT])
 
 
+def _assert_kept_form(value):
+    """A rational product stores its integer form, in lowest terms; a float one stores none."""
+    form = getattr(value, "_integers", None)
+    if value.domain is Domain.FLOAT:
+        assert form is None
+        return
+    numerators, d = form
+    assert form == core._over_lcm(value.entries)
+    assert math.gcd(d, *numerators) == 1
+
+
 class TestKernelsMatchNaiveLoops:
     @given(_domains, st.data())
     @settings(max_examples=150, deadline=None)
@@ -397,6 +408,7 @@ class TestKernelsMatchNaiveLoops:
         rebuilt = Matrix(product.row_lists(), domain=domain)
         assert product == rebuilt
         assert hash(product) == hash(rebuilt)
+        _assert_kept_form(product)
 
     @given(_domains, st.data())
     @settings(max_examples=100, deadline=None)
@@ -433,6 +445,8 @@ class TestKernelsMatchNaiveLoops:
         _assert_same(
             row_mat_mul(z, a), [_ref_dot(z, col, zero) for col in _ref_columns(a)], domain
         )
+        _assert_kept_form(mat_vec(a, x))
+        _assert_kept_form(row_mat_mul(z, a))
 
     def test_errors_still_raised(self):
         rational = Matrix([[F(1, 2), F(1, 3)], [F(1, 2), F(2, 3)]])
