@@ -28,15 +28,15 @@ from .core import (
     Vector,
     _ensure_typed,
     _finite,
-    _integer_step,
     _over_lcm,
     _power_by_squaring,
     _row_slices,
-    _widest_pair,
+    _step,
+    _variation_of,
     ensure_type_one,
     is_zero,
     l1_norm,
-    mat_mul,
+    mat_mul,  # unused here, but perfbench/tracer.py wraps stovar.analysis.mat_mul by name
     mat_pow,
     mat_vec,
     one_of,
@@ -171,8 +171,10 @@ def _variation_scan(
     p_max, or once a pattern equals an earlier one, the scan ends
     inconclusive and forms no product.  Without the walk, k0 is 1.
 
-    A rational M and its powers are read as integer numerators over one
-    denominator (:meth:`Matrix._integer_form`, :func:`_integer_step`).
+    M and its powers are read as forms (:meth:`Matrix._form`): integer
+    numerators over one denominator for a rational M, the entries over 1.0
+    for a float one.  Every power is :func:`core._step` of two forms and
+    every variation after the first :func:`core._variation_of` a form.
     As var(M^k0) < 1 exactly, a rational M^k0 alone is formed, by
     squaring, and p = k0.  A float M^k0 is formed power by power: squaring
     rounds differently, and var(M^k0) may lie within the tolerance of 1.
@@ -196,29 +198,25 @@ def _variation_scan(
     one = one_of(m.domain)
     if strictly_less(first.value, one, m.domain):
         return 1, history, first
-    rational = m.domain is Domain.RATIONAL
-    base = m._integer_form() if rational else m
-    cells = base[0] if rational else m.entries
+    n = m.rows
+    base = m._form()
     k0 = 1
-    if p_max > 1 and min(cells) >= 0:
-        k0 = _power_walk(_column_masks(cells, m.cols), p_max, _masks_overlap)[0]
+    if p_max > 1 and min(base[0]) >= 0:
+        k0 = _power_walk(_column_masks(base[0], n), p_max, _masks_overlap)[0]
         if k0 is None:
             return None, history + [one] * (p_max - 1), first
-        if rational and k0 > 1:
-            numerators, d = _power_by_squaring(
-                base, k0, lambda a, b: _integer_step(a, b, m.rows)
-            )
-            last = Fraction(_widest_pair(numerators, m.rows)[0], 2 * d)
-            return k0, history + [one] * (k0 - 2) + [last], first
+        if m.domain is Domain.RATIONAL and k0 > 1:
+            last = _variation_of(_power_by_squaring(base, k0, lambda a, b: _step(a, b, n)), n)
+            return k0, history + [one] * (k0 - 2) + [last.value], first
     power = base
-    saved: list[tuple[int, object]] = []
+    saved: list[tuple[int, tuple]] = []
     while not strictly_less(history[-1], one, m.domain):
         k = len(history)  # power is M^k
         if k == p_max:
             return None, history, first
-        if k >= k0 and (k <= m.rows or not k & (k - 1)):
+        if k >= k0 and (k <= n or not k & (k - 1)):
             saved.append((k, power))
-        power = _integer_step(power, base, m.rows) if rational else mat_mul(power, m)
+        power = _step(power, base, n)
         # Value equality lets only signed zeros differ, and a signed zero
         # changes neither a sum that starts at 0 nor an abs, so equal
         # powers have equal products and variations.  A nan never matches.
@@ -229,12 +227,7 @@ def _variation_scan(
             while len(history) < p_max:
                 history.append(history[-period])
             return None, history, first
-        if k + 1 < k0:
-            history.append(one)
-        elif rational:
-            history.append(Fraction(_widest_pair(power[0], m.rows)[0], 2 * power[1]))
-        else:
-            history.append(variation(power).value)
+        history.append(one if k + 1 < k0 else _variation_of(power, n).value)
     return len(history), history, first
 
 
@@ -407,13 +400,12 @@ def _solved_stationary(m: Matrix) -> Vector:
     right-hand side D e_n, and goes through :func:`_integer_solve`.
     """
     n = m.rows
-    rational = m.domain is Domain.RATIONAL
-    cells, d = m._integer_form() if rational else (m.entries, 1.0)
+    cells, d = m._form()
     rows = [list(row) for row in _row_slices(cells, n)]
     for i in range(n - 1):
         rows[i][i] -= d
     rows[-1] = [d] * n
-    if rational:
+    if m.domain is Domain.RATIONAL:
         aug = [row + [0] for row in rows]
         aug[-1][-1] = d
         solution = _integer_solve(*_over_column_gcds(aug))
@@ -435,16 +427,14 @@ def _solved_stationary(m: Matrix) -> Vector:
 def _fixed_vector(m: Matrix, values: list[Scalar]) -> Optional[Vector]:
     """The values as a vector E when M E = E and its entry sum is one, else None.
 
-    Rationals are checked in integers: for M = N / D, its integer form,
-    and E = X / dx, :func:`_over_lcm` of E, N X = D X and sum(X) = dx.
+    Rationals are checked in integers: for E = X / dx, :func:`_over_lcm`
+    of E, sum(X) = dx and :func:`core._step` of M's form and E's is E's.
     """
     domain = m.domain
     candidate = Vector._of(_finite(values, domain), domain)
     if domain is Domain.RATIONAL:
-        (numerators, d), (x, dx) = m._integer_form(), _over_lcm(values)
-        fixed = sum(x) == dx and all(
-            sum(map(mul, row, x)) == d * v for row, v in zip(_row_slices(numerators, m.cols), x)
-        )
+        form = _over_lcm(values)
+        fixed = sum(form[0]) == form[1] and _step(m._form(), form, m.cols) == form
     else:
         fixed = all(
             scalars_equal(u, v, domain) for u, v in zip(mat_vec(m, candidate), candidate)
@@ -589,10 +579,11 @@ def analyze(
     of forming more products; the report is the same.  Exact powers stop
     at their first repeat, a float rounding cycle at a power-of-two
     checkpoint inside it, and at most n + log2(p_max) powers are kept,
-    whatever p_max is.  A rational M, and each rational power, is read as
-    integer numerators over one denominator, in lowest terms for a
-    power; a float power is a matrix.  The type check and the fixed-point
-    check of a rational E read the same integers.
+    whatever p_max is.  M and each power are read as one form in either
+    domain: a rational one as integer numerators over one denominator, in
+    lowest terms for a power, a float one as its entries over 1.0.  The
+    type check and the fixed-point check of a rational E read the same
+    integers.
 
     E comes from the solve of :func:`stationary_vector`, except for a
     float Markov matrix (no negative entry) with var(M) < 1.  There E
@@ -629,7 +620,7 @@ def determinant(m: Matrix) -> Scalar:
     _require_square(m)
     n = m.rows
     if m.domain is Domain.RATIONAL:
-        numerators, d = m._integer_form()
+        numerators, d = m._form()
         gcds, work = _over_column_gcds(_row_slices(numerators, n))
         sign, rank = _bareiss_eliminate(work, n)
         return Fraction(sign * work[-1][-1] * prod(gcds) if rank == n else 0, d**n)
@@ -663,7 +654,7 @@ def type_eigenvalue_certificate(m: Matrix) -> Scalar:
     c = _ensure_typed(m).type_value
     if m.domain is Domain.FLOAT:
         return c
-    numerators = m._integer_form()[0]
+    numerators = m._form()[0]
     s0 = sum(numerators[:: m.cols])
     shifted = _row_slices(numerators, m.rows)
     for i in range(m.rows):

@@ -158,12 +158,15 @@ class _Dense:
     :class:`RowVector` (1-by-n).  A value equals only a value of its own
     class, and arithmetic needs a peer of the same class, domain and shape.
 
-    A rational value keeps its integer form (:meth:`_integer_form`) in the
-    slot ``_integers``, left out of equality, hashing and repr.  The CLI
-    reader (:meth:`_of_integers`) and the rational product set it as they
-    build a value; otherwise it is computed on first use.  Two threads
-    that both find it missing store equal forms, so the race repeats work
-    and changes no result.
+    Every value has one form (:meth:`_form`), the pair (cells, scale) that
+    :func:`_step` multiplies and :func:`_variation_of` measures.  A
+    rational value keeps its integer form in the slot ``_integers``, left
+    out of equality, hashing and repr.  The CLI reader
+    (:meth:`_of_integers`) and the rational product set it as they build a
+    value; otherwise it is computed on first use.  Two threads that both
+    find it missing store equal forms, so the race repeats work and
+    changes no result.  A float value's form is its entries over 1.0,
+    stored nowhere.
     """
 
     __slots__ = ("_rows", "_cols", "_entries", "_domain", "_integers")
@@ -188,8 +191,10 @@ class _Dense:
         v._integers = form
         return v
 
-    def _integer_form(self) -> tuple[list[int], int]:
-        """:func:`_over_lcm` of the rational entries, kept; shared, so never mutated."""
+    def _form(self) -> tuple:
+        """(entries, 1.0) for floats; for rationals the kept :func:`_over_lcm`, never mutated."""
+        if self._domain is Domain.FLOAT:
+            return self._entries, 1.0
         form = getattr(self, "_integers", None)
         if form is None:
             form = self._integers = _over_lcm(self._entries)
@@ -380,11 +385,8 @@ class Matrix(_Dense):
         return tuple(self.column(j) for j in range(self._cols))
 
     def col_sums(self) -> tuple[Scalar, ...]:
-        if self._domain is Domain.RATIONAL:
-            entries, d = self._integer_form()
-            return tuple(Fraction(sum(c), d) for c in _column_slices(entries, self._cols))
-        cols = _column_slices(self._entries, self._cols)
-        return tuple(_finite(list(map(sum, cols)), self._domain))
+        cells, d = self._form()
+        return tuple(_over(sum(c), d) for c in _column_slices(cells, self._cols))
 
     def row_lists(self) -> list[list[Scalar]]:
         """Mutable row-major copy, for elimination-style algorithms."""
@@ -456,23 +458,32 @@ def l1_norm(x: Union[Vector, RowVector]) -> Scalar:
 def variation(a: Matrix) -> VariationReport:
     """Column variation: half the maximum l1 distance between two columns.
 
-    Rational matrices are read as their integer form, numerators over the
-    lcm d of all their denominators; the integer distances are compared
-    and the result is the same exact fraction, ``best / (2 d)``.  Float
-    distances are summed row by row, left to right (CPython 3.12+ sums
-    floats with compensation, so the last bits may differ across
-    interpreters); a float distance that overflows raises
-    :class:`DomainMismatchError`.  From 16 integer or 32 float columns on,
-    a popcount bound skips the pairs that cannot be the widest
-    (:func:`_widest_pair`); it changes neither the value nor the pair, to
-    the last bit.
+    :func:`_variation_of` reads the matrix's form.  Rational matrices are
+    read as their integer form, numerators over the lcm d of all their
+    denominators; the integer distances are compared and the result is
+    the same exact fraction, ``best / (2 d)``.  Float distances are summed
+    row by row, left to right (CPython 3.12+ sums floats with
+    compensation, so the last bits may differ across interpreters); a
+    float distance that overflows raises :class:`DomainMismatchError`.
+    From 16 integer or 32 float columns on, a popcount bound skips the
+    pairs that cannot be the widest (:func:`_widest_pair`); it changes
+    neither the value nor the pair, to the last bit.
     """
-    if a.domain is Domain.RATIONAL:
-        entries, d = a._integer_form()
-        best, pair = _widest_pair(entries, a.cols)
-        return VariationReport(Fraction(best, 2 * d), *pair)
-    best, pair = _widest_pair(a.entries, a.cols)
-    return VariationReport(_finite([best / 2], a.domain)[0], *pair)
+    return _variation_of(a._form(), a.cols)
+
+
+def _over(x, d):
+    """x / d: a float checked to be finite over a float d, a Fraction over an int d."""
+    if isinstance(d, float):
+        return _finite([x / d], Domain.FLOAT)[0]
+    return Fraction(x, d)
+
+
+def _variation_of(form: tuple, n: int) -> VariationReport:
+    """:func:`variation` of the value whose form (cells, scale) has n columns."""
+    cells, d = form
+    best, pair = _widest_pair(cells, n)
+    return VariationReport(_over(best, 2 * d), *pair)
 
 
 def _widest_pair(entries: Sequence, n: int) -> tuple:
@@ -580,27 +591,20 @@ def row_variation(z: RowVector) -> Scalar:
 def type_of(a: Matrix) -> TypeReport:
     """Detect a constant column sum.
 
-    Rational matrices are typed only when the integer form's column sums
-    S_j are all equal; the type is S_0 / D and the deviation
-    max |S_j - S_0| / D, with no Fraction formed per column.  Float
-    matrices compare sums within the current tolerance.
+    The column sums S_j of the matrix's form are compared with S_0:
+    exactly for a rational matrix, where the form is integer and no
+    Fraction is formed per column, and within the current tolerance for a
+    float one.  The type is S_0 over the form's scale and the deviation
+    max |S_j - S_0| over it; a float deviation past the float range
+    reads inf.
     """
-    if a.domain is Domain.RATIONAL:
-        entries, d = a._integer_form()
-        sums = list(map(sum, _column_slices(entries, a.cols)))
-        dev = max(abs(s - sums[0]) for s in sums)
-        return TypeReport(not dev, Fraction(sums[0], d), Fraction(dev, d))
-    sums = a.col_sums()
-    reference = sums[0]
-    max_dev = zero_of(a.domain)
-    typed = True
-    for s in sums[1:]:
-        dev = abs(s - reference)
-        if dev > max_dev:
-            max_dev = dev
-        if not scalars_equal(s, reference, a.domain):
-            typed = False
-    return TypeReport(has_type=typed, type_value=reference, max_deviation=max_dev)
+    cells, d = a._form()
+    sums = _finite(list(map(sum, _column_slices(cells, a.cols))), a.domain)
+    dev = max(abs(s - sums[0]) for s in sums)
+    typed = all(scalars_equal(s, sums[0], a.domain) for s in sums)
+    if a.domain is Domain.FLOAT:
+        return TypeReport(typed, sums[0], dev)
+    return TypeReport(typed, Fraction(sums[0], d), Fraction(dev, d))
 
 
 def _ensure_typed(a: Matrix) -> TypeReport:
@@ -640,16 +644,20 @@ def _over_lcm(values: Sequence[Fraction]) -> tuple[list[int], int]:
     return [v.numerator * (d // v.denominator) for v in values], d
 
 
-def _integer_step(left: tuple, right: tuple, n: int) -> tuple[list[int], int]:
-    """The product of two values held as (integer numerators, denominator), n the inner dimension.
+def _step(left: tuple, right: tuple, n: int) -> tuple:
+    """The product of two forms (cells, scale), n the inner dimension.
 
-    The product is divided by the gcd of its numerators and denominator:
-    in that lowest form it is :func:`_over_lcm` of its entries, and equal
-    values are equal pairs.
+    Integer cells are divided by the gcd of the product's numerators and
+    denominator: in that lowest form the product is :func:`_over_lcm` of
+    its entries, and equal values are equal forms.  Float cells must be
+    finite, or :class:`DomainMismatchError` is raised, and come back as a
+    tuple over 1.0, the sequence type of a float value's own form.
     """
-    (numerators, d), (factor, scale) = left, right
+    (cells, d), (factor, scale) = left, right
     cols = _column_slices(factor, len(factor) // n)
-    product = [sum(map(mul, r, c)) for r in _row_slices(numerators, n) for c in cols]
+    product = [sum(map(mul, r, c)) for r in _row_slices(cells, n) for c in cols]
+    if isinstance(d, float):
+        return tuple(_finite(product, Domain.FLOAT)), 1.0
     g = gcd(d * scale, *product)
     return [v // g for v in product], d * scale // g
 
@@ -657,9 +665,8 @@ def _integer_step(left: tuple, right: tuple, n: int) -> tuple[list[int], int]:
 def _product(a: _Dense, b: _Dense, cls):
     """a times b, built as a value of class cls; TypeError for other operands.
 
-    A rational product is :func:`_integer_step` of the integer forms, and
-    keeps the form it returns.  A float entry that overflows raises
-    :class:`DomainMismatchError`.
+    The product is :func:`_step` of the two forms, and a rational product
+    keeps the form it returns.
     """
     left = RowVector if cls is RowVector else Matrix
     right = Vector if cls is Vector else Matrix
@@ -668,23 +675,23 @@ def _product(a: _Dense, b: _Dense, cls):
     _require_same_domain(a._domain, b._domain)
     if a._cols != b._rows:
         raise DimensionError(f"cannot multiply {a._rows}x{a._cols} by {b._rows}x{b._cols}")
-    if a._domain is Domain.RATIONAL:
-        form = _integer_step(a._integer_form(), b._integer_form(), a._cols)
-        numerators, d = form
-        return cls._of_integers(a._rows, b._cols, [Fraction(v, d) for v in numerators], form)
-    rows, cols = _row_slices(a._entries, a._cols), _column_slices(b._entries, b._cols)
-    out = _finite([sum(map(mul, r, c)) for r in rows for c in cols], a._domain)
-    return cls._new(a._rows, b._cols, out, a._domain)
+    form = _step(a._form(), b._form(), a._cols)
+    cells, d = form
+    if a._domain is Domain.FLOAT:
+        return cls._new(a._rows, b._cols, cells, a._domain)
+    return cls._of_integers(a._rows, b._cols, [Fraction(v, d) for v in cells], form)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """Standard matrix product; exact in the rational domain.
 
-    Rational entries are the integer product of the two integer forms,
-    over the product of their denominators, in lowest terms; the result
-    keeps that form, and its entries are the same exact fractions as a
-    product computed in ``Fraction`` arithmetic.  Float entries are summed
-    left to right, with the same last-bit caveat as :func:`variation`.
+    :func:`_step` multiplies the two forms.  Rational entries are the
+    integer product of the two integer forms, over the product of their
+    denominators, in lowest terms; the result keeps that form, and its
+    entries are the same exact fractions as a product computed in
+    ``Fraction`` arithmetic.  Float entries are summed left to right, with
+    the same last-bit caveat as :func:`variation`; one that overflows
+    raises :class:`DomainMismatchError`.
     """
     return _product(a, b, Matrix)
 

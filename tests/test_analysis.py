@@ -256,7 +256,7 @@ class TestVariationScanMatchesNaiveScan:
 
     def test_lazy_path_squares_its_way_to_the_first_overlapping_power(self, monkeypatch):
         # k0 = 30: M^2, M^4, M^8, M^16 and three more products, not 29
-        calls = self._count_calls(monkeypatch, {"_integer_step": "step"})
+        calls = self._count_calls(monkeypatch, {"_step": "step"})
         m = _lazy_path(60)
         p, history, first = _variation_scan(m, 64)
         assert calls["step"] <= 2 * log2(30)
@@ -264,13 +264,13 @@ class TestVariationScanMatchesNaiveScan:
         assert history[1:29] == [1] * 28 and history[-1] < 1
         assert history[-1] == variation(mat_pow(m, 30)).value
 
-    # a rational power is formed by the integer step and measured by the
-    # column-distance loop alone; a float one by mat_mul and variation
+    # every power is formed by the step and measured by _variation_of, in
+    # either domain; M itself is measured by variation
     _COUNTED = {
         "mat_mul": "mat_mul",
-        "_integer_step": "mat_mul",
+        "_step": "mat_mul",
         "variation": "variation",
-        "_widest_pair": "variation",
+        "_variation_of": "variation",
     }
 
     @staticmethod
@@ -299,7 +299,7 @@ class TestVariationScanMatchesNaiveScan:
     def test_rational_powers_are_integer_numerators_in_lowest_terms(self, m, p_max):
         # each step multiplies two powers, M^a M^b = M^(a+b); a factor that
         # no step returned is M itself (states keeps every result alive)
-        step = analysis._integer_step
+        step = analysis._step
         exponents = {}
         states = []
 
@@ -310,7 +310,7 @@ class TestVariationScanMatchesNaiveScan:
             states.append((k, state))
             return state
 
-        with mock.patch.object(analysis, "_integer_step", recording):
+        with mock.patch.object(analysis, "_step", recording):
             _variation_scan(m, p_max)
         powers = _naive_powers(m, max((k for k, _ in states), default=1))
         for k, (numerators, d) in states:
@@ -318,17 +318,15 @@ class TestVariationScanMatchesNaiveScan:
             assert gcd(d, *numerators) == 1
 
     @pytest.mark.parametrize("domain", [Domain.RATIONAL, Domain.FLOAT], ids=lambda d: d.value)
-    def test_only_float_powers_are_formed_by_mat_mul(self, monkeypatch, domain):
-        # M^2 .. M^13 = M^3 are formed, as integer pairs or as float matrices
+    def test_every_power_is_formed_by_the_step(self, monkeypatch, domain):
+        # M^2 .. M^13 = M^3 are formed as forms, integer or float, never as matrices
         m = Matrix(_signed_twin(support.TAIL_CYCLE_ROWS, 0).row_lists(), domain=domain)
-        calls = self._count_calls(monkeypatch, {"mat_mul": "mat_mul", "_integer_step": "step"})
+        calls = self._count_calls(monkeypatch, {"mat_mul": "mat_mul", "_step": "step"})
         _variation_scan(m, 2000)
-        if domain is Domain.RATIONAL:
-            assert calls == {"mat_mul": 0, "step": 12}
-        else:
-            assert calls == {"mat_mul": 12, "step": 0}
+        assert calls == {"mat_mul": 0, "step": 12}
 
-    def test_permutation_cycle_forms_one_product_per_step(self, monkeypatch):
+    @pytest.mark.parametrize("domain", [Domain.RATIONAL, Domain.FLOAT], ids=lambda d: d.value)
+    def test_permutation_cycle_forms_one_product_per_step(self, monkeypatch, domain):
         n = 24
         rows = [[F(int(i == (j + 1) % n)) for j in range(n)] for i in range(n)]
         calls = self._count_calls(monkeypatch)
@@ -337,9 +335,12 @@ class TestVariationScanMatchesNaiveScan:
         assert calls == {"mat_mul": 0, "variation": 1}
         assert (p, len(history), first.value) == (None, 100000, 1)
         assert all(v == 1 for v in history)
-        # the signed twin has the same variations; M^25 = M ends the numeric scan
+        # the signed twin has the same variations; M^25 = M ends the numeric
+        # scan in either domain (its entries 0, 1 and ±1/4 are exact floats),
+        # which needs M's own form and a computed power to compare equal
         calls.update(mat_mul=0, variation=0)
-        p, history, first = _variation_scan(_signed_twin(rows, 0), 100000)
+        twin = Matrix(_signed_twin(rows, 0).row_lists(), domain=domain)
+        p, history, first = _variation_scan(twin, 100000)
         assert p is None
         assert calls == {"mat_mul": 24, "variation": 24}
         assert len(history) == 100000

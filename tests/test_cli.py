@@ -503,12 +503,28 @@ CONSOLE_FILES = {
             for i in range(9)
         ]
     ),
+    # the same path in float tokens, so the float scan forms M^2, M^3 and M^4
+    "lazy-path-float.csv": _csv(
+        [
+            [
+                {0: "0.75" if i in (0, 8) else "0.5", 1: "0.25"}.get(abs(i - j), "0")
+                for j in range(9)
+            ]
+            for i in range(9)
+        ]
+    ),
     # saved with a UTF-8 byte-order mark, as some spreadsheet programs do
     "bom.csv": "\ufeff" + EX_M_CSV,
     **WIDE_COLUMNS,
 }
 # the contraction power of each analyze --json report
-CONSOLE_POWERS = {"worked.csv": 2, "lazy-path.csv": 4, "dense-float.csv": 1}
+CONSOLE_POWERS = {
+    "worked.csv": 2,
+    "worked-float.csv": 2,
+    "lazy-path.csv": 4,
+    "lazy-path-float.csv": 4,
+    "dense-float.csv": 1,
+}
 CONSOLE_COMMANDS = [
     (["analyze", "worked.csv"], 0),
     (["analyze", "--json", "worked.csv"], 0),
@@ -524,6 +540,8 @@ CONSOLE_COMMANDS = [
     (["analyze", "--pmax", "100000", "tail-cycle-twin.csv"], 3),
     (["analyze", "--pmax", "100000", "tail-cycle-twin-rational.csv"], 3),
     (["analyze", "--json", "lazy-path.csv"], 0),
+    (["analyze", "--json", "lazy-path-float.csv"], 0),
+    (["analyze", "--json", "worked-float.csv"], 0),
     (["pattern", "--kmax", "100000", "tail-cycle-pattern.csv"], 0),
     (["variation", "--json", "markov-64.csv"], 0),
     (["variation", "--json", "tied-48.csv"], 0),

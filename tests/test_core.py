@@ -755,15 +755,15 @@ class TestValueContract:
     def test_integer_form_cache_is_not_part_of_the_value(self):
         rows = [[F(1, 2), F(-1, 3)], [F(1, 2), F(4, 3)]]
         filled, empty = Matrix(rows), Matrix(rows)
-        assert filled._integer_form() == ([3, -2, 3, 8], 6)
+        assert filled._form() == ([3, -2, 3, 8], 6)
         for twin in (copy.copy(filled), pickle.loads(pickle.dumps(filled))):
             assert twin == filled == empty and empty == twin
             assert hash(twin) == hash(filled) == hash(empty)
             assert repr(twin) == repr(filled) == repr(empty)
-            assert twin._integer_form() == filled._integer_form()
+            assert twin._form() == filled._form()
         assert getattr(empty, "_integers", None) is None
         assert {filled, empty} == {empty}
-        assert empty._integer_form() == filled._integer_form()
+        assert empty._form() == filled._form()
 
     @pytest.mark.parametrize(
         "cls, shape", [(Matrix, (3, 1)), (Vector, (3, 1)), (RowVector, (1, 3))]

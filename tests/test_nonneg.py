@@ -95,6 +95,15 @@ class TestSignPattern:
         assert SignPattern([[0], [0]]) != SignPattern([[0]])
         assert len({SignPattern([[0], [0]]), SignPattern([[0]])}) == 2
 
+    def test_repr_lists_the_row_strings(self):
+        assert repr(M_PATTERN) == "SignPattern(['0+0', '00+', '++0'])"
+
+    def test_a_non_pattern_is_never_equal(self):
+        # __eq__ returns NotImplemented, so Python falls back to identity
+        assert M_PATTERN.__eq__(M_PATTERN.row_strings()) is NotImplemented
+        assert M_PATTERN != M_PATTERN.row_strings()
+        assert not M_PATTERN == Matrix([[0, 1, 0], [0, 0, 1], [1, 1, 0]])
+
     @given(_cells(), _cells())
     @example([[0, 0, 0, 0, 0, 0, 0]], [[0]] * 7)
     @example([[1]] * 7, [[1, 1, 1, 1, 1, 1, 1]])
