@@ -248,30 +248,17 @@ def find_contraction_power(
     return p, history[-1]
 
 
-def _guard_band(rows: list[list[float]]) -> float:
-    """Float pivots no larger than this count as zero."""
-    return tolerance() * max(1.0, max(abs(v) for row in rows for v in row))
+def _float_solve(rows: list[list[float]], rhs: list[float]) -> Optional[list[float]]:
+    """Solve the square float system ``rows · x = rhs``; None when singular.
 
-
-def _solve_square(
-    rows: list[list[Scalar]], rhs: list[Scalar], domain: Domain
-) -> Optional[list[Scalar]]:
-    """Solve ``rows · x = rhs`` for a square system; None when singular.
-
-    Rational systems are solved exactly in integers: the augmented
-    matrix's integer form, each column, right-hand side included, divided
-    by its gcd, goes through :func:`_integer_solve`.
-
-    Float systems go through :func:`_float_eliminate` and are singular
-    when some column has no candidate above the guard band
+    The system goes through :func:`_float_eliminate` and is singular when
+    some column has no candidate above the guard band
     tolerance * max(1, largest input entry).
     """
     n = len(rows)
-    if domain is Domain.RATIONAL:
-        numerators = _over_lcm([v for row, b in zip(rows, rhs) for v in row + [b]])[0]
-        return _integer_solve(*_over_column_gcds(_row_slices(numerators, n + 1)))
+    limit = tolerance() * max(1.0, max(abs(v) for row in rows for v in row))
     aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    if _float_eliminate(aug, n, _guard_band(rows))[1] < n:
+    if _float_eliminate(aug, n, limit)[1] < n:
         return None
     solution = [0.0] * n
     for i in range(n - 1, -1, -1):
@@ -410,7 +397,7 @@ def _solved_stationary(m: Matrix) -> Vector:
         aug[-1][-1] = d
         solution = _integer_solve(*_over_column_gcds(aug))
     else:
-        solution = _solve_square(rows, [0.0] * (n - 1) + [1.0], Domain.FLOAT)
+        solution = _float_solve(rows, [0.0] * (n - 1) + [1.0])
     if solution is None:
         raise NonUniqueFixedVectorError(
             "no unique fixed vector with entry sum one "
@@ -631,13 +618,6 @@ def determinant(m: Matrix) -> Scalar:
     return _finite([prod((row[i] for i, row in enumerate(work)), start=float(sign))], m.domain)[0]
 
 
-def _rank(rows: list[list]) -> int:
-    """Exact row rank of int or Fraction rows: the Bareiss pivot count of their integer form."""
-    width = len(rows[0])
-    numerators = _over_lcm([v for row in rows for v in row])[0]
-    return _bareiss_eliminate(_over_column_gcds(_row_slices(numerators, width))[1], width)[1]
-
-
 def type_eigenvalue_certificate(m: Matrix) -> Scalar:
     """Return the column-sum type c after certifying that M - cI is singular.
 
@@ -659,7 +639,7 @@ def type_eigenvalue_certificate(m: Matrix) -> Scalar:
     shifted = _row_slices(numerators, m.rows)
     for i in range(m.rows):
         shifted[i][i] -= s0
-    if _rank(shifted) >= m.rows:
+    if _bareiss_eliminate(_over_column_gcds(shifted)[1], m.rows)[1] >= m.rows:
         raise RuntimeError(
             "internal certificate failure: M - cI reports full rank for a typed matrix"
         )

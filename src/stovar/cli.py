@@ -173,11 +173,6 @@ def _fractions(tokens: list[Union[int, str]]) -> list[Fraction]:
     return _spread(tokens, *_distinct_fractions(tokens))
 
 
-def _fraction_file_token(value: Fraction) -> str:
-    # always p/q so an all-integer matrix reparses in the rational domain
-    return f"{value.numerator}/{value.denominator}"
-
-
 def _detect_format(path: str, fmt: Optional[str]) -> str:
     if fmt is not None:
         return fmt
@@ -281,18 +276,6 @@ def parse_matrix(path: str, fmt: Optional[str] = None) -> Matrix:
     if _detect_format(path, fmt) == "json":
         return _parse_json_matrix(text)
     return _parse_csv_matrix(text)
-
-
-def serialize_matrix(m: Matrix, fmt: str = "csv") -> str:
-    """Render a matrix so that parsing the result reproduces it exactly."""
-    rows = m.row_lists()
-    if m.domain is Domain.RATIONAL:
-        rows = [list(map(_fraction_file_token, row)) for row in rows]
-    if fmt == "json":
-        return json.dumps({"rows": m.rows, "cols": m.cols, "data": rows})
-    if fmt != "csv":
-        raise ValueError(f"unknown format {fmt!r}")
-    return "".join(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def parse_pattern(path: str) -> SignPattern:

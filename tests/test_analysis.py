@@ -3,7 +3,7 @@
 import random
 import threading
 from fractions import Fraction
-from math import fsum, gcd, inf, log2
+from math import fsum, gcd, inf, lcm, log2
 from unittest import mock
 
 import pytest
@@ -46,7 +46,7 @@ from stovar import (
     vsum,
 )
 from stovar import analysis, cli, core, nonneg
-from stovar.analysis import _solve_square, _variation_scan
+from stovar.analysis import _float_solve, _variation_scan
 from stovar.core import scalars_close, scalars_equal, strictly_less, tolerance
 
 F = Fraction
@@ -536,15 +536,23 @@ class TestStationaryVector:
         with pytest.raises(NonUniqueFixedVectorError):
             stationary_vector(Matrix.identity(30))
 
+    def test_solution_outside_the_tolerance_fails_the_fixed_point_check(self):
+        # exact column sums 1 + 2**-55 and 1 - 2**-54: the float type check
+        # passes, but at this tolerance the solved E is not fixed by M
+        set_tolerance(1e-300)
+        with pytest.raises(NonUniqueFixedVectorError) as info:
+            analyze(Matrix([[0.1, 0.3], [0.9, 0.7]]))
+        assert str(info.value) == "solved system's result is not a fixed vector of the matrix"
+
 
 def _row_list_solve(m):
-    """E from ``_solve_square`` on the ``Fraction`` rows of M - I with the last row all ones."""
+    """E from ``_naive_solve`` on the ``Fraction`` rows of M - I with the last row all ones."""
     n = m.rows
     rows = m.row_lists()
     for i in range(n - 1):
         rows[i][i] -= 1
     rows[-1] = [F(1)] * n
-    return _solve_square(rows, [F(0)] * (n - 1) + [F(1)], Domain.RATIONAL)
+    return _naive_solve(rows, [F(0)] * (n - 1) + [F(1)], Domain.RATIONAL)
 
 
 _NO_UNIQUE_E = (
@@ -553,7 +561,7 @@ _NO_UNIQUE_E = (
 
 
 class TestIntegerFormSolve:
-    """The rational E solved from the integer form against the solve of its Fraction rows."""
+    """The rational E solved from the integer form against naive elimination of its Fraction rows."""
 
     def _check(self, m):
         want = _row_list_solve(m)
@@ -630,6 +638,18 @@ def _naive_solve(rows, rhs, domain):
     return solution
 
 
+def _integer_rows(rows):
+    """Fraction rows times the lcm of their denominators, as int rows."""
+    d = lcm(*(v.denominator for row in rows for v in row))
+    return [[int(v * d) for v in row] for row in rows]
+
+
+def _rational_solve(rows, rhs):
+    """``_integer_solve`` on the integer form of the augmented system, each column over its gcd."""
+    aug = _integer_rows([list(row) + [b] for row, b in zip(rows, rhs)])
+    return analysis._integer_solve(*analysis._over_column_gcds(aug))
+
+
 _SYSTEM_ENTRIES = {
     Domain.RATIONAL: st.one_of(
         st.sampled_from([F(0), F(1)]),
@@ -679,14 +699,14 @@ class TestSolveSquareMatchesNaiveElimination:
     @settings(max_examples=150, deadline=None)
     def test_rational_solution_is_exact(self, system):
         rows, rhs = system
-        got = _solve_square([list(r) for r in rows], list(rhs), Domain.RATIONAL)
+        got = _rational_solve(rows, rhs)
         assert got == _naive_solve(rows, rhs, Domain.RATIONAL)
 
     @given(_type_one_systems(Domain.FLOAT))
     @settings(max_examples=150, deadline=None)
     def test_float_solution_is_bit_identical(self, system):
         rows, rhs = system
-        got = _solve_square([list(r) for r in rows], list(rhs), Domain.FLOAT)
+        got = _float_solve([list(r) for r in rows], list(rhs))
         want = _naive_solve(rows, rhs, Domain.FLOAT)
         if want is None:
             assert got is None
@@ -695,9 +715,9 @@ class TestSolveSquareMatchesNaiveElimination:
 
     def test_row_swap_and_singular_systems(self):
         rows = [[F(0), F(1, 3)], [F(2, 7), F(-1)]]
-        assert _solve_square(rows, [F(1), F(2)], Domain.RATIONAL) == [F(35, 2), F(3)]
+        assert _rational_solve(rows, [F(1), F(2)]) == [F(35, 2), F(3)]
         singular = [[F(1, 2), F(1, 3)], [F(3, 2), F(1)]]
-        assert _solve_square(singular, [F(1), F(0)], Domain.RATIONAL) is None
+        assert _rational_solve(singular, [F(1), F(0)]) is None
 
 
 class TestLimitProjection:
@@ -1121,6 +1141,13 @@ class TestIteratedFloatStationary:
         assert analysis._iterated_stationary(m, 0.0) == Vector([1.0])
         assert analyze(m).stationary == Vector([1.0])
 
+    def test_one_by_one_gives_up_after_its_one_product(self):
+        # for n >= 2 the extrapolation check gives up at k = n at the latest,
+        # so only n = 1 leaves the loop: its one step, 1e-12, misses the target
+        m = Matrix([[1 + 1e-12]])
+        assert analysis._iterated_stationary(m, 0.0) is None
+        assert analyze(m).stationary == Vector([1.0])
+
     def test_rank_one_matrix(self):
         e = (0.2, 0.3, 0.5)
         m = Matrix([[v] * 3 for v in e], domain=Domain.FLOAT)
@@ -1288,6 +1315,11 @@ def _reference_rank(rows):
     return rank
 
 
+def _bareiss_rank(rows):
+    """Exact row rank of Fraction rows: the ``_bareiss_eliminate`` pivot count of their int rows."""
+    return analysis._bareiss_eliminate(_integer_rows(rows), len(rows[0]))[1]
+
+
 def _reference_float_determinant(rows):
     """Float determinant by partial pivoting, multiplying in each pivot as found."""
     work = [list(row) for row in rows]
@@ -1376,12 +1408,12 @@ class TestEchelonKernels:
     @settings(max_examples=300, deadline=None)
     def test_rank_matches_reference_elimination(self, rows):
         snapshot = [list(row) for row in rows]
-        assert analysis._rank(rows) == _reference_rank(snapshot)
+        assert _bareiss_rank(rows) == _reference_rank(snapshot)
         assert rows == snapshot
 
     def test_rank_skips_columns_without_a_pivot(self):
         rows = [[F(0), F(1), F(2)], [F(0), F(2), F(4)], [F(0), F(0), F(3)]]
-        assert analysis._rank(rows) == 2
+        assert _bareiss_rank(rows) == 2
 
     @given(_echelon_matrices(Domain.FLOAT, square=True))
     @settings(max_examples=200, deadline=None)

@@ -35,7 +35,6 @@ from stovar.cli import (
     main,
     parse_matrix,
     parse_pattern,
-    serialize_matrix,
 )
 
 F = Fraction
@@ -142,44 +141,36 @@ class TestParseMatrix:
 class TestRoundTrip:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_rational_round_trip(self, tmp_path, fmt):
-        path = write(tmp_path, f"m.{fmt}", serialize_matrix(EX_M, fmt))
+        path = write(tmp_path, f"m.{fmt}", _serialize_by_entry(EX_M, fmt))
         once = parse_matrix(path)
         assert once == EX_M
-        again = serialize_matrix(once, fmt)
-        assert again == serialize_matrix(EX_M, fmt)
+        again = _serialize_by_entry(once, fmt)
+        assert again == _serialize_by_entry(EX_M, fmt)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_float_round_trip(self, tmp_path, fmt):
         m = Matrix([[0.1, 2.0], [3.25, -1e-3]], domain=Domain.FLOAT)
-        path = write(tmp_path, f"m.{fmt}", serialize_matrix(m, fmt))
+        path = write(tmp_path, f"m.{fmt}", _serialize_by_entry(m, fmt))
         once = parse_matrix(path)
         assert once == m
-        path2 = write(tmp_path, f"m2.{fmt}", serialize_matrix(once, fmt))
+        path2 = write(tmp_path, f"m2.{fmt}", _serialize_by_entry(once, fmt))
         assert parse_matrix(path2) == m
 
     def test_all_integer_rational_matrix_keeps_domain(self, tmp_path):
         m = Matrix([[1, 0], [0, 1]])
-        path = write(tmp_path, "m.csv", serialize_matrix(m, "csv"))
+        path = write(tmp_path, "m.csv", _serialize_by_entry(m, "csv"))
         assert parse_matrix(path) == m
 
-    @given(st.sampled_from(["csv", "json"]), st.data())
-    @settings(max_examples=150, deadline=None)
-    def test_serializer_output_is_unchanged(self, fmt, data):
-        rational = data.draw(st.booleans())
-        scalars = (
-            st.fractions(min_value=-10, max_value=10, max_denominator=10**6)
-            if rational
-            else st.floats(allow_nan=False, allow_infinity=False)
-        )
-        m, n = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
-        rows = [data.draw(st.lists(scalars, min_size=n, max_size=n)) for _ in range(m)]
-        matrix = Matrix(rows, domain=Domain.RATIONAL if rational else Domain.FLOAT)
-        assert serialize_matrix(matrix, fmt) == _serialize_by_entry(matrix, fmt)
 
+def _serialize_by_entry(m, fmt="csv"):
+    """Matrix file text that parses back to m, written entry by entry through Matrix.entry.
 
-def _serialize_by_entry(m, fmt):
-    """The serializer as it was when it read every entry through Matrix.entry."""
-    token = cli._fraction_file_token
+    Rational entries are written p/q, so an all-integer matrix reparses in
+    the rational domain; float entries are written by repr.
+    """
+    def token(value):
+        return f"{value.numerator}/{value.denominator}"
+
     if fmt == "json":
         if m.domain is Domain.RATIONAL:
             data = [[token(m.entry(i, j)) for j in range(m.cols)] for i in range(m.rows)]
@@ -375,7 +366,7 @@ class TestAnalyzeCommand:
             for _ in range(7)
         ]
         rows = body + [[1 - sum(col) for col in zip(*body)]]
-        path = write(tmp_path, "m.csv", serialize_matrix(Matrix(rows)))
+        path = write(tmp_path, "m.csv", _serialize_by_entry(Matrix(rows)))
         result = runner.invoke(main, ["analyze", path, "--pmax", "32"])
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
@@ -515,11 +506,19 @@ CONSOLE_FILES = {
     ),
     # saved with a UTF-8 byte-order mark, as some spreadsheet programs do
     "bom.csv": "\ufeff" + EX_M_CSV,
+    # the worked example in JSON, with "p/q" strings
+    "worked.json": json.dumps(
+        {"rows": 3, "cols": 3, "data": [line.split(",") for line in EX_M_CSV.splitlines()]}
+    ),
+    # exact column sums 1 + 2**-55 and 1 - 2**-54: converges at the default
+    # tolerance, and fails the fixed-point check at --tol 1e-300
+    "rounded-sums.csv": "0.1,0.3\n0.9,0.7\n",
     **WIDE_COLUMNS,
 }
 # the contraction power of each analyze --json report
 CONSOLE_POWERS = {
     "worked.csv": 2,
+    "worked.json": 2,
     "worked-float.csv": 2,
     "lazy-path.csv": 4,
     "lazy-path-float.csv": 4,
@@ -555,6 +554,9 @@ CONSOLE_COMMANDS = [
     (["pattern", "--json", "two-cycle.csv"], 0),
     (["classify2x2", "1/3", "1/4", "--json"], 0),
     (["analyze", "--tol", "nan", "worked.csv"], 2),
+    (["analyze", "rounded-sums.csv"], 0),
+    (["analyze", "--tol", "1e-300", "rounded-sums.csv"], 2),
+    (["analyze", "--json", "worked.json"], 0),
 ]
 
 
