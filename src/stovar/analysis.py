@@ -28,7 +28,6 @@ from .core import (
     Vector,
     _ensure_typed,
     _finite,
-    _over_lcm,
     _power_by_squaring,
     _row_slices,
     _step,
@@ -40,6 +39,7 @@ from .core import (
     mat_pow,
     mat_vec,
     one_of,
+    scalars_close,
     scalars_equal,
     strictly_less,
     tolerance,
@@ -171,7 +171,7 @@ def _variation_scan(
     p_max, or once a pattern equals an earlier one, the scan ends
     inconclusive and forms no product.  Without the walk, k0 is 1.
 
-    M and its powers are read as forms (:meth:`Matrix._form`): integer
+    M and its powers are read as forms (``Matrix._form``): integer
     numerators over one denominator for a rational M, the entries over 1.0
     for a float one.  Every power is :func:`core._step` of two forms and
     every variation after the first :func:`core._variation_of` a form.
@@ -199,7 +199,7 @@ def _variation_scan(
     if strictly_less(first.value, one, m.domain):
         return 1, history, first
     n = m.rows
-    base = m._form()
+    base = m._form
     k0 = 1
     if p_max > 1 and min(base[0]) >= 0:
         k0 = _power_walk(_column_masks(base[0], n), p_max, _masks_overlap)[0]
@@ -387,7 +387,7 @@ def _solved_stationary(m: Matrix) -> Vector:
     right-hand side D e_n, and goes through :func:`_integer_solve`.
     """
     n = m.rows
-    cells, d = m._form()
+    cells, d = m._form
     rows = [list(row) for row in _row_slices(cells, n)]
     for i in range(n - 1):
         rows[i][i] -= d
@@ -414,18 +414,20 @@ def _solved_stationary(m: Matrix) -> Vector:
 def _fixed_vector(m: Matrix, values: list[Scalar]) -> Optional[Vector]:
     """The values as a vector E when M E = E and its entry sum is one, else None.
 
-    Rationals are checked in integers: for E = X / dx, :func:`_over_lcm`
-    of E, sum(X) = dx and :func:`core._step` of M's form and E's is E's.
+    The image is :func:`core._step` of M's form and E's.  Rationals are
+    checked in integers: for E's form (X, dx), the image is (X, dx) again
+    and sum(X) = dx.  Float image entries and the entry sum are checked
+    within the tolerance; an image entry that overflows raises
+    :class:`DomainMismatchError`.
     """
     domain = m.domain
     candidate = Vector._of(_finite(values, domain), domain)
+    form = candidate._form
+    image = _step(m._form, form, m.cols)
     if domain is Domain.RATIONAL:
-        form = _over_lcm(values)
-        fixed = sum(form[0]) == form[1] and _step(m._form(), form, m.cols) == form
+        fixed = image == form and sum(form[0]) == form[1]
     else:
-        fixed = all(
-            scalars_equal(u, v, domain) for u, v in zip(mat_vec(m, candidate), candidate)
-        ) and scalars_equal(vsum(candidate), 1, domain)
+        fixed = all(map(scalars_close, image[0], form[0])) and scalars_close(vsum(candidate), 1.0)
     return candidate if fixed else None
 
 
@@ -607,7 +609,7 @@ def determinant(m: Matrix) -> Scalar:
     _require_square(m)
     n = m.rows
     if m.domain is Domain.RATIONAL:
-        numerators, d = m._form()
+        numerators, d = m._form
         gcds, work = _over_column_gcds(_row_slices(numerators, n))
         sign, rank = _bareiss_eliminate(work, n)
         return Fraction(sign * work[-1][-1] * prod(gcds) if rank == n else 0, d**n)
@@ -634,7 +636,7 @@ def type_eigenvalue_certificate(m: Matrix) -> Scalar:
     c = _ensure_typed(m).type_value
     if m.domain is Domain.FLOAT:
         return c
-    numerators = m._form()[0]
+    numerators = m._form[0]
     s0 = sum(numerators[:: m.cols])
     shifted = _row_slices(numerators, m.rows)
     for i in range(m.rows):

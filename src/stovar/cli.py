@@ -40,7 +40,6 @@ import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import isfinite
-from pathlib import Path
 from typing import Callable, NoReturn, Optional, Sequence, Union
 
 from . import analysis as _analysis
@@ -176,7 +175,7 @@ def _fractions(tokens: list[Union[int, str]]) -> list[Fraction]:
 def _detect_format(path: str, fmt: Optional[str]) -> str:
     if fmt is not None:
         return fmt
-    return "json" if Path(path).suffix.lower() == ".json" else "csv"
+    return "json" if os.path.splitext(path)[1].lower() == ".json" else "csv"
 
 
 def _entries_to_matrix(rows: int, cols: int, tokens: list[Union[int, str]], ratio: bool) -> Matrix:
@@ -188,7 +187,7 @@ def _entries_to_matrix(rows: int, cols: int, tokens: list[Union[int, str]], rati
         numerators, d = _over_lcm(values)
         if len(distinct) < len(tokens):
             values, numerators = _spread(tokens, distinct, values), _spread(tokens, distinct, numerators)
-        return Matrix._of_integers(rows, cols, values, (numerators, d))
+        return Matrix._of(rows, cols, values, Domain.RATIONAL, (numerators, d))
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         # OverflowError: a JSON integer too large for a float
         raise MatrixParseError(f"bad matrix entry: {exc}") from exc
@@ -259,7 +258,8 @@ def _read_text(path: str) -> str:
     try:
         # a leading byte-order mark is not part of the text; stripped after a
         # plain utf-8 decode, so a decoding error counts bytes from the file's start
-        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
+        with open(path, encoding="utf-8") as file:
+            return file.read().removeprefix("\ufeff")
     except OSError as exc:
         raise MatrixParseError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:

@@ -158,47 +158,34 @@ class _Dense:
     :class:`RowVector` (1-by-n).  A value equals only a value of its own
     class, and arithmetic needs a peer of the same class, domain and shape.
 
-    Every value has one form (:meth:`_form`), the pair (cells, scale) that
-    :func:`_step` multiplies and :func:`_variation_of` measures.  A
-    rational value keeps its integer form in the slot ``_integers``, left
-    out of equality, hashing and repr.  The CLI reader
-    (:meth:`_of_integers`) and the rational product set it as they build a
-    value; otherwise it is computed on first use.  Two threads that both
-    find it missing store equal forms, so the race repeats work and
-    changes no result.  A float value's form is its entries over 1.0,
-    stored nowhere.
+    Every value has one form, the pair (cells, scale) in the slot
+    ``_form`` that :func:`_step` multiplies and :func:`_variation_of`
+    measures, set when the value is built: for a rational value its
+    :func:`_over_lcm`, for a float one its entries over 1.0.  A caller
+    that already holds the form (the CLI reader, a product) passes it.
+    The form is left out of equality, hashing and repr.
     """
 
-    __slots__ = ("_rows", "_cols", "_entries", "_domain", "_integers")
+    __slots__ = ("_rows", "_cols", "_entries", "_domain", "_form")
 
     def _fill(self, rows: int, cols: int, flat: list, domain: Optional[Domain]) -> None:
         """Set this value from outside input, coercing it into one domain."""
         dom = domain if domain is not None else _infer_domain(flat)
-        self._rows, self._cols, self._domain = rows, cols, dom
-        self._entries = tuple(_coerce(v, dom) for v in flat)
+        self._set(rows, cols, tuple(_coerce(v, dom) for v in flat), dom)
 
-    @classmethod
-    def _new(cls, rows: int, cols: int, entries: Iterable[Scalar], domain: Domain):
-        """Value over row-major entries already in the domain; no coercion."""
-        v = object.__new__(cls)
-        v._rows, v._cols, v._entries, v._domain = rows, cols, tuple(entries), domain
-        return v
-
-    @classmethod
-    def _of_integers(cls, rows: int, cols: int, entries: list[Fraction], form: tuple):
-        """Rational value over entries already in the domain, with ``form`` their :func:`_over_lcm`."""
-        v = cls._new(rows, cols, entries, Domain.RATIONAL)
-        v._integers = form
-        return v
-
-    def _form(self) -> tuple:
-        """(entries, 1.0) for floats; for rationals the kept :func:`_over_lcm`, never mutated."""
-        if self._domain is Domain.FLOAT:
-            return self._entries, 1.0
-        form = getattr(self, "_integers", None)
+    def _set(self, rows: int, cols: int, entries: tuple, domain: Domain, form=None) -> None:
+        """Set this value over entries already in the domain, and its form unless given."""
+        self._rows, self._cols, self._entries, self._domain = rows, cols, entries, domain
         if form is None:
-            form = self._integers = _over_lcm(self._entries)
-        return form
+            form = (entries, 1.0) if domain is Domain.FLOAT else _over_lcm(entries)
+        self._form = form
+
+    @classmethod
+    def _new(cls, rows: int, cols: int, entries: Iterable[Scalar], domain: Domain, form=None):
+        """Value over row-major entries already in the domain, with ``form`` if given; no coercion."""
+        v = object.__new__(cls)
+        v._set(rows, cols, tuple(entries), domain, form)
+        return v
 
     @property
     def entries(self) -> tuple[Scalar, ...]:
@@ -231,7 +218,7 @@ class _Dense:
 
     def as_matrix(self) -> "Matrix":
         """This value as a matrix of the same shape."""
-        return Matrix._new(self._rows, self._cols, self._entries, self._domain)
+        return Matrix._new(self._rows, self._cols, self._entries, self._domain, self._form)
 
     def _check_peer(self, other: object) -> None:
         if not isinstance(other, type(self)):
@@ -385,7 +372,7 @@ class Matrix(_Dense):
         return tuple(self.column(j) for j in range(self._cols))
 
     def col_sums(self) -> tuple[Scalar, ...]:
-        cells, d = self._form()
+        cells, d = self._form
         return tuple(_over(sum(c), d) for c in _column_slices(cells, self._cols))
 
     def row_lists(self) -> list[list[Scalar]]:
@@ -469,7 +456,7 @@ def variation(a: Matrix) -> VariationReport:
     pairs that cannot be the widest (:func:`_widest_pair`); it changes
     neither the value nor the pair, to the last bit.
     """
-    return _variation_of(a._form(), a.cols)
+    return _variation_of(a._form, a.cols)
 
 
 def _over(x, d):
@@ -598,7 +585,7 @@ def type_of(a: Matrix) -> TypeReport:
     max |S_j - S_0| over it; a float deviation past the float range
     reads inf.
     """
-    cells, d = a._form()
+    cells, d = a._form
     sums = _finite(list(map(sum, _column_slices(cells, a.cols))), a.domain)
     dev = max(abs(s - sums[0]) for s in sums)
     typed = all(scalars_equal(s, sums[0], a.domain) for s in sums)
@@ -665,8 +652,8 @@ def _step(left: tuple, right: tuple, n: int) -> tuple:
 def _product(a: _Dense, b: _Dense, cls):
     """a times b, built as a value of class cls; TypeError for other operands.
 
-    The product is :func:`_step` of the two forms, and a rational product
-    keeps the form it returns.
+    The product is :func:`_step` of the two forms, and keeps the form it
+    returns.
     """
     left = RowVector if cls is RowVector else Matrix
     right = Vector if cls is Vector else Matrix
@@ -675,11 +662,11 @@ def _product(a: _Dense, b: _Dense, cls):
     _require_same_domain(a._domain, b._domain)
     if a._cols != b._rows:
         raise DimensionError(f"cannot multiply {a._rows}x{a._cols} by {b._rows}x{b._cols}")
-    form = _step(a._form(), b._form(), a._cols)
+    form = _step(a._form, b._form, a._cols)
     cells, d = form
-    if a._domain is Domain.FLOAT:
-        return cls._new(a._rows, b._cols, cells, a._domain)
-    return cls._of_integers(a._rows, b._cols, [Fraction(v, d) for v in cells], form)
+    if a._domain is Domain.RATIONAL:
+        cells = [Fraction(v, d) for v in cells]
+    return cls._new(a._rows, b._cols, cells, a._domain, form)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:

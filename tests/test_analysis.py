@@ -17,6 +17,7 @@ from stovar import (
     Case2x2,
     ConvergenceAnalysis,
     Domain,
+    DomainMismatchError,
     Matrix,
     NonUniqueFixedVectorError,
     NotSquareError,
@@ -520,6 +521,21 @@ class TestStationaryVector:
         assert analysis._fixed_vector(m, moved) is None
         # M (2E) = 2E, but the entry sum is 2
         assert analysis._fixed_vector(m, [2 * v for v in values]) is None
+
+    def test_float_fixed_point_check_is_within_the_tolerance(self):
+        m = Matrix([[0.5, 0.25], [0.5, 0.75]])
+        values = [1 / 3, 2 / 3]
+        assert analysis._fixed_vector(m, values) == Vector(values)
+        for shift in (1e-7, -1e-7):
+            # the entry sum stays one; M E misses E by 0.75e-7 in each entry
+            assert analysis._fixed_vector(m, [values[0] + shift, values[1] - shift]) is None
+        # M (2E) = 2E, but the entry sum is 2
+        assert analysis._fixed_vector(m, [2 * v for v in values]) is None
+
+    def test_float_fixed_point_check_rejects_an_overflowing_image(self):
+        # type 1, and the first entry of M E is 2e308 - 1e308, past the float range
+        with pytest.raises(DomainMismatchError, match="non-finite entry"):
+            analysis._fixed_vector(Matrix([[2.0, 1.0], [-1.0, 0.0]]), [1e308, -1e308])
 
     def test_defective_eigenvalue_one(self):
         # type 1, eigenvalue 1 of algebraic multiplicity 2, kernel sums to zero

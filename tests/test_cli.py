@@ -557,6 +557,7 @@ CONSOLE_COMMANDS = [
     (["analyze", "rounded-sums.csv"], 0),
     (["analyze", "--tol", "1e-300", "rounded-sums.csv"], 2),
     (["analyze", "--json", "worked.json"], 0),
+    (["analyze", "./missing.csv"], 1),
 ]
 
 
@@ -565,7 +566,7 @@ def check_console_command(command, workdir, args, code, env=None):
 
     ``command`` starts the CLI: ``[sys.executable, "-m", "stovar.cli"]`` in
     the tests, the installed ``stovar`` script in CI.  The exit code must be
-    ``code``; exit 2 prints one ``error:`` line; ``--json`` output is byte for
+    ``code``; exit 1 or 2 prints one ``error:`` line; ``--json`` output is byte for
     byte the stock encoder's text; ``analyze --json`` finds the power of
     ``CONSOLE_POWERS``; ``variation --json`` on a wide file finds the value and
     pair of an exhaustive search.
@@ -578,10 +579,11 @@ def check_console_command(command, workdir, args, code, env=None):
         capture_output=True,
         text=True,
         env=env,
+        cwd=workdir,
         timeout=120,
     )
     assert done.returncode == code, (args, done.stderr)
-    if code == 2:
+    if code in (1, 2):
         assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1, done.stderr
     if "--json" in args:
         assert done.stdout == json.dumps(json.loads(done.stdout), indent=2) + "\n", args
@@ -624,6 +626,14 @@ def test_cli_needs_only_the_standard_library():
         [sys.executable, "-c", _THIRD_PARTY_IMPORTS], capture_output=True, text=True, env=env, timeout=120
     )
     assert (done.returncode, done.stdout) == (0, "[]\n[]\n"), done.stderr
+
+
+def test_cli_import_leaves_pathlib_out():
+    # under -S, as site may load pathlib itself
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = f"import sys; sys.path.insert(0, {src!r}); import stovar.cli; print('pathlib' in sys.modules)"
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
 
 
 def _run_with_stdout_closed(tmp_path, args):
@@ -683,6 +693,18 @@ class TestUsageErrors:
         assert result.exit_code == 1
         assert result.stderr.startswith("error: cannot read ")
         assert len(result.stderr.splitlines()) == 1 and result.stderr.endswith("\n")
+
+    @pytest.mark.parametrize(
+        "path, line",
+        [("./missing.csv", "error: cannot read ./missing.csv: [Errno 2] No such file or directory: "
+                           "'./missing.csv'\n"),
+         ("", "error: cannot read : [Errno 2] No such file or directory: ''\n")],
+        ids=["dot-slash", "empty"],
+    )
+    def test_an_unreadable_path_is_named_as_typed(self, runner, tmp_path, monkeypatch, path, line):
+        monkeypatch.chdir(tmp_path)
+        result = runner.invoke(main, ["analyze", path])
+        assert (result.exit_code, result.stdout, result.stderr) == (1, "", line)
 
     def test_help_still_prints_help(self, runner):
         result = runner.invoke(main, ["analyze", "--help"])
@@ -853,7 +875,7 @@ class TestIntegerFormFromTheReader:
         want = [Fraction(t) for t in tokens]
         assert list(m.entries) == want == cli._fractions(tokens)
         assert all(type(v) is Fraction for v in m.entries)
-        assert getattr(m, "_integers", None) == core._over_lcm(m.entries)
+        assert m._form == core._over_lcm(m.entries)
 
     def test_each_distinct_token_is_read_once_in_order(self, tmp_path, monkeypatch):
         calls = []
@@ -861,7 +883,7 @@ class TestIntegerFormFromTheReader:
         monkeypatch.setattr(cli, "_exact", lambda token: calls.append(token) or exact(token))
         m = parse_matrix(write(tmp_path, "m.csv", "1/2,1/3,2/4\n1/2,2/3,1/2\n"))
         assert calls == ["1/2", "1/3", "2/4", "2/3"]
-        assert m._integers == ([3, 2, 3, 3, 4, 3], 6)
+        assert m._form == ([3, 2, 3, 3, 4, 3], 6)
 
     @pytest.mark.parametrize(
         "bad, line",

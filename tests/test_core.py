@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import support
 from support import EX_E, EX_M, EX_M_SQUARED, small_fractions
-from stovar import core
+from stovar import cli, core
 from stovar import (
     DimensionError,
     Domain,
@@ -372,10 +372,10 @@ _domains = st.sampled_from([Domain.RATIONAL, Domain.FLOAT])
 
 
 def _assert_kept_form(value):
-    """A rational product stores its integer form, in lowest terms; a float one stores none."""
-    form = getattr(value, "_integers", None)
+    """A value keeps its form: a rational one its integer form, in lowest terms; a float one its entries over 1.0."""
+    form = value._form
     if value.domain is Domain.FLOAT:
-        assert form is None
+        assert form == (value.entries, 1.0)
         return
     numerators, d = form
     assert form == core._over_lcm(value.entries)
@@ -754,16 +754,33 @@ class TestValueContract:
 
     def test_integer_form_cache_is_not_part_of_the_value(self):
         rows = [[F(1, 2), F(-1, 3)], [F(1, 2), F(4, 3)]]
-        filled, empty = Matrix(rows), Matrix(rows)
-        assert filled._form() == ([3, -2, 3, 8], 6)
-        for twin in (copy.copy(filled), pickle.loads(pickle.dumps(filled))):
-            assert twin == filled == empty and empty == twin
-            assert hash(twin) == hash(filled) == hash(empty)
-            assert repr(twin) == repr(filled) == repr(empty)
-            assert twin._form() == filled._form()
-        assert getattr(empty, "_integers", None) is None
-        assert {filled, empty} == {empty}
-        assert empty._form() == filled._form()
+        first, second = Matrix(rows), Matrix(rows)
+        assert first._form == ([3, -2, 3, 8], 6)
+        for twin in (copy.copy(first), pickle.loads(pickle.dumps(first))):
+            assert twin == first == second and second == twin
+            assert hash(twin) == hash(first) == hash(second)
+            assert repr(twin) == repr(first) == repr(second)
+            assert twin._form == first._form
+        assert {first, second} == {second}
+        assert second._form == first._form
+
+    @pytest.mark.parametrize("domain", list(Domain))
+    def test_every_value_gets_its_form_when_it_is_built(self, domain):
+        m = Matrix([[F(1, 2), F(-1, 3)], [F(1, 2), F(4, 3)]], domain=domain)
+        x = Vector([F(1, 3), F(2, 3)], domain=domain)
+        z = RowVector([F(1, 4), F(-5, 6)], domain=domain)
+        text = "1/2,-1/3\n1/2,4/3\n" if domain is Domain.RATIONAL else "0.5,-0.25\n0.5,1.25\n"
+        built = [
+            m, x, z, m + m, x - x, 3 * z, mat_mul(m, m), mat_vec(m, x), row_mat_mul(z, m),
+            m.row(1), m.column(0), x.as_matrix(), z.as_matrix(), m.to_float(),
+            Matrix.identity(3, domain), ones_row(3, domain), limit_projection(x),
+            cli._parse_csv_matrix(text),
+        ]
+        for value in built:
+            _assert_kept_form(value)
+            for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+                assert twin == value
+                assert twin._form == value._form
 
     @pytest.mark.parametrize(
         "cls, shape", [(Matrix, (3, 1)), (Vector, (3, 1)), (RowVector, (1, 3))]
