@@ -26,6 +26,7 @@ from .core import (
     TypeReport,
     VariationReport,
     Vector,
+    _all_close,
     _ensure_typed,
     _finite,
     _power_by_squaring,
@@ -427,7 +428,7 @@ def _fixed_vector(m: Matrix, values: list[Scalar]) -> Optional[Vector]:
     if domain is Domain.RATIONAL:
         fixed = image == form and sum(form[0]) == form[1]
     else:
-        fixed = all(map(scalars_close, image[0], form[0])) and scalars_close(vsum(candidate), 1.0)
+        fixed = _all_close(image[0], form[0]) and scalars_close(vsum(candidate), 1.0)
     return candidate if fixed else None
 
 

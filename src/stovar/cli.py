@@ -91,7 +91,7 @@ def format_scalar(value: Scalar, domain: Domain) -> str:
     """
     if domain is Domain.RATIONAL:
         try:
-            return str(Fraction(value))
+            return str(value if isinstance(value, Fraction) else Fraction(value))
         except ValueError as exc:
             raise StovarError(f"a report value is too long to print: {exc}") from exc
     return format(_finite([float(value)], domain)[0], ".17g")
@@ -338,6 +338,9 @@ def analysis_report(m: Matrix, result: ConvergenceAnalysis, path: Optional[str] 
         if result.stationary is None
         else [format_scalar(v, domain) for v in result.stationary]
     )
+    # each distinct variation is formatted once, in first-seen order; a
+    # variation is never -0.0, so no two values with different texts are equal
+    texts = {v: format_scalar(v, domain) for v in dict.fromkeys(result.variation_per_power)}
     report = {
         "schema": SCHEMA,
         "command": "analyze",
@@ -345,9 +348,7 @@ def analysis_report(m: Matrix, result: ConvergenceAnalysis, path: Optional[str] 
         "parameters": {"p_max": result.p_max, "k_report": result.k_report},
         "type": _type_dict(result.type_report, domain),
         "variation": _variation_dict(result.first_variation, domain),
-        "variation_per_power": [
-            format_scalar(v, domain) for v in result.variation_per_power
-        ],
+        "variation_per_power": list(map(texts.__getitem__, result.variation_per_power)),
         "contraction_power": result.contraction_power,
         "variation_at_power": (
             None
@@ -504,8 +505,12 @@ class _ReportEncoder(json.JSONEncoder):
     """The text of ``json.dumps(report, indent=2)``, default options otherwise, written directly.
 
     With an indent the stock encoder runs in pure Python, one chunk per
-    value.  This one joins each dict (string keys) and list at once, and
-    encodes a list that repeats one string (a projection row) once.
+    value.  This one joins each dict (string keys) and list at once.  It
+    writes an int, a finite float and None as the stock encoder does
+    (``int.__repr__``, ``float.__repr__``, ``null``), a list of strings
+    with one ``map``, and a list that repeats one string (a projection
+    row, or the 1s of an inconclusive scan) by string repetition.  A
+    bool, a nan or an infinity goes to the stock scalar encoder.
     """
 
     _scalar = json.JSONEncoder()  # its C encoder writes a scalar as any indent would
@@ -514,16 +519,29 @@ class _ReportEncoder(json.JSONEncoder):
         return self._text(o, "\n")
 
     def _text(self, o, newline: str) -> str:
-        if isinstance(o, str):
+        kind = type(o)
+        if kind is str:
             return encode_basestring_ascii(o)
+        if kind is int:
+            return int.__repr__(o)  # past the int-string limit, the same ValueError
+        if kind is float and isfinite(o):
+            return float.__repr__(o)
+        if o is None:
+            return "null"
         inner = newline + "  "
         if isinstance(o, dict):
             brackets = "{}"
             items = [encode_basestring_ascii(k) + ": " + self._text(v, inner) for k, v in o.items()]
         elif isinstance(o, (list, tuple)):
             brackets = "[]"
-            if o and isinstance(o[0], str) and o.count(o[0]) == len(o):
-                items = [encode_basestring_ascii(o[0])] * len(o)
+            if o and isinstance(o[0], str):
+                if o.count(o[0]) == len(o):
+                    item = inner + encode_basestring_ascii(o[0])
+                    return "[" + item + ("," + item) * (len(o) - 1) + newline + "]"
+                try:
+                    items = list(map(encode_basestring_ascii, o))
+                except TypeError:  # an item that is not a string
+                    items = [self._text(v, inner) for v in o]
             else:
                 items = [self._text(v, inner) for v in o]
         else:

@@ -21,7 +21,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import compress, repeat
 from math import floor, frexp, gcd, inf, isfinite, lcm, ldexp
-from operator import add, mul, rshift, sub, xor
+from operator import add, le, mul, rshift, sub, xor
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
@@ -71,6 +71,13 @@ def tolerance() -> float:
 def scalars_close(x: float, y: float) -> bool:
     """Float equality within the tolerance, relative to max(1, |x|, |y|)."""
     return abs(x - y) <= _tolerance.get() * max(1.0, abs(x), abs(y))
+
+
+def _all_close(xs: Sequence[float], ys: Sequence[float]) -> bool:
+    """Whether :func:`scalars_close` holds for every pair of xs and ys, in one ``map`` pass."""
+    tol = repeat(_tolerance.get())
+    bounds = map(mul, tol, map(max, repeat(1.0), map(abs, xs), map(abs, ys)))
+    return all(map(le, map(abs, map(sub, xs, ys)), bounds))
 
 
 def scalars_equal(x: Scalar, y: Scalar, domain: Domain) -> bool:
@@ -587,11 +594,10 @@ def type_of(a: Matrix) -> TypeReport:
     """
     cells, d = a._form
     sums = _finite(list(map(sum, _column_slices(cells, a.cols))), a.domain)
-    dev = max(abs(s - sums[0]) for s in sums)
-    typed = all(scalars_equal(s, sums[0], a.domain) for s in sums)
+    dev = max(map(abs, map(sub, sums, repeat(sums[0]))))
     if a.domain is Domain.FLOAT:
-        return TypeReport(typed, sums[0], dev)
-    return TypeReport(typed, Fraction(sums[0], d), Fraction(dev, d))
+        return TypeReport(_all_close(sums, [sums[0]] * len(sums)), sums[0], dev)
+    return TypeReport(dev == 0, Fraction(sums[0], d), Fraction(dev, d))
 
 
 def _ensure_typed(a: Matrix) -> TypeReport:

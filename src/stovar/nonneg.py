@@ -10,7 +10,11 @@ sampled 3x3 Markov convergence criterion based on the third power.
 
 A pattern is stored as column masks: column j is an int whose bit i is
 set when cell (i, j) is nonzero, and column j of a product A B is the
-OR of the columns l of A over the set bits l of column j of B.  One
+OR of the columns l of A over the set bits l of column j of B.  A
+product reads B through its support layers (:func:`_layers`): layer t
+holds, for every column of B, its t-th set bit, so one ``itemgetter``
+call per layer picks a column of A for every column of the product,
+and one ``map(or_, ...)`` per layer joins them.  One
 walk over the boolean powers of a square pattern, :func:`_power_walk`,
 stops at the first power that meets a test or at the first repeat of
 an earlier power.  It serves :func:`first_positive_power` and the
@@ -23,9 +27,8 @@ being an exact zero.
 
 from __future__ import annotations
 
-from functools import reduce
-from itertools import compress
-from operator import or_
+from itertools import compress, count, zip_longest
+from operator import itemgetter, or_
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .core import (
@@ -172,15 +175,41 @@ def sign_pattern(a: Matrix) -> SignPattern:
     return SignPattern._of(a.rows, _column_masks([v > floor for v in a.entries], a.cols))
 
 
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
 def _supports(masks: tuple[int, ...]) -> list[list[int]]:
     """Set bits of each column mask, read from its binary digits, lowest first."""
-    return [[i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"] for mask in masks]
+    return [list(compress(count(), bin(mask)[:1:-1].encode().translate(_BITS))) for mask in masks]
 
 
-def _mask_product(left: tuple[int, ...], right: list[list[int]]) -> tuple[int, ...]:
-    """Column masks of A B, from the column masks of A and the supports of B."""
-    column = left.__getitem__
-    return tuple([reduce(or_, map(column, support), 0) for support in right])
+def _layers(masks: tuple[int, ...]) -> list[Callable[[tuple[int, ...]], Sequence[int]]]:
+    """Support layers of a pattern B with column masks ``masks``, as getters.
+
+    Layer t reads, from the column masks of A with a 0 appended, the
+    column of A at the t-th set bit of each column of B, or the 0 where
+    that column of B has fewer set bits.  There is one layer per set bit
+    of B's fullest column, and one layer of zeros when B is all zero.
+    """
+    depths = list(zip_longest(*_supports(masks), fillvalue=-1)) or [(-1,) * len(masks)]
+    if len(masks) == 1:
+        # a one-index itemgetter returns a bare value; a one-item slice keeps a tuple
+        return [itemgetter(slice(i, i + 1 or None)) for (i,) in depths]
+    return [itemgetter(*depth) for depth in depths]
+
+
+def _mask_product(left: tuple[int, ...], right: list[Callable]) -> tuple[int, ...]:
+    """Column masks of A B, from the column masks of A and the layers of B.
+
+    Column j of A B is the OR, over the layers of B, of the column of A
+    each layer reads for column j: one getter call and one
+    ``map(or_, ...)`` per layer, with no Python loop over the columns.
+    """
+    padded = left + (0,)
+    columns = right[0](padded)
+    for layer in right[1:]:
+        columns = [*map(or_, columns, layer(padded))]
+    return tuple(columns)
 
 
 def _masks_overlap(masks: tuple[int, ...]) -> bool:
@@ -192,7 +221,7 @@ def pattern_product(p: SignPattern, q: SignPattern) -> SignPattern:
     """Boolean matrix product; sound for supports of non-negative products."""
     if p.cols != q.rows:
         raise DimensionError(f"cannot multiply {p.rows}x{p.cols} by {q.rows}x{q.cols} patterns")
-    return SignPattern._of(p.rows, _mask_product(p._masks, _supports(q._masks)))
+    return SignPattern._of(p.rows, _mask_product(p._masks, _layers(q._masks)))
 
 
 def pattern_power(p: SignPattern, k: int) -> SignPattern:
@@ -206,7 +235,7 @@ def pattern_power(p: SignPattern, k: int) -> SignPattern:
         raise ValueError("exponent must be a non-negative integer")
     if not k:
         return SignPattern.identity(p.rows)
-    power = _power_by_squaring(p._masks, k, lambda a, b: _mask_product(a, _supports(b)))
+    power = _power_by_squaring(p._masks, k, lambda a, b: _mask_product(a, _layers(b)))
     return SignPattern._of(p.rows, power)
 
 
@@ -222,7 +251,7 @@ def _power_walk(
     returns, so it holds at most min(k_max, index of the first repeat)
     powers.
     """
-    supports = _supports(first)
+    layers = _layers(first)
     powers = [first]
     seen: set[tuple[int, ...]] = set()
     power = first
@@ -230,7 +259,7 @@ def _power_walk(
         if len(powers) == k_max or power in seen:
             return None, powers
         seen.add(power)
-        power = _mask_product(power, supports)
+        power = _mask_product(power, layers)
         powers.append(power)
     return len(powers), powers
 

@@ -3,7 +3,7 @@
 import random
 import threading
 from fractions import Fraction
-from math import fsum, gcd, inf, lcm, log2
+from math import fsum, gcd, inf, lcm, log2, nextafter
 from unittest import mock
 
 import pytest
@@ -559,6 +559,59 @@ class TestStationaryVector:
         with pytest.raises(NonUniqueFixedVectorError) as info:
             analyze(Matrix([[0.1, 0.3], [0.9, 0.7]]))
         assert str(info.value) == "solved system's result is not a fixed vector of the matrix"
+
+
+def _relative_gap(x, y):
+    """|x - y| over max(1, |x|, |y|): scalars_close holds for any tolerance from about here up."""
+    return abs(x - y) / max(1.0, abs(x), abs(y))
+
+
+def _set_tolerance_near(data, gaps):
+    """Set a random tolerance, or one at a drawn gap or one ulp either side of it."""
+    tol = data.draw(st.floats(1e-12, 1.0))
+    gaps = [g for g in gaps if g > 0]
+    if gaps and data.draw(st.booleans()):
+        gap = data.draw(st.sampled_from(gaps))
+        tol = nextafter(gap, data.draw(st.sampled_from([0.0, gap, inf]))) or gap
+    set_tolerance(tol)
+
+
+class TestToleranceRule:
+    """The whole-sequence checks apply scalars_close's rule entry by entry."""
+
+    @given(st.integers(1, 3), st.integers(1, 5), st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_float_type_check_agrees_with_a_per_column_loop(self, rows, cols, data):
+        s0 = data.draw(st.floats(-50.0, 50.0))  # |s| > 1 included
+        cells = [[data.draw(st.floats(-2.0, 2.0)) for _ in range(cols)] for _ in range(rows - 1)]
+        shifts = [data.draw(st.sampled_from([0.0, 1e-9, -1e-9, 1e-3])) for _ in range(cols)]
+        # the last row brings each column sum near s0, and a one-row matrix's sums are s0 + shift
+        last = [
+            s0 + shift * max(1.0, abs(s0)) - sum(row[j] for row in cells)
+            for j, shift in enumerate(shifts)
+        ]
+        m = Matrix(cells + [last])
+        sums = [sum(m.entries[j :: cols]) for j in range(cols)]
+        _set_tolerance_near(data, [_relative_gap(s, sums[0]) for s in sums])
+        assert core.type_of(m).has_type == all(scalars_close(s, sums[0]) for s in sums)
+
+    @given(st.integers(1, 4), st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_float_fixed_point_check_agrees_with_a_per_entry_loop(self, n, data):
+        entries = st.floats(-2.0, 2.0)
+        m = Matrix([[data.draw(entries) for _ in range(n)] for _ in range(n)])
+        values = [data.draw(entries) for _ in range(n)]
+        if data.draw(st.booleans()):  # near a fixed point: E of a Markov M
+            set_tolerance(DEFAULT_TOLERANCE)
+            m = Matrix([[abs(v) + 0.5 for v in row] for row in m.row_lists()])
+            m = Matrix([[v / s for v, s in zip(row, m.col_sums())] for row in m.row_lists()])
+            values = list(stationary_vector(m))
+        image = list(mat_vec(m, Vector(values)))
+        total = vsum(Vector(values))
+        gaps = [_relative_gap(y, x) for y, x in zip(image, values)] + [_relative_gap(total, 1.0)]
+        _set_tolerance_near(data, gaps)
+        fixed = all(scalars_close(y, x) for y, x in zip(image, values)) and scalars_close(total, 1.0)
+        assert (analysis._fixed_vector(m, values) is not None) == fixed
 
 
 def _row_list_solve(m):

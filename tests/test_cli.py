@@ -1196,9 +1196,18 @@ _JSON_VALUES = st.recursive(
     _JSON_LEAVES,
     lambda inner: st.one_of(
         st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
         st.dictionaries(_JSON_TEXT, inner, max_size=5),
         # one element repeated, as in the rows of a projection
         st.tuples(inner, st.integers(0, 5)).map(lambda pair: [pair[0]] * pair[1]),
+        # strings, then maybe one more item of any kind, as in variation_per_power
+        st.tuples(st.lists(_JSON_TEXT, max_size=5), st.lists(inner, max_size=1)).map(
+            lambda pair: pair[0] + pair[1]
+        ),
+        # one string repeated, then maybe another one
+        st.tuples(_JSON_TEXT, st.integers(1, 5), st.lists(_JSON_TEXT, max_size=1)).map(
+            lambda t: [t[0]] * t[1] + t[2]
+        ),
     ),
     max_leaves=30,
 )
@@ -1209,8 +1218,33 @@ class TestReportEncoder:
     @given(_JSON_VALUES)
     @example(float("nan"))
     @example({"projection": [["1/3"] * 3] * 3, "empty": [{}, []]})
+    @example(("a", ("b", "b"), (1, -0.0)))
+    @example(["a", 1])
+    @example(["a", "a", "b"])
+    @example([True, 1, False, 0, -0.0, 0.0, float("nan"), float("inf"), float("-inf"), None])
+    @example({"a": [[], {}, [[]], [{}]], "b": {"c": {}, "d": []}, "e": ()})
+    @example({"variation_per_power": ["1/2"] + ["1"] * 63, "stationary": None})
+    @example(["1"] * 63 + ["1/2"])
+    @example([["x"], "x"])
     def test_same_text_as_the_stock_encoder(self, value):
         assert json.dumps(value, indent=2, cls=cli._ReportEncoder) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("wrap", [lambda v: v, lambda v: [1, v], lambda v: {"k": (v,)}])
+    def test_an_int_past_the_string_limit_raises_as_in_the_stock_encoder(self, wrap):
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            value = wrap(10**640)
+            with pytest.raises(ValueError, match="integer string conversion") as stock:
+                json.dumps(value, indent=2)
+            with pytest.raises(ValueError, match="integer string conversion") as ours:
+                json.dumps(value, indent=2, cls=cli._ReportEncoder)
+            assert str(ours.value) == str(stock.value)
+            assert json.dumps(wrap(10**639), indent=2, cls=cli._ReportEncoder) == json.dumps(
+                wrap(10**639), indent=2
+            )
+        finally:
+            sys.set_int_max_str_digits(previous)
 
 
 class TestReportEcho:

@@ -264,6 +264,46 @@ def _square_cells(draw, max_n=7):
     return cells
 
 
+def _naive_overlap_walk(cells, k_max):
+    """P^1, P^2, ... up to the first power whose columns overlap pairwise, and its k.
+
+    k is None when the powers reach P^k_max, or a power equal to an
+    earlier one (from there on they cycle), without such an overlap.
+    """
+    n = len(cells)
+    powers, power = [], cells
+    for k in range(1, k_max + 1):
+        powers.append(power)
+        if all(any(power[i][j] and power[i][l] for i in range(n)) for j in range(n) for l in range(n)):
+            return k, powers
+        if power in powers[:-1]:
+            return None, powers
+        power = _naive_product(power, cells)
+    return None, powers
+
+
+# a permutation of 9 states with cycles of length 4 and 5, so of order 20
+_CYCLES_4_5 = [1, 2, 3, 0, 5, 6, 7, 8, 4]
+
+
+def _cells_of(draw, rows, cols):
+    """0/1 cells of any density, with some columns all zero."""
+    density = draw(st.integers(0, 10))
+    digits = draw(st.lists(st.integers(0, 9), min_size=rows * cols, max_size=rows * cols))
+    zero = draw(st.sets(st.integers(0, cols - 1), max_size=cols))
+    return [[int(j not in zero and digits[i * cols + j] < density) for j in range(cols)] for i in range(rows)]
+
+
+@st.composite
+def _factor_pairs(draw, max_side=9):
+    """Cells of A (m x n) and B (n x r), each side 1..max_side; some B all zero."""
+    m, n, r = (draw(st.integers(1, max_side)) for _ in range(3))
+    a, b = _cells_of(draw, m, n), _cells_of(draw, n, r)
+    if draw(st.integers(0, 9)) == 0:
+        b = [[0] * r for _ in range(n)]
+    return a, b
+
+
 class TestPatternWalk:
     @given(_square_cells(), st.integers(1, 40))
     @settings(max_examples=300, deadline=None)
@@ -273,18 +313,35 @@ class TestPatternWalk:
         assert json.dumps(pattern_report_dict(p, k_max)) == json.dumps(expected)
         assert first_positive_power(p, k_max) == expected["first_positive_power"]
 
-    @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6), st.data())
-    @settings(max_examples=150, deadline=None)
-    def test_product_matches_a_triple_loop(self, m, n, r, data):
-        def cells(rows, cols):
-            row = st.lists(st.booleans(), min_size=cols, max_size=cols)
-            return [data.draw(row) for _ in range(rows)]
-
-        a, b = cells(m, n), cells(n, r)
+    @given(_factor_pairs())
+    @settings(max_examples=400, deadline=None)
+    @example(([[1, 1]], [[1], [0]]))  # a one-row left factor, a one-column right factor
+    @example(([[1], [1]], [[1, 0, 1]]))  # a one-column left factor, a one-row right factor
+    @example(([[1, 0], [1, 1]], [[0, 0], [0, 0]]))  # an all-zero right factor
+    @example(([[1, 1], [0, 1]], [[0], [0]]))  # an all-zero one-column right factor
+    @example(([[1]], [[0]]))
+    @example(([[0, 1, 1]] * 9, [[1] * 9, [0] * 9, [1, 0] * 4 + [0]]))  # zero and full columns
+    def test_product_matches_a_triple_loop(self, pair):
+        a, b = pair
         product = pattern_product(SignPattern(a), SignPattern(b))
-        assert (product.rows, product.cols) == (m, r)
+        assert (product.rows, product.cols) == (len(a), len(b[0]))
         assert product == SignPattern(_naive_product(a, b))
         assert all(type(cell) is bool for cell in product)
+        assert all(type(mask) is int for mask in product._masks)
+
+    @given(_square_cells(max_n=9), st.integers(1, 40))
+    @settings(max_examples=300, deadline=None)
+    @example([[j == (i + 1) % 9 for j in range(9)] for i in range(9)], 8)  # order 9 > k_max
+    @example([[j == _CYCLES_4_5[i] for j in range(9)] for i in range(9)], 19)  # order 20 > k_max
+    @example([[j == _CYCLES_4_5[i] for j in range(9)] for i in range(9)], 40)  # a repeat first
+    def test_overlap_walk_matches_a_naive_walk(self, cells, k_max):
+        n = len(cells)
+        k, powers = nonneg._power_walk(SignPattern(cells)._masks, k_max, nonneg._masks_overlap)
+        expected_k, expected = _naive_overlap_walk(cells, k_max)
+        assert k == expected_k
+        assert [list(SignPattern._of(n, masks)) for masks in powers] == [
+            [bool(c) for row in power for c in row] for power in expected
+        ]
 
     def test_cycle_stops_at_the_first_repeat(self, monkeypatch):
         # the powers of a 20-cycle are 20 distinct permutations, then P^21 = P
