@@ -176,9 +176,8 @@ def _variation_scan(
     numerators over one denominator for a rational M, the entries over 1.0
     for a float one.  Every power is :func:`core._step` of two forms and
     every variation after the first :func:`core._variation_of` a form.
-    As var(M^k0) < 1 exactly, a rational M^k0 alone is formed, by
-    squaring, and p = k0.  A float M^k0 is formed power by power: squaring
-    rounds differently, and var(M^k0) may lie within the tolerance of 1.
+    M^k0 is formed by squaring.  Its variation is below 1 exactly for a
+    rational M, so p = k0; a float one may lie within the tolerance of 1.
 
     Otherwise each new power M^k, k >= k0, is compared by value with the
     saved M^j, k0 <= j < k, with j <= n or j a power of two.  When it equals
@@ -200,35 +199,32 @@ def _variation_scan(
     if strictly_less(first.value, one, m.domain):
         return 1, history, first
     n = m.rows
-    base = m._form
-    k0 = 1
+    power = base = m._form
     if p_max > 1 and min(base[0]) >= 0:
         k0 = _power_walk(_column_masks(base[0], n), p_max, _masks_overlap)[0]
         if k0 is None:
             return None, history + [one] * (p_max - 1), first
-        if m.domain is Domain.RATIONAL and k0 > 1:
-            last = _variation_of(_power_by_squaring(base, k0, lambda a, b: _step(a, b, n)), n)
-            return k0, history + [one] * (k0 - 2) + [last.value], first
-    power = base
+        if k0 > 1:
+            power = _power_by_squaring(base, k0, lambda a, b: _step(a, b, n))
+            history += [one] * (k0 - 2) + [_variation_of(power, n).value]
     saved: list[tuple[int, tuple]] = []
     while not strictly_less(history[-1], one, m.domain):
         k = len(history)  # power is M^k
         if k == p_max:
             return None, history, first
-        if k >= k0 and (k <= n or not k & (k - 1)):
+        if k <= n or not k & (k - 1):
             saved.append((k, power))
         power = _step(power, base, n)
         # Value equality lets only signed zeros differ, and a signed zero
         # changes neither a sum that starts at 0 nor an abs, so equal
         # powers have equal products and variations.  A nan never matches.
-        # Below k0 nothing is saved yet, so nothing is compared.
         start = next((j for j, seen in saved if seen == power), None)
         if start is not None:
             period = k + 1 - start
             while len(history) < p_max:
                 history.append(history[-period])
             return None, history, first
-        history.append(one if k + 1 < k0 else _variation_of(power, n).value)
+        history.append(_variation_of(power, n).value)
     return len(history), history, first
 
 
@@ -559,10 +555,10 @@ def analyze(
     computed, and the numeric scan starts at the first power whose
     columns overlap pairwise.  With no such power up to p_max, or once a support
     pattern equals an earlier one, the verdict is inconclusive and no
-    product is formed.  A rational M^k0 is formed alone, by squaring, as
-    its variation is below one exactly.  Rational reports are the same
-    as from a full scan; a float report says 1 where the full scan gave
-    1 up to rounding.
+    product is formed.  M^k0 is formed alone, by squaring.  Rational
+    reports are the same as from a full scan; a float report says 1 where
+    the full scan gave 1 up to rounding, and from k0 on may differ from it
+    in the last bits.
 
     Once a power equals an earlier one, the later powers repeat with a
     fixed period, so the scan copies the variations up to p_max instead

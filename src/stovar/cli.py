@@ -630,16 +630,17 @@ def _parser() -> _Parser:
     parser = _Parser(prog="stovar", description=main.__doc__, allow_abbrev=False)
     commands = parser.add_subparsers(title="commands", metavar="COMMAND", dest="command")
 
-    def command(name: str, build: Callable) -> _Parser:
+    def command(name: str, build: Callable, render: Callable) -> _Parser:
         doc = build.__doc__
         sub = commands.add_parser(name, help=doc.split("\n")[0], description=doc, allow_abbrev=False)
         sub.add_argument("--json", action="store_true", help="emit the machine-readable JSON report")
+        sub.set_defaults(build=build, render=render)
         return sub
 
-    analyze = command("analyze", _analyze)
-    variation_ = command("variation", _variation)
-    pattern = command("pattern", _pattern)
-    classify = command("classify2x2", _classify)
+    analyze = command("analyze", _analyze, analysis_text)
+    variation_ = command("variation", _variation, variation_text)
+    pattern = command("pattern", _pattern, pattern_text)
+    classify = command("classify2x2", _classify, classification_text)
     for sub in (analyze, variation_, pattern):
         sub.add_argument("path")
     for sub in (analyze, variation_):
@@ -685,19 +686,13 @@ def run(args: Sequence[str]) -> int:
     if opts.command is None:
         parser.print_help(sys.stderr)
         return EXIT_PRECONDITION
-    build, render = {
-        "analyze": (_analyze, analysis_text),
-        "variation": (_variation, variation_text),
-        "pattern": (_pattern, pattern_text),
-        "classify2x2": (_classify, classification_text),
-    }[opts.command]
     try:
-        report = contextvars.copy_context().run(build, opts)
+        report = contextvars.copy_context().run(opts.build, opts)
     except StovarError as exc:
         sys.stderr.write(_error_line(str(exc)))
         return EXIT_PARSE if isinstance(exc, MatrixParseError) else EXIT_PRECONDITION
     inconclusive = opts.command == "analyze" and report["contraction_power"] is None
-    text = json.dumps(report, indent=2, cls=_ReportEncoder) if opts.json else render(report)
+    text = json.dumps(report, indent=2, cls=_ReportEncoder) if opts.json else opts.render(report)
     try:
         print(text, flush=True)
     except BrokenPipeError:

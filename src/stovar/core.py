@@ -70,11 +70,11 @@ def tolerance() -> float:
 
 def scalars_close(x: float, y: float) -> bool:
     """Float equality within the tolerance, relative to max(1, |x|, |y|)."""
-    return abs(x - y) <= _tolerance.get() * max(1.0, abs(x), abs(y))
+    return _all_close((x,), (y,))
 
 
 def _all_close(xs: Sequence[float], ys: Sequence[float]) -> bool:
-    """Whether :func:`scalars_close` holds for every pair of xs and ys, in one ``map`` pass."""
+    """Whether |x - y| <= tolerance * max(1, |x|, |y|) for every pair of xs and ys, in one ``map`` pass."""
     tol = repeat(_tolerance.get())
     bounds = map(mul, tol, map(max, repeat(1.0), map(abs, xs), map(abs, ys)))
     return all(map(le, map(abs, map(sub, xs, ys)), bounds))
@@ -432,21 +432,23 @@ class VariationReport(NamedTuple):
     arg_k: int
 
 
+def _sum_left(values: Iterable[Scalar], domain: Domain) -> Scalar:
+    """The values summed left to right from the domain's zero, checked finite."""
+    # a loop, not sum(): from CPython 3.12 sum() compensates, which changes the last bits
+    total = zero_of(domain)
+    for value in values:
+        total = total + value
+    return _finite([total], domain)[0]
+
+
 def vsum(x: Union[Vector, RowVector]) -> Scalar:
     """Sum of the entries; equals the all-ones row applied to the vector."""
-    # a loop, not sum(): from CPython 3.12 sum() compensates, which changes the last bits
-    total = zero_of(x.domain)
-    for value in x:
-        total = total + value
-    return _finite([total], x.domain)[0]
+    return _sum_left(x, x.domain)
 
 
 def l1_norm(x: Union[Vector, RowVector]) -> Scalar:
     """Sum of absolute values of the entries, left to right as in :func:`vsum`."""
-    total = zero_of(x.domain)
-    for value in x:
-        total = total + abs(value)
-    return _finite([total], x.domain)[0]
+    return _sum_left(map(abs, x), x.domain)
 
 
 def variation(a: Matrix) -> VariationReport:

@@ -255,15 +255,39 @@ class TestVariationScanMatchesNaiveScan:
         assert (p, first) == (want_p, want_first)
         assert list(map(repr, history)) == list(map(repr, want_history))
 
-    def test_lazy_path_squares_its_way_to_the_first_overlapping_power(self, monkeypatch):
-        # k0 = 30: M^2, M^4, M^8, M^16 and three more products, not 29
+    @given(_late_overlap_markov.map(Matrix.to_float), st.integers(1, 40))
+    @settings(max_examples=100, deadline=None)
+    def test_float_squaring_to_the_first_overlapping_power_stays_near_the_naive_scan(
+        self, m, p_max
+    ):
+        p, history, first = _variation_scan(m, p_max)
+        want_p, want_history, want_first = _naive_scan(m, p_max)
+        assert (p, first) == (want_p, want_first)
+        assert len(history) == len(want_history)
+        powers = _naive_powers(m, len(history))
+        k0 = next((k for k, power in enumerate(powers, 1) if not _has_disjoint_columns(power)), None)
+        for k, (got, want) in enumerate(zip(history, want_history), start=1):
+            if k > 1 and (k0 is None or k < k0):
+                assert repr(got) == "1.0"
+            else:
+                assert abs(got - want) <= tolerance()
+
+    @pytest.mark.parametrize(
+        "domain, want_p", [(Domain.RATIONAL, 30), (Domain.FLOAT, 50)], ids=["rational", "float"]
+    )
+    def test_lazy_path_squares_its_way_to_the_first_overlapping_power(
+        self, monkeypatch, domain, want_p
+    ):
+        # k0 = 30: M^2, M^4, M^8, M^16 and three more products, not 29; a
+        # float var(M^30) is within the tolerance of 1, and the scan steps on
         calls = self._count_calls(monkeypatch, {"_step": "step"})
         m = _lazy_path(60)
+        m = m if domain is Domain.RATIONAL else m.to_float()
         p, history, first = _variation_scan(m, 64)
-        assert calls["step"] <= 2 * log2(30)
-        assert p == 30 and len(history) == 30
+        assert calls["step"] <= 2 * log2(30) + (p - 30)
+        assert p == want_p and len(history) == want_p
         assert history[1:29] == [1] * 28 and history[-1] < 1
-        assert history[-1] == variation(mat_pow(m, 30)).value
+        assert scalars_equal(history[-1], variation(mat_pow(m, p)).value, domain)
 
     # every power is formed by the step and measured by _variation_of, in
     # either domain; M itself is measured by variation

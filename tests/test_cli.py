@@ -1,5 +1,6 @@
 """Tests for matrix file parsing, serialization, and the command front end."""
 
+import functools
 import json
 import os
 import random
@@ -439,6 +440,19 @@ def _csv(rows):
     return "".join(",".join(row) + "\n" for row in rows)
 
 
+def _lazy_path_csv(n, half, quarter, three_quarters):
+    """The lazy path on n states in the given tokens: columns 1 and n first overlap at power n // 2."""
+    return _csv(
+        [
+            [
+                {0: three_quarters if i in (0, n - 1) else half, 1: quarter}.get(abs(i - j), "0")
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+    )
+
+
 def _wide_columns():
     """A seeded 64-column Markov matrix and a 48-column one with tied columns."""
     rng = random.Random(16)
@@ -488,22 +502,12 @@ CONSOLE_FILES = {
     # var(M) = 1 - 1e-6: contracts at the default tolerance, not within 1e-3 of one
     "near-one.csv": "0.9999995,5e-07\n5e-07,0.9999995\n",
     # a lazy path on 9 states: columns 1 and 9 first overlap at power 4
-    "lazy-path.csv": _csv(
-        [
-            [{0: "3/4" if i in (0, 8) else "1/2", 1: "1/4"}.get(abs(i - j), "0") for j in range(9)]
-            for i in range(9)
-        ]
-    ),
-    # the same path in float tokens, so the float scan forms M^2, M^3 and M^4
-    "lazy-path-float.csv": _csv(
-        [
-            [
-                {0: "0.75" if i in (0, 8) else "0.5", 1: "0.25"}.get(abs(i - j), "0")
-                for j in range(9)
-            ]
-            for i in range(9)
-        ]
-    ),
+    "lazy-path.csv": _lazy_path_csv(9, "1/2", "1/4", "3/4"),
+    # the same path in float tokens, so the float scan squares its way to M^4
+    "lazy-path-float.csv": _lazy_path_csv(9, "0.5", "0.25", "0.75"),
+    # on 32 states: var(M^16) is within 1e-9 of one, so the scan steps on from
+    # the squared M^16 to M^17
+    "lazy-path-float-32.csv": _lazy_path_csv(32, "0.5", "0.25", "0.75"),
     # saved with a UTF-8 byte-order mark, as some spreadsheet programs do
     "bom.csv": "\ufeff" + EX_M_CSV,
     # the worked example in JSON, with "p/q" strings
@@ -522,6 +526,7 @@ CONSOLE_POWERS = {
     "worked-float.csv": 2,
     "lazy-path.csv": 4,
     "lazy-path-float.csv": 4,
+    "lazy-path-float-32.csv": 17,
     "dense-float.csv": 1,
 }
 CONSOLE_COMMANDS = [
@@ -540,6 +545,7 @@ CONSOLE_COMMANDS = [
     (["analyze", "--pmax", "100000", "tail-cycle-twin-rational.csv"], 3),
     (["analyze", "--json", "lazy-path.csv"], 0),
     (["analyze", "--json", "lazy-path-float.csv"], 0),
+    (["analyze", "--json", "lazy-path-float-32.csv"], 0),
     (["analyze", "--json", "worked-float.csv"], 0),
     (["pattern", "--kmax", "100000", "tail-cycle-pattern.csv"], 0),
     (["variation", "--json", "markov-64.csv"], 0),
@@ -1108,6 +1114,8 @@ class TestJsonRendersNoText:
     def test_json_report_without_text_rendering(self, runner, tmp_path, monkeypatch, args, code):
         for name in ("analysis_text", "variation_text", "pattern_text", "classification_text"):
             monkeypatch.setattr(cli, name, _text_rendered)
+        # a parser of this test's own, whose commands render with the patched functions
+        monkeypatch.setattr(cli, "_parser", functools.cache(cli._parser.__wrapped__))
         for name, text in CONSOLE_FILES.items():
             write(tmp_path, name, text)
         args = [str(tmp_path / a) if a in CONSOLE_FILES else a for a in args]
