@@ -140,16 +140,15 @@ def _exact(token: Union[int, str]) -> Fraction:
     return Fraction(0)
 
 
-def _distinct_fractions(tokens: list[Union[int, str]]) -> tuple[list, list[Fraction]]:
-    """The distinct tokens in first-seen order and their exact values; MatrixParseError if ``str`` cannot print one.
+def _distinct_fractions(distinct: list[Union[int, str]]) -> list[Fraction]:
+    """Exact values of the tokens, in order; MatrixParseError if ``str`` cannot print one.
 
-    Each distinct token is read once, in order, so the first bad token
-    names the error.  A token without an exponent has no fewer characters
-    than its reduced numerator or denominator has digits, so the values
-    are printed on trial only when some token has an exponent or is longer
-    than the smallest limit Python allows.
+    The reader hands each distinct token once, in first-seen order, so the
+    first bad token names the error.  A token without an exponent has no
+    fewer characters than its reduced numerator or denominator has digits,
+    so the values are printed on trial only when some token has an exponent
+    or is longer than the smallest limit Python allows.
     """
-    distinct = list(dict.fromkeys(tokens))
     values = list(map(_exact, distinct))
     pieces = list(map(str, distinct))
     text = "".join(pieces)
@@ -159,17 +158,14 @@ def _distinct_fractions(tokens: list[Union[int, str]]) -> tuple[list, list[Fract
                 str(value)
             except ValueError as exc:
                 raise MatrixParseError(f"entry too long to print: {exc}") from exc
-    return distinct, values
+    return values
 
 
 def _spread(tokens: list, distinct: list, values: list) -> list:
-    """The value of each token, from the values of the distinct tokens."""
+    """The value of each token, from the values of the distinct tokens; ``values`` when none repeats."""
+    if len(distinct) == len(tokens):
+        return values
     return list(map(dict(zip(distinct, values)).__getitem__, tokens))
-
-
-def _fractions(tokens: list[Union[int, str]]) -> list[Fraction]:
-    """Exact values of the tokens (:func:`_distinct_fractions`)."""
-    return _spread(tokens, *_distinct_fractions(tokens))
 
 
 def _detect_format(path: str, fmt: Optional[str]) -> str:
@@ -179,15 +175,21 @@ def _detect_format(path: str, fmt: Optional[str]) -> str:
 
 
 def _entries_to_matrix(rows: int, cols: int, tokens: list[Union[int, str]], ratio: bool) -> Matrix:
-    """The matrix of the tokens; a rational one with its integer form, scaled once per distinct token."""
+    """The matrix of the tokens, each distinct token read once, in first-seen order.
+
+    Equal tokens have equal values, so the first bad or non-finite token
+    still names the error.  A rational matrix comes with its integer form,
+    scaled once per distinct token.
+    """
+    distinct = list(dict.fromkeys(tokens))
     try:
         if not ratio:
-            return Matrix._of(rows, cols, _finite(list(map(float, tokens)), Domain.FLOAT), Domain.FLOAT)
-        distinct, values = _distinct_fractions(tokens)
+            values = _finite(list(map(float, distinct)), Domain.FLOAT)
+            return Matrix._of(rows, cols, _spread(tokens, distinct, values), Domain.FLOAT)
+        values = _distinct_fractions(distinct)
         numerators, d = _over_lcm(values)
-        if len(distinct) < len(tokens):
-            values, numerators = _spread(tokens, distinct, values), _spread(tokens, distinct, numerators)
-        return Matrix._of(rows, cols, values, Domain.RATIONAL, (numerators, d))
+        form = (_spread(tokens, distinct, numerators), d)
+        return Matrix._of(rows, cols, _spread(tokens, distinct, values), Domain.RATIONAL, form)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         # OverflowError: a JSON integer too large for a float
         raise MatrixParseError(f"bad matrix entry: {exc}") from exc
@@ -588,7 +590,7 @@ def _classify(opts: argparse.Namespace) -> dict:
     a, b = ("--" if value == [] else value for value in (opts.a, opts.b))
     ratio = "/" in a + b
     try:
-        pair = _fractions([a, b]) if ratio else [float(a), float(b)]
+        pair = _distinct_fractions([a, b]) if ratio else [float(a), float(b)]
     except (ValueError, ZeroDivisionError) as exc:
         raise MatrixParseError(f"bad scalar: {exc}") from exc
     if not ratio and not all(map(isfinite, pair)):

@@ -517,6 +517,9 @@ CONSOLE_FILES = {
     # exact column sums 1 + 2**-55 and 1 - 2**-54: converges at the default
     # tolerance, and fails the fixed-point check at --tol 1e-300
     "rounded-sums.csv": "0.1,0.3\n0.9,0.7\n",
+    # float files whose first bad token repeats: each prints one error: line
+    "repeated-bad-entry.csv": "x,0.5\nx,0.5\n",
+    "repeated-inf.csv": "inf,0.5\ninf,0.5\n",
     **WIDE_COLUMNS,
 }
 # the contraction power of each analyze --json report
@@ -564,6 +567,8 @@ CONSOLE_COMMANDS = [
     (["analyze", "--tol", "1e-300", "rounded-sums.csv"], 2),
     (["analyze", "--json", "worked.json"], 0),
     (["analyze", "./missing.csv"], 1),
+    (["analyze", "repeated-bad-entry.csv"], 1),
+    (["variation", "repeated-inf.csv"], 1),
 ]
 
 
@@ -836,7 +841,7 @@ class TestDecimalExponentBound:
     def test_a_mantissa_with_factors_of_ten_may_pass_the_limit(self):
         # 50000e-4302 = 1/(2 * 10**4297): the exponent passes the 4300-digit
         # limit, the reduced denominator does not
-        assert cli._fractions(["50000e-4302"]) == [F(1, 2 * 10**4297)]
+        assert cli._distinct_fractions(["50000e-4302"]) == [F(1, 2 * 10**4297)]
 
     @given(
         st.from_regex(r"-?[0-9]{1,5}(\.[0-9]{0,5})?", fullmatch=True),
@@ -853,7 +858,7 @@ class TestDecimalExponentBound:
         except ValueError:
             printable = False
         try:
-            value = cli._fractions([token])
+            value = cli._distinct_fractions([token])
         except MatrixParseError:
             assert not printable
         else:
@@ -879,7 +884,7 @@ class TestIntegerFormFromTheReader:
         tokens = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=24))
         m = cli._entries_to_matrix(1, len(tokens), tokens, True)
         want = [Fraction(t) for t in tokens]
-        assert list(m.entries) == want == cli._fractions(tokens)
+        assert list(m.entries) == want == cli._distinct_fractions(tokens)
         assert all(type(v) is Fraction for v in m.entries)
         assert m._form == core._over_lcm(m.entries)
 
@@ -908,7 +913,7 @@ _SOUP_TOKENS = st.one_of(
     st.sampled_from(
         ["1/2", "-1/3", "0/1", "3", "0.5", "-2.5e-1", "1e400", "nan", "inf", "", " ", " 1/4\t",
          "\x1f1/2", "0.5\x1f", "\u20031", "²/3", "1_0/3", "1/-2", "+1/2", "１/２", "-0/5", "1/0",
-         "1e-700", "1/" + "3" * 639, "7/" + "1" * 5000, "x"]
+         "1e-700", "1/" + "3" * 639, "7/" + "1" * 5000, "x", "-0.0", "0.0", "-0", "0.1", "0.10"]
     ),
     st.text(alphabet="0123456789/.-+e_ \t\x1f²１", max_size=8),
 )
@@ -928,12 +933,15 @@ def _csv_soup(draw):
 
 
 def _read_with(reader, text):
-    """A matrix as its domain, shape, entries and entry types, or the parse error's message."""
+    """A matrix as its domain, shape, entries and their reprs, or the parse error's message.
+
+    The reprs tell -0.0 from 0.0, which compare equal, and name each entry's type.
+    """
     try:
         m = reader(text)
     except MatrixParseError as exc:
         return str(exc)
-    return m.domain, m.rows, m.cols, m.entries, [type(v) for v in m.entries]
+    return m.domain, m.rows, m.cols, m.entries, list(map(repr, m.entries))
 
 
 class TestOnePassReader:
@@ -960,8 +968,39 @@ class TestOnePassReader:
     @example(text="1,2\n3\n")
     @example(text="\n1,2\n \n3,4\n\n")
     @example(text="1/2,1/3\r\n1/2,2/3\r\n")
+    @example(text="x,1\nx,1\n")
+    @example(text="inf,1\ninf,0\n")
+    @example(text="-0.0,0.0\n0.0,-0.0\n")
     def test_same_matrix_or_error_as_the_step_by_step_reader(self, text):
         assert _read_with(cli._parse_csv_matrix, text) == _read_with(reference_csv_matrix, text)
+
+
+class TestOneReadPerDistinctToken:
+    """Each distinct token of a file is converted once, in first-seen order, in either domain and format.
+
+    A rational CSV file is covered by ``TestIntegerFormFromTheReader``.
+    """
+
+    @pytest.mark.parametrize(
+        "name, text, want, entries",
+        [
+            ("m.csv", "0.5,0.25,0.5\n0.5,0.75,0.5\n", ["0.5", "0.25", "0.75"], [0.5, 0.25, 0.5, 0.5, 0.75, 0.5]),
+            ("m.csv", "-0.0,0.0\n0.1,0.10\n", ["-0.0", "0.0", "0.1", "0.10"], [-0.0, 0.0, 0.1, 0.1]),
+            ("m.json", '{"rows": 2, "cols": 2, "data": [[0.5, 1], [0.5, 0]]}', ["0.5", 1, 0], [0.5, 1.0, 0.5, 0.0]),
+            ("m.json", '{"rows": 2, "cols": 2, "data": [["1/2", 1], ["1/2", 0]]}', ["1/2", 1, 0],
+             [F(1, 2), F(1), F(1, 2), F(0)]),
+        ],
+        ids=["float", "float-distinct", "json-float", "json-rational"],
+    )
+    def test_each_distinct_token_is_converted_once(self, tmp_path, monkeypatch, name, text, want, entries):
+        calls = []
+        for attr, convert in (("float", float), ("_exact", cli._exact)):
+            monkeypatch.setattr(
+                cli, attr, lambda token, convert=convert: calls.append(token) or convert(token), raising=False
+            )
+        m = parse_matrix(write(tmp_path, name, text))
+        assert calls == want
+        assert list(map(repr, m.entries)) == list(map(repr, entries))
 
 
 class TestVariationCommand:
