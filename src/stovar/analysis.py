@@ -27,9 +27,12 @@ from .core import (
     VariationReport,
     Vector,
     _all_close,
+    _coerce,
     _ensure_typed,
     _finite,
+    _infer_domain,
     _power_by_squaring,
+    _require_count,
     _row_slices,
     _step,
     _variation_of,
@@ -191,8 +194,7 @@ def _variation_scan(
     with tail t and period l is caught at a power-of-two checkpoint
     after about 2t + l products.  At most n + log2(p_max) powers are held.
     """
-    if not isinstance(p_max, int) or p_max < 1:
-        raise ValueError("p_max must be a positive integer")
+    _require_count(p_max, "p_max")
     first = variation(m)
     history: list[Scalar] = [first.value]
     one = one_of(m.domain)
@@ -335,13 +337,8 @@ def _float_eliminate(aug: list[list[float]], ncols: int, limit: float) -> tuple[
     """
     sign, rank = 1, 0
     for k in range(ncols):
-        pivot_row = None
-        best = limit
-        for r in range(rank, len(aug)):
-            magnitude = abs(aug[r][k])
-            if magnitude > best:
-                best = magnitude
-                pivot_row = r
+        above = (r for r in range(rank, len(aug)) if abs(aug[r][k]) > limit)
+        pivot_row = max(above, key=lambda r: abs(aug[r][k]), default=None)
         if pivot_row is None:
             continue
         if pivot_row != rank:
@@ -493,10 +490,8 @@ def decay_bound(var_m: Scalar, var_mp: Scalar, p: int, k: int) -> Scalar:
     bound is valid whenever var_mp, the variation at the contraction
     power p, is below one.
     """
-    if not isinstance(p, int) or p < 1:
-        raise ValueError("p must be a positive integer")
-    if not isinstance(k, int) or k < 1:
-        raise ValueError("k must be a positive integer")
+    _require_count(p, "p")
+    _require_count(k, "k")
     if not var_mp < 1:
         raise ValueError("decay bound requires variation below one at power p")
     q, r = divmod(k, p)
@@ -519,8 +514,7 @@ def iterate_error_bound(
     """
     _require_square(m)
     ensure_type_one(m)
-    if not isinstance(k, int) or k < 1:
-        raise ValueError("k must be a positive integer")
+    _require_count(k, "k")
     if len(x) != m.rows or len(e) != m.rows:
         raise DimensionError("vector lengths must match the matrix dimension")
     for vec, name in ((x, "x"), (e, "e")):
@@ -583,8 +577,7 @@ def analyze(
     """
     _require_square(m)
     type_report = ensure_type_one(m)
-    if not isinstance(k_report, int) or k_report < 1:
-        raise ValueError("k_report must be a positive integer")
+    _require_count(k_report, "k_report")
     p, history, first = _variation_scan(m, p_max)
     e = None
     if m.domain is Domain.FLOAT and p == 1 and min(m.entries) >= 0.0:
@@ -646,10 +639,9 @@ def type_eigenvalue_certificate(m: Matrix) -> Scalar:
 
 
 def _weights_2x2(a: ScalarLike, b: ScalarLike) -> tuple[Scalar, Scalar, Domain]:
-    """a and b as floats when either is a float, else as fractions."""
-    if isinstance(a, float) or isinstance(b, float):
-        return float(a), float(b), Domain.FLOAT
-    return Fraction(a), Fraction(b), Domain.RATIONAL
+    """a and b as floats when either is a float, else as rationals, read as matrix entries are."""
+    domain = _infer_domain((a, b))
+    return _coerce(a, domain), _coerce(b, domain), domain
 
 
 def matrix_2x2(a: ScalarLike, b: ScalarLike) -> Matrix:

@@ -39,7 +39,7 @@ import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from math import isfinite
+from math import inf, isfinite
 from typing import Callable, NoReturn, Optional, Sequence, Union
 
 from . import analysis as _analysis
@@ -58,6 +58,7 @@ from .core import (
     Scalar,
     TypeReport,
     VariationReport,
+    _exact,
     _finite,
     _over_lcm,
     _row_slices,
@@ -107,37 +108,6 @@ def _decimal(value: Scalar) -> float:
 
 # Python's int-string limit is either 0 (no limit) or at least this many digits
 _MIN_INT_STR_LIMIT = 640
-
-# a decimal literal with an exponent, in the syntax that Fraction accepts
-_EXPONENT_LITERAL = re.compile(
-    r"\s*[-+]?(?=\d|\.\d)(?P<mantissa>\d*(?:_\d+)*(?:\.(?:\d+(?:_\d+)*)?)?)"
-    r"[eE](?P<exponent>[-+]?\d+(?:_\d+)*)\s*"
-)
-
-
-# an ASCII p/q; int alone would also take "_", "+", spaces, a signed q and other digits
-_RATIO = re.compile(r"(-?[0-9]+)/([0-9]+)")
-
-
-def _exact(token: Union[int, str]) -> Fraction:
-    """``Fraction(token)``, an ASCII ``p/q`` from its ints and a huge exponent decided first.
-
-    ``Fraction`` builds ``10**e`` for an exponent e before anything can
-    look at the value.  A nonzero mantissa times ``10**e`` with |e| above
-    the int-string limit plus the token's length has a reduced numerator
-    or denominator longer than that limit, which ``str`` cannot print, so
-    such a token is a parse error at once; a zero mantissa gives 0.
-    """
-    ratio = isinstance(token, str) and _RATIO.fullmatch(token)
-    if ratio:
-        return Fraction(int(ratio[1]), int(ratio[2]))
-    limit = sys.get_int_max_str_digits()
-    match = limit and isinstance(token, str) and _EXPONENT_LITERAL.fullmatch(token)
-    if not match or abs(int(match["exponent"])) <= limit + len(token):
-        return Fraction(token)
-    if match["mantissa"].strip("0._"):
-        raise MatrixParseError(f"entry too long to print: its exponent gives over {limit} digits")
-    return Fraction(0)
 
 
 def _distinct_fractions(distinct: list[Union[int, str]]) -> list[Fraction]:
@@ -463,8 +433,8 @@ def pattern_text(report: dict) -> str:
 
 
 def classification_report_dict(result: Classification2x2) -> dict:
-    domain = Domain.RATIONAL if isinstance(result.c, Fraction) else Domain.FLOAT
     m = matrix_2x2(result.a, result.b)
+    domain = m.domain
     return {
         "schema": SCHEMA,
         "command": "classify2x2",
@@ -599,16 +569,18 @@ def _classify(opts: argparse.Namespace) -> dict:
 
 
 def _positive(kind: type) -> Callable[[str], Union[int, float]]:
-    """Option type: a ``kind`` read from the option's text, above zero (so not nan)."""
+    """Option type: a ``kind`` read from the option's text, above zero (so not nan) and finite."""
 
     def value(text: str) -> Union[int, float]:
         try:
             number = kind(text)
-            if number > 0:
-                return number
         except ValueError:
-            pass
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive {kind.__name__}")
+            number = 0  # unreadable text is refused as not positive
+        if not number > 0:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a positive {kind.__name__}")
+        if not number < inf:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a finite {kind.__name__}")
+        return number
 
     return value
 

@@ -16,6 +16,8 @@ has its own, so setting it in one thread leaves every other unchanged.
 
 from __future__ import annotations
 
+import re
+import sys
 from contextvars import ContextVar
 from enum import Enum
 from fractions import Fraction
@@ -27,6 +29,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence,
 from .errors import (
     DimensionError,
     DomainMismatchError,
+    MatrixParseError,
     NotSquareError,
     NotTypedError,
     NotTypeOneError,
@@ -53,11 +56,12 @@ def set_tolerance(value: float) -> float:
     The tolerance guards float-domain equality tests (type detection,
     fixed-point verification) and the strictness margin applied when a
     variation is compared against a threshold.  It is set in the current
-    context only; rational-domain computations never consult it.
+    context only; rational-domain computations never consult it.  A value
+    that is not positive and finite raises ValueError.
     """
     tol = float(value)
-    if not tol > 0.0:
-        raise ValueError("tolerance must be positive")
+    if not 0.0 < tol < inf:
+        raise ValueError("tolerance must be positive and finite")
     previous = _tolerance.get()
     _tolerance.set(tol)
     return previous
@@ -104,7 +108,40 @@ def one_of(domain: Domain) -> Scalar:
     return Fraction(1) if domain is Domain.RATIONAL else 1.0
 
 
+# a decimal literal with an exponent, in the syntax that Fraction accepts
+_EXPONENT_LITERAL = re.compile(
+    r"\s*[-+]?(?=\d|\.\d)(?P<mantissa>\d*(?:_\d+)*(?:\.(?:\d+(?:_\d+)*)?)?)"
+    r"[eE](?P<exponent>[-+]?\d+(?:_\d+)*)\s*"
+)
+
+# an ASCII p/q; int alone would also take "_", "+", spaces, a signed q and other digits
+_RATIO = re.compile(r"(-?[0-9]+)/([0-9]+)")
+
+
+def _exact(token: ScalarLike) -> Fraction:
+    """``Fraction(token)``, an ASCII ``p/q`` from its ints and a huge exponent decided first.
+
+    ``Fraction`` builds ``10**e`` for an exponent e before anything can
+    look at the value.  A nonzero mantissa times ``10**e`` with |e| above
+    the int-string limit plus the token's length has a reduced numerator
+    or denominator longer than that limit, which ``str`` cannot print, so
+    such a token raises :class:`MatrixParseError` at once; a zero mantissa
+    gives 0.  With the limit off (0) every exponent is converted.
+    """
+    ratio = isinstance(token, str) and _RATIO.fullmatch(token)
+    if ratio:
+        return Fraction(int(ratio[1]), int(ratio[2]))
+    limit = sys.get_int_max_str_digits()
+    match = limit and isinstance(token, str) and _EXPONENT_LITERAL.fullmatch(token)
+    if not match or abs(int(match["exponent"])) <= limit + len(token):
+        return Fraction(token)
+    if match["mantissa"].strip("0._"):
+        raise MatrixParseError(f"entry too long to print: its exponent gives over {limit} digits")
+    return Fraction(0)
+
+
 def _coerce(value: ScalarLike, domain: Domain) -> Scalar:
+    """The value in the domain; a rational one read by :func:`_exact`."""
     if domain is Domain.RATIONAL:
         if isinstance(value, float):
             raise DomainMismatchError(
@@ -112,7 +149,7 @@ def _coerce(value: ScalarLike, domain: Domain) -> Scalar:
                 "an int, or a literal string such as '3/5' or '0.24'"
             )
         try:
-            return Fraction(value)
+            return _exact(value)
         except (ValueError, TypeError, ZeroDivisionError) as exc:
             raise DomainMismatchError(f"cannot interpret {value!r} as a rational") from exc
     try:
@@ -141,6 +178,23 @@ def _to_float(value: Scalar) -> float:
         return float(value)
     except OverflowError:
         return inf if value > 0 else -inf
+
+
+def _require_count(value: int, name: str, least: int = 1) -> None:
+    """ValueError unless value is an int, not a bool, of at least ``least`` (1, or 0 for an exponent)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(f"{name} must be a {'positive' if least else 'non-negative'} integer")
+
+
+def _rectangle(rows: Iterable[Iterable], noun: str) -> tuple[int, int, list]:
+    """Row count, width and row-major cells of nonempty rows of one width; DimensionError otherwise."""
+    data = [list(row) for row in rows]
+    if not data or not data[0]:
+        raise DimensionError(f"a {noun} needs at least one row and one column")
+    width = len(data[0])
+    if any(len(row) != width for row in data):
+        raise DimensionError(f"all {noun} rows must have the same number of entries")
+    return len(data), width, [cell for row in data for cell in row]
 
 
 def _infer_domain(values: Iterable[ScalarLike]) -> Domain:
@@ -326,13 +380,7 @@ class Matrix(_Dense):
         rows: Iterable[Iterable[ScalarLike]],
         domain: Optional[Domain] = None,
     ):
-        data = [list(row) for row in rows]
-        if not data or not data[0]:
-            raise DimensionError("a matrix needs at least one row and one column")
-        width = len(data[0])
-        if any(len(row) != width for row in data):
-            raise DimensionError("all rows must have the same number of entries")
-        self._fill(len(data), width, [value for row in data for value in row], domain)
+        self._fill(*_rectangle(rows, "matrix"), domain)
 
     _of = classmethod(_Dense._new.__func__)
 
@@ -716,8 +764,7 @@ def mat_pow(m: Matrix, k: int) -> Matrix:
     """k-th power by repeated multiplication; the zeroth power is identity."""
     if not m.is_square:
         raise NotSquareError(f"cannot raise a {m.rows}x{m.cols} matrix to a power")
-    if not isinstance(k, int) or k < 0:
-        raise ValueError("exponent must be a non-negative integer")
+    _require_count(k, "exponent", 0)
     result = Matrix.identity(m.rows, domain=m.domain)
     for _ in range(k):
         result = mat_mul(result, m)

@@ -46,4 +46,4 @@ class ZeroVariationError(StovarError):
 
 
 class MatrixParseError(StovarError):
-    """A matrix file could not be parsed."""
+    """A matrix file, or an entry string, could not be parsed."""

@@ -38,6 +38,8 @@ from .core import (
     _column_slices,
     _ensure_typed,
     _power_by_squaring,
+    _rectangle,
+    _require_count,
     ensure_type_one,
     mat_pow,
     scalars_equal,
@@ -52,13 +54,12 @@ from .errors import (
     NotSquareError,
 )
 
+# False and True are found as the keys 0 and 1, which they equal
 _CELL_VALUES = {
     "0": False,
     "+": True,
     0: False,
     1: True,
-    False: False,
-    True: True,
 }
 
 
@@ -73,21 +74,14 @@ class SignPattern:
     __slots__ = ("_rows", "_masks")
 
     def __init__(self, rows: Iterable[Iterable[Union[bool, int, str]]]):
-        data = [list(row) for row in rows]
-        if not data or not data[0]:
-            raise DimensionError("a pattern needs at least one row and one column")
-        width = len(data[0])
-        if any(len(row) != width for row in data):
-            raise DimensionError("all pattern rows must have the same number of entries")
-        cells = []
-        for row in data:
-            for cell in row:
-                try:
-                    cells.append(_CELL_VALUES[cell])
-                except (KeyError, TypeError):
-                    raise ValueError(f"pattern cell must be 0 or +, got {cell!r}") from None
-        self._rows = len(data)
-        self._masks = _column_masks(cells, width)
+        self._rows, width, cells = _rectangle(rows, "pattern")
+        bits = []
+        for cell in cells:
+            try:
+                bits.append(_CELL_VALUES[cell])
+            except (KeyError, TypeError):
+                raise ValueError(f"pattern cell must be 0 or +, got {cell!r}") from None
+        self._masks = _column_masks(bits, width)
 
     @classmethod
     def _of(cls, rows: int, masks: tuple[int, ...]) -> "SignPattern":
@@ -231,8 +225,7 @@ def pattern_power(p: SignPattern, k: int) -> SignPattern:
     """
     if not p.is_square:
         raise NotSquareError(f"cannot raise a {p.rows}x{p.cols} pattern to a power")
-    if not isinstance(k, int) or k < 0:
-        raise ValueError("exponent must be a non-negative integer")
+    _require_count(k, "exponent", 0)
     if not k:
         return SignPattern.identity(p.rows)
     power = _power_by_squaring(p._masks, k, lambda a, b: _mask_product(a, _layers(b)))
@@ -268,8 +261,7 @@ def _pattern_powers(p: SignPattern, k_max: int) -> tuple[Optional[int], list[Sig
     """First all-positive power of P up to k_max, or None; and the powers walked."""
     if not p.is_square:
         raise NotSquareError(f"regularity index needs a square pattern, got {p.rows}x{p.cols}")
-    if not isinstance(k_max, int) or k_max < 1:
-        raise ValueError("k_max must be a positive integer")
+    _require_count(k_max, "k_max")
     first, powers = _power_walk(
         p._masks, k_max, lambda masks: SignPattern._of(p.rows, masks).is_all_positive()
     )

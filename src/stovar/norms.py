@@ -10,10 +10,7 @@ running any optimization.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .core import (
-    Domain,
     Matrix,
     RowVector,
     Vector,
@@ -35,7 +32,7 @@ def variation_maximizer(a: Matrix) -> Vector:
     if a.cols < 2:
         raise DimensionError("maximizer needs a matrix with at least two columns")
     report = variation(a)
-    half = Fraction(1, 2) if a.domain is Domain.RATIONAL else 0.5
+    half = one_of(a.domain) / 2
     entries = [zero_of(a.domain)] * a.cols
     entries[report.arg_j - 1] = half
     entries[report.arg_k - 1] = -half

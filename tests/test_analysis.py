@@ -1606,6 +1606,40 @@ class TestClassify2x2:
         assert result.case is Case2x2.CONVERGES_GENERIC
         assert analyze(matrix_2x2(a, b)).stationary == result.stationary
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [("abc", 1), ("1/0", 1), ("abc", 0.5), (10**400, 0.5), (float("inf"), 0.5)],
+        ids=["rational-text", "zero-denominator", "float-text", "float-overflow", "float-inf"],
+    )
+    def test_unreadable_weights_raise_a_domain_error(self, a, b):
+        for build in (classify_2x2, matrix_2x2):
+            with pytest.raises(DomainMismatchError):
+                build(a, b)
+
+
+_PATTERN = nonneg.SignPattern(["+0", "++"])
+
+# each count argument, the call that takes it, and the message that refuses it
+_COUNT_ARGUMENTS = [
+    ("p_max", lambda v: analyze(EX_M, p_max=v), "p_max must be a positive integer"),
+    ("k_report", lambda v: analyze(EX_M, k_report=v), "k_report must be a positive integer"),
+    ("decay-p", lambda v: decay_bound(F(6, 5), F(18, 25), v, 4), "p must be a positive integer"),
+    ("decay-k", lambda v: decay_bound(F(6, 5), F(18, 25), 2, v), "k must be a positive integer"),
+    ("iterate-k", lambda v: iterate_error_bound(EX_M, v, EX_E, EX_E), "k must be a positive integer"),
+    ("mat_pow", lambda v: mat_pow(EX_M, v), "exponent must be a non-negative integer"),
+    ("pattern_power", lambda v: nonneg.pattern_power(_PATTERN, v), "exponent must be a non-negative integer"),
+    ("k_max", lambda v: first_positive_power(_PATTERN, v), "k_max must be a positive integer"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, message", [c[1:] for c in _COUNT_ARGUMENTS], ids=[c[0] for c in _COUNT_ARGUMENTS]
+)
+@pytest.mark.parametrize("value", [True, False, 2.0, -1], ids=repr)
+def test_a_count_argument_is_an_int_but_not_a_bool(call, message, value):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(value)
+
 
 class TestRegularMarkovCorollary:
     def test_regular_markov_converges_with_positive_stationary(self):

@@ -569,6 +569,8 @@ CONSOLE_COMMANDS = [
     (["analyze", "./missing.csv"], 1),
     (["analyze", "repeated-bad-entry.csv"], 1),
     (["variation", "repeated-inf.csv"], 1),
+    (["classify2x2", "1e-10000000", "1/2"], 1),
+    (["analyze", "--tol", "inf", "worked.csv"], 2),
 ]
 
 
@@ -681,6 +683,8 @@ USAGE_ERRORS = [
     ["classify2x2", "--json", "1/2"],
     ["--bogus"],
     ["analyze", "--tol", "nan", "m.csv"],
+    ["analyze", "--tol", "inf", "m.csv"],
+    ["analyze", "--tol", "1e999", "m.csv"],
     ["analyze", "--js", "m.csv"],
     ["classify2x2", "1/2", "1/2", "a\nb"],
     ["analyze", "--bo\ngus", "m.csv"],
@@ -792,11 +796,12 @@ class TestOversizedInput:
 
 @pytest.fixture
 def fraction_calls(monkeypatch):
-    """Arguments of every ``Fraction(...)`` call the CLI module makes.
+    """Arguments of every ``Fraction(...)`` call the CLI and core modules make.
 
-    A string with a ten-million exponent raises ValueError at once
-    instead of building ``10**10000000``, so code that hands such a token
-    to ``Fraction`` fails the test quickly rather than stalling it.
+    The CLI reads its exact tokens with ``core._exact``.  A string with a
+    ten-million exponent raises ValueError at once instead of building
+    ``10**10000000``, so code that hands such a token to ``Fraction``
+    fails the test quickly rather than stalling it.
     """
     calls = []
 
@@ -807,6 +812,7 @@ def fraction_calls(monkeypatch):
         return Fraction(*args)
 
     monkeypatch.setattr(cli, "Fraction", recording)
+    monkeypatch.setattr(core, "Fraction", recording)
     return calls
 
 

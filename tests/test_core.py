@@ -5,6 +5,7 @@ import math
 import pickle
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -19,9 +20,11 @@ from stovar import (
     Domain,
     DomainMismatchError,
     Matrix,
+    MatrixParseError,
     NotSquareError,
     NotTypedError,
     RowVector,
+    StovarError,
     Vector,
     classify_2x2,
     decay_bound,
@@ -75,6 +78,32 @@ class TestConstruction:
     def test_string_entries_are_exact(self):
         m = Matrix([["0.24", "1/3"]], domain=Domain.RATIONAL)
         assert m.entries == (F(6, 25), F(1, 3))
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: Matrix([["1e-10000000"]]), lambda: Vector(["1e-10000000"]),
+         lambda: classify_2x2("1e-10000000", "1/2")],
+        ids=["matrix", "vector", "classify"],
+    )
+    def test_a_huge_exponent_is_refused_at_once(self, build):
+        # the CLI's rule: Fraction would first build 10**10000000, which takes seconds
+        start = time.perf_counter()
+        with pytest.raises(StovarError, match="^entry too long to print"):
+            build()
+        assert time.perf_counter() - start < 1.0
+
+    def test_no_exponent_bound_when_the_int_string_limit_is_off(self, monkeypatch):
+        with pytest.raises(MatrixParseError):
+            Matrix([["1e-5000"]])
+        monkeypatch.setattr(core.sys, "get_int_max_str_digits", lambda: 0)
+        assert Matrix([["1e-5000"]]).entries == (F(1, 10**5000),)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("inf"), float("nan")])
+    def test_set_tolerance_refuses_a_value_not_positive_and_finite(self, bad):
+        previous = core.tolerance()
+        with pytest.raises(ValueError, match="^tolerance must be positive and finite$"):
+            core.set_tolerance(bad)
+        assert core.tolerance() == previous
 
     @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan"), "inf", "nan"])
     def test_non_finite_float_rejected(self, bad):
