@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from math import gcd, inf, log, prod
-from operator import floordiv, mul, sub
+from itertools import accumulate
+from math import gcd, inf, isqrt, log, prod
+from operator import floordiv, lshift, mul, sub
 from typing import NamedTuple, Optional
 
 from .core import (
@@ -306,25 +307,100 @@ def _bareiss_eliminate(aug: list[list[int]], ncols: int) -> tuple[int, int]:
     rank.  Returns ``(sign, rank)``, with sign the sign of the row
     permutation; for a square block of full rank n the determinant is
     sign times ``aug[n - 1][n - 1]``.
+
+    Each column is one int (Kronecker substitution; Harvey, J. Symbolic
+    Comput. 44, 2009): slot i, ``8 * size`` bits wide, holds the entry
+    of the i-th row not yet a pivot row as a signed value, and the int is
+    the sum of the slots, each shifted by its bit offset.  After t pivots
+    the entries are minors of order t + 1, so a minor of order t is at
+    most the product of the t largest row 2-norms (Hadamard), each
+    rounded up as isqrt + 1; a slot one bit wider than that bound holds
+    it with its sign.  Slots start wide enough for minors of order 4;
+    once the next minors outgrow them, every column is repacked, byte by
+    byte, wide enough for twice the next order.
+
+    The first nonzero slot of a column is found from its lowest set bit;
+    a row swap exchanges two slots of every later column.  With the
+    pivot column x_k, its pivot in slot 0, and p slot 0 of a later column
+    x, ``pivot * x - p * x_k`` holds the numerators of the Bareiss update
+    of x in its slots, and 0 in slot 0.  The int is the sum of its slots
+    whatever their size, so the shift drops slot 0 (the new pivot row)
+    exactly and, every numerator being a multiple of ``previous``, the
+    quotient by ``previous`` is the sum of the quotients, each within its
+    slot.  Each pivot row is written back into ``aug`` from its pivot
+    column on; its entries before that column, and the rows from the rank
+    on, keep their input entries, in the order of the row swaps.
     """
+    height = len(aug)
+    norms = sorted([isqrt(sum(map(mul, row, row))) + 1 for row in aug], reverse=True)
+    # widths[t - 1]: bytes per slot for every minor of order t, with its sign;
+    # no minor has an order above the height
+    widths = [(bound.bit_length() + 8) // 8 for bound in accumulate(norms, mul)]
+    widths += widths[-1:] * (height + 4)
     sign, rank, previous = 1, 0, 1
+    size = widths[3]
+    rest = _pack(aug, size)  # columns k, k + 1, ...
     for k in range(ncols):
-        pivot_row = next((r for r in range(rank, len(aug)) if aug[r][k]), None)
-        if pivot_row is None:
+        if rank == height:
+            break
+        if widths[rank + 1] > size:
+            wider = widths[2 * rank + 3]
+            rest = _repack(rest, height - rank, size, wider)
+            size = wider
+        bits = 8 * size
+        half, mask = 1 << (bits - 1), (1 << bits) - 1
+        column, *rest = rest
+        if not column:
             continue
-        if pivot_row != rank:
-            aug[rank], aug[pivot_row] = aug[pivot_row], aug[rank]
+        shift = ((column & -column).bit_length() - 1) // bits * bits
+        pivot = (((column >> shift) + half) & mask) - half
+        if shift:
+            other = rank + shift // bits
+            aug[rank], aug[other] = aug[other], aug[rank]
             sign = -sign
-        pivot = aug[rank][k]
-        tail = aug[rank][k + 1 :]
-        for row in aug[rank + 1 :]:
-            factor = row[k]
-            row[k + 1 :] = [
-                (pivot * a - factor * p) // previous for a, p in zip(row[k + 1 :], tail)
-            ]
-        previous = pivot
+            column += pivot - (pivot << shift)
+            rest = [_swap_slots(x, shift, half, mask) for x in rest]
+        entries = [((x + half) & mask) - half for x in rest]
+        aug[rank][k:] = [pivot, *entries]
         rank += 1
+        rest = [((pivot * x - p * column) >> bits) // previous for x, p in zip(rest, entries)]
+        previous = pivot
     return sign, rank
+
+
+def _pack(rows: list[list[int]], size: int) -> list[int]:
+    """Each column of the rows as one int, each entry in a signed slot of ``size`` bytes."""
+    shifts = range(0, 8 * size * len(rows), 8 * size)
+    return [sum(map(lshift, column, shifts)) for column in zip(*rows)]
+
+
+def _repack(columns: list[int], slots: int, size: int, wider: int) -> list[int]:
+    """Columns of ``slots`` slots of ``size`` bytes, repacked with ``wider`` bytes per slot.
+
+    A column plus half = 2**(8 size - 1) in every slot holds each value
+    plus half in its slot, byte for byte, with no borrow between slots;
+    zero bytes above each slot widen it, and the halves are taken off again.
+    """
+    half = bytes(size - 1) + b"\x80"
+    offset = int.from_bytes(half * slots, "little")
+    data = b"".join([(x + offset).to_bytes(slots * size, "little") for x in columns])
+    wide = bytearray(len(data) // size * wider)
+    for j in range(size):
+        wide[j::wider] = data[j::size]
+    offset = int.from_bytes((half + bytes(wider - size)) * slots, "little")
+    step = slots * wider
+    return [int.from_bytes(wide[i : i + step], "little") - offset for i in range(0, len(wide), step)]
+
+
+def _swap_slots(x: int, shift: int, half: int, mask: int) -> int:
+    """Column x with slot 0 and the slot at bit offset ``shift`` exchanged.
+
+    Adding half a unit of that slot before shifting rounds the slots below
+    it away, so the slot decodes as slot 0 does.
+    """
+    high = (x + (1 << (shift - 1))) >> shift
+    d = ((high + half) & mask) - ((x + half) & mask)
+    return x + d - (d << shift)
 
 
 def _float_eliminate(aug: list[list[float]], ncols: int, limit: float) -> tuple[int, int]:

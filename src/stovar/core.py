@@ -59,7 +59,7 @@ def set_tolerance(value: float) -> float:
     context only; rational-domain computations never consult it.  A value
     that is not positive and finite raises ValueError.
     """
-    tol = float(value)
+    tol = _to_float(value)
     if not 0.0 < tol < inf:
         raise ValueError("tolerance must be positive and finite")
     previous = _tolerance.get()
@@ -184,6 +184,13 @@ def _require_count(value: int, name: str, least: int = 1) -> None:
     """ValueError unless value is an int, not a bool, of at least ``least`` (1, or 0 for an exponent)."""
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
         raise ValueError(f"{name} must be a {'positive' if least else 'non-negative'} integer")
+
+
+def _require_size(value: int, name: str, message: str) -> None:
+    """:func:`_require_count`'s ValueError for a bool or non-int size, DimensionError(message) for an int below 1."""
+    if isinstance(value, int) and not isinstance(value, bool) and value < 1:
+        raise DimensionError(message)
+    _require_count(value, name)
 
 
 def _rectangle(rows: Iterable[Iterable], noun: str) -> tuple[int, int, list]:
@@ -361,8 +368,7 @@ class RowVector(_Entries):
 
 def ones_row(length: int, domain: Domain = Domain.RATIONAL) -> RowVector:
     """Row vector of the given length with every entry equal to one."""
-    if length < 1:
-        raise DimensionError("a row vector needs at least one entry")
+    _require_size(length, "length", "a row vector needs at least one entry")
     return RowVector._of([one_of(domain)] * length, domain)
 
 
@@ -386,8 +392,7 @@ class Matrix(_Dense):
 
     @classmethod
     def identity(cls, n: int, domain: Domain = Domain.RATIONAL) -> "Matrix":
-        if n < 1:
-            raise DimensionError("a matrix needs at least one row and one column")
+        _require_size(n, "n", "a matrix needs at least one row and one column")
         entries = [zero_of(domain)] * (n * n)
         entries[:: n + 1] = [one_of(domain)] * n
         return cls._of(n, n, entries, domain)

@@ -1539,6 +1539,146 @@ class TestEchelonKernels:
         assert all(scalars_close(fsum(col), 0.0) for col in zip(*shifted))
 
 
+# ---------------------------------------------------------------------------
+# the packed Bareiss kernel against the entry-by-entry loop it replaced
+
+
+def _entrywise_bareiss(aug, ncols):
+    """Bareiss row echelon form of the first ncols columns, in place, one entry at a time."""
+    sign, rank, previous = 1, 0, 1
+    for k in range(ncols):
+        pivot_row = next((r for r in range(rank, len(aug)) if aug[r][k]), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != rank:
+            aug[rank], aug[pivot_row] = aug[pivot_row], aug[rank]
+            sign = -sign
+        pivot = aug[rank][k]
+        tail = aug[rank][k + 1 :]
+        for row in aug[rank + 1 :]:
+            factor = row[k]
+            row[k + 1 :] = [
+                (pivot * a - factor * p) // previous for a, p in zip(row[k + 1 :], tail)
+            ]
+        previous = pivot
+        rank += 1
+    return sign, rank
+
+
+def _pivot_columns(eliminate, rows, ncols):
+    """The columns k < ncols where the rank of the first k + 1 columns exceeds that of the first k."""
+    ranks = [eliminate([list(row) for row in rows], k)[1] for k in range(ncols + 1)]
+    return [k for k in range(ncols) if ranks[k + 1] > ranks[k]]
+
+
+def _assert_same_echelon(rows, ncols):
+    """The packed kernel and the entry-by-entry loop agree on (sign, rank), pivots and pivot rows."""
+    packed, entrywise = [list(row) for row in rows], [list(row) for row in rows]
+    assert analysis._bareiss_eliminate(packed, ncols) == _entrywise_bareiss(entrywise, ncols)
+    pivots = _pivot_columns(analysis._bareiss_eliminate, rows, ncols)
+    assert pivots == _pivot_columns(_entrywise_bareiss, rows, ncols)
+    for i, k in enumerate(pivots):
+        assert packed[i][k:] == entrywise[i][k:]
+
+
+_WIDE_INTEGERS = st.builds(
+    lambda sign, v: sign * v, st.sampled_from([1, -1]), st.integers(2**64, 2**120)
+)
+
+
+@st.composite
+def _integer_systems(draw):
+    """Integer rows, 1..9 of them with up to two more columns, and ncols up to the width.
+
+    Entries are 0, +-1, small ints, or +-2**64 to 2**120, so that slots
+    pass one machine word and hold negative values; a system may get a
+    zero column, a repeated row and a row combined from two others.
+    """
+    entries = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-9, 9), _WIDE_INTEGERS)
+    height = draw(st.integers(1, 9))
+    width = height + draw(st.integers(0, 2))
+    rows = [draw(st.lists(entries, min_size=width, max_size=width)) for _ in range(height)]
+    if draw(st.booleans()):
+        j = draw(st.integers(0, width - 1))
+        for row in rows:
+            row[j] = 0
+    if height > 1 and draw(st.booleans()):
+        rows[draw(st.integers(0, height - 1))] = list(rows[draw(st.integers(0, height - 1))])
+    if height > 2 and draw(st.booleans()):
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows[-1] = [a * u + b * v for u, v in zip(rows[0], rows[1])]
+    return rows, draw(st.integers(0, width))
+
+
+def _sylvester_hadamard(order):
+    """The Sylvester-Hadamard matrix of a power-of-two order: [[H, H], [H, -H]] from [[1]]."""
+    rows = [[1]]
+    while len(rows) < order:
+        rows = [row + row for row in rows] + [row + [-v for v in row] for row in rows]
+    return rows
+
+
+def _markov_with_wide_denominators(n, seed):
+    """A dense rational Markov matrix whose columns are 60-bit weights over their sum."""
+    rng = random.Random(seed)
+    columns = []
+    for _ in range(n):
+        weights = [rng.randrange(1, 2**60) for _ in range(n)]
+        total = sum(weights)
+        columns.append([F(w, total) for w in weights])
+    return Matrix([list(row) for row in zip(*columns)])
+
+
+class TestPackedBareiss:
+    @given(_integer_systems())
+    @example(([[0, 0], [0, 0]], 2))
+    @example(([[0, 1, 2], [3, 4, 5], [6, 7, 8]], 3))
+    @example(([[2**120, -(2**64)], [-(2**120) + 1, 2**64 + 7]], 2))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_entrywise_loop(self, system):
+        _assert_same_echelon(*system)
+
+    @pytest.mark.parametrize("order", [1, 2, 4, 8, 16])
+    def test_sylvester_hadamard_meets_the_bound(self, order):
+        # every row 2-norm is sqrt(order), so |det| reaches Hadamard's bound order**(order / 2)
+        rows = _sylvester_hadamard(order)
+        negated = [[-v for v in row] for row in rows]
+        det = determinant(Matrix(rows))
+        assert abs(det) == order ** (order // 2)
+        assert det == _naive_determinant([list(map(F, row)) for row in rows])
+        assert determinant(Matrix(negated)) == (-1) ** order * det
+        _assert_same_echelon(rows, order)
+        _assert_same_echelon(negated, order)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("v", [2**64 - 2, -(2**64) + 2])
+    def test_the_last_minor_fills_its_slot(self, n, v):
+        # each rounded row norm is |v| + 1 = 2**64 - 1, so the bound on the
+        # order-n minors has 64 n bits and |v|**n needs all of them, and a sign bit
+        rows = [[v * (i == j) for j in range(n)] for i in range(n)]
+        assert (abs(v) + 1) ** n < 2 ** (64 * n) <= 2 * abs(v) ** n
+        assert determinant(Matrix(rows)) == v**n
+        _assert_same_echelon(rows, n)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_a_row_swap_at_every_pivot(self, n):
+        # the reversed identity plus twos below the diagonal: every pivot
+        # but the last is found one row down
+        rows = [[int(i + j == n - 1) + 2 * (j < i) for j in range(n)] for i in range(n)]
+        assert analysis._bareiss_eliminate([list(row) for row in rows], n) == ((-1) ** (n - 1), n)
+        assert determinant(Matrix(rows)) == _naive_determinant([list(map(F, row)) for row in rows])
+        _assert_same_echelon(rows, n)
+
+    def test_wide_denominators_repack_the_solve(self):
+        m = _markov_with_wide_denominators(20, seed=7)
+        assert max(v.denominator.bit_length() for v in m.entries) >= 60
+        with mock.patch.object(analysis, "_repack", wraps=analysis._repack) as repack:
+            e = stationary_vector(m)
+        assert repack.call_count >= 1
+        assert mat_vec(m, e) == e and vsum(e) == 1
+        assert type_eigenvalue_certificate(m) == 1
+
+
 class TestClassify2x2:
     def test_convergent_case(self):
         result = classify_2x2(0.3, 0.2)

@@ -98,7 +98,9 @@ class TestConstruction:
         monkeypatch.setattr(core.sys, "get_int_max_str_digits", lambda: 0)
         assert Matrix([["1e-5000"]]).entries == (F(1, 10**5000),)
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, float("inf"), float("nan")])
+    @pytest.mark.parametrize(
+        "bad", [0.0, -1.0, float("inf"), float("nan"), pytest.param(10**400, id="10**400")]
+    )
     def test_set_tolerance_refuses_a_value_not_positive_and_finite(self, bad):
         previous = core.tolerance()
         with pytest.raises(ValueError, match="^tolerance must be positive and finite$"):
@@ -712,6 +714,22 @@ class TestTrustedConstructionMatchesCoercion:
             ones_row(0)
         with pytest.raises(DimensionError):
             Matrix.identity(0)
+        with pytest.raises(DimensionError):
+            Matrix.identity(-2)
+
+    @pytest.mark.parametrize(
+        "build, size, name",
+        [
+            (Matrix.identity, 2.5, "n"),
+            (ones_row, 2.5, "length"),
+            (Matrix.identity, "3", "n"),
+            (Matrix.identity, True, "n"),
+            (ones_row, True, "length"),
+        ],
+    )
+    def test_a_size_that_is_not_an_int_is_refused(self, build, size, name):
+        with pytest.raises(ValueError, match=f"^{name} must be a positive integer$"):
+            build(size)
 
 
 # ---------------------------------------------------------------------------
