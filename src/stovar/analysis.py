@@ -687,31 +687,17 @@ def determinant(m: Matrix) -> Scalar:
 
 
 def type_eigenvalue_certificate(m: Matrix) -> Scalar:
-    """Return the column-sum type c after certifying that M - cI is singular.
+    """Return the column-sum type c, an eigenvalue of M.
 
-    The column sums of M - cI vanish, so the all-ones row is a left null
-    vector of M - cI.  For a float matrix that is the certificate: the
-    type check has just bounded every column sum of M - cI by the
-    tolerance, and a float rank would only measure rounding.  A rational
-    M = N / D of type c = S_0 / D, S_0 the integer column sum, is
-    certified by the exact rank of N - S_0 I as well; a full rank would
-    contradict the vanishing column sums and aborts with RuntimeError
-    rather than returning a wrong certificate.
+    The type check that finds c is the certificate: every column sum of
+    M - cI is zero, so 1^T (M - cI) = 0 and the all-ones row is a left
+    null vector of M - cI, which is therefore singular.  For a rational
+    M the integer column sums of its form are equal, so this holds
+    exactly; for a float M it holds within the tolerance that the type
+    check applies.
     """
     _require_square(m)
-    c = _ensure_typed(m).type_value
-    if m.domain is Domain.FLOAT:
-        return c
-    numerators = m._form[0]
-    s0 = sum(numerators[:: m.cols])
-    shifted = _row_slices(numerators, m.rows)
-    for i in range(m.rows):
-        shifted[i][i] -= s0
-    if _bareiss_eliminate(_over_column_gcds(shifted)[1], m.rows)[1] >= m.rows:
-        raise RuntimeError(
-            "internal certificate failure: M - cI reports full rank for a typed matrix"
-        )
-    return c
+    return _ensure_typed(m).type_value
 
 
 def _weights_2x2(a: ScalarLike, b: ScalarLike) -> tuple[Scalar, Scalar, Domain]:

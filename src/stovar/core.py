@@ -193,6 +193,13 @@ def _require_size(value: int, name: str, message: str) -> None:
     _require_count(value, name)
 
 
+def _require_domain(domain: Domain) -> Domain:
+    """The domain itself; ValueError, naming the value, unless it is a :class:`Domain`."""
+    if not isinstance(domain, Domain):
+        raise ValueError(f"domain must be a Domain, not {domain!r}")
+    return domain
+
+
 def _rectangle(rows: Iterable[Iterable], noun: str) -> tuple[int, int, list]:
     """Row count, width and row-major cells of nonempty rows of one width; DimensionError otherwise."""
     data = [list(row) for row in rows]
@@ -238,7 +245,7 @@ class _Dense:
 
     def _fill(self, rows: int, cols: int, flat: list, domain: Optional[Domain]) -> None:
         """Set this value from outside input, coercing it into one domain."""
-        dom = domain if domain is not None else _infer_domain(flat)
+        dom = _infer_domain(flat) if domain is None else _require_domain(domain)
         self._set(rows, cols, tuple(_coerce(v, dom) for v in flat), dom)
 
     def _set(self, rows: int, cols: int, entries: tuple, domain: Domain, form=None) -> None:
@@ -369,6 +376,7 @@ class RowVector(_Entries):
 def ones_row(length: int, domain: Domain = Domain.RATIONAL) -> RowVector:
     """Row vector of the given length with every entry equal to one."""
     _require_size(length, "length", "a row vector needs at least one entry")
+    _require_domain(domain)
     return RowVector._of([one_of(domain)] * length, domain)
 
 
@@ -393,6 +401,7 @@ class Matrix(_Dense):
     @classmethod
     def identity(cls, n: int, domain: Domain = Domain.RATIONAL) -> "Matrix":
         _require_size(n, "n", "a matrix needs at least one row and one column")
+        _require_domain(domain)
         entries = [zero_of(domain)] * (n * n)
         entries[:: n + 1] = [one_of(domain)] * n
         return cls._of(n, n, entries, domain)
@@ -655,26 +664,19 @@ def type_of(a: Matrix) -> TypeReport:
     return TypeReport(dev == 0, Fraction(sums[0], d), Fraction(dev, d))
 
 
-def _ensure_typed(a: Matrix) -> TypeReport:
-    """Return the type report, raising NotTypedError unless the matrix is typed."""
+def _ensure_typed(a: Matrix, error: type = NotTypedError) -> TypeReport:
+    """Return the type report, raising ``error`` (NotTypeOneError for ensure_type_one) unless typed."""
     report = type_of(a)
     if not report.has_type:
-        raise NotTypedError(
-            f"column sums are not constant (max deviation {report.max_deviation})"
-        )
+        raise error(f"column sums are not constant (max deviation {report.max_deviation})")
     return report
 
 
 def ensure_type_one(a: Matrix) -> TypeReport:
     """Return the type report, raising NotTypeOneError unless the type is 1."""
-    report = type_of(a)
-    if not report.has_type:
-        raise NotTypeOneError(
-            f"column sums are not constant (max deviation {report.max_deviation})"
-        )
-    value = report.type_value
-    if not scalars_equal(value, 1, a.domain):
-        raise NotTypeOneError(f"matrix is of type {value}, expected type 1")
+    report = _ensure_typed(a, NotTypeOneError)
+    if not scalars_equal(report.type_value, 1, a.domain):
+        raise NotTypeOneError(f"matrix is of type {report.type_value}, expected type 1")
     return report
 
 

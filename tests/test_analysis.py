@@ -1,9 +1,11 @@
 """Tests for contraction search, stationary vectors, bounds, and the 2x2 taxonomy."""
 
 import random
+import re
 import threading
 from fractions import Fraction
 from math import fsum, gcd, inf, lcm, log2, nextafter
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -1304,6 +1306,19 @@ class TestTypeEigenvalueCertificate:
         # type 2/3: the middle column of N - S_0 I is zero
         assert type_eigenvalue_certificate(m + Matrix.identity(3).scale(F(2, 3))) == F(2, 3)
 
+    def test_no_elimination_runs(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("the type check alone certifies the eigenvalue")
+
+        monkeypatch.setattr(analysis, "_bareiss_eliminate", fail)
+        monkeypatch.setattr(analysis, "_over_column_gcds", fail)
+        m = Matrix(_ZERO_COLUMN_ROWS)
+        assert type_eigenvalue_certificate(EX_M) == 1
+        assert type_eigenvalue_certificate(m) == 0
+        assert type_eigenvalue_certificate(m + Matrix.identity(3).scale(F(2, 3))) == F(2, 3)
+        assert type_eigenvalue_certificate(_markov_with_wide_denominators(20, seed=7)) == 1
+        assert type_eigenvalue_certificate(Matrix([[0.25, 1.0], [0.5, -0.25]])) == 0.75
+
     @given(st.integers(2, 4), st.data())
     @settings(max_examples=60, deadline=None)
     def test_certificate_matches_determinant(self, n, data):
@@ -1796,3 +1811,14 @@ class TestRegularMarkovCorollary:
             assert result.verdict is Verdict.CONVERGES
             assert all(v > 0 for v in result.stationary)
             assert vsum(result.stationary) == 1
+
+
+def test_readme_quick_start_gives_the_values_its_comments_state():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 1
+    names = {}
+    exec(blocks[0], names)
+    assert names["variation"](names["m"]).value == F(6, 5)
+    assert names["result"].contraction_power == 2
+    assert names["result"].stationary == Vector([-2, F(1, 3), F(8, 3)])

@@ -23,12 +23,15 @@ from stovar import (
     MatrixParseError,
     NotSquareError,
     NotTypedError,
+    NotTypeOneError,
     RowVector,
     StovarError,
     Vector,
+    analyze,
     classify_2x2,
     decay_bound,
     determinant,
+    ensure_type_one,
     find_contraction_power,
     iterate_error_bound,
     l1_norm,
@@ -40,6 +43,7 @@ from stovar import (
     row_mat_mul,
     row_variation,
     row_variation_maximizer,
+    stationary_vector,
     strict_variation_test,
     type_eigenvalue_certificate,
     type_of,
@@ -70,6 +74,26 @@ class TestConstruction:
         assert Matrix([[1, 2], [3, 4]]).domain is Domain.RATIONAL
         assert Matrix([[1.0, 2], [3, 4]]).domain is Domain.FLOAT
         assert Vector([F(1, 2)]).domain is Domain.RATIONAL
+
+    def test_domain_none_is_inferred(self):
+        assert Matrix([[1, 2]], domain=None).domain is Domain.RATIONAL
+        assert Vector([0.5], domain=None).domain is Domain.FLOAT
+        assert RowVector([1, 0.5], domain=None).domain is Domain.FLOAT
+
+    @pytest.mark.parametrize(
+        "build, text",
+        [
+            (lambda: Matrix.identity(2, "float"), "'float'"),
+            (lambda: ones_row(2, None), "None"),
+            (lambda: Matrix([[1]], domain="rational"), "'rational'"),
+            (lambda: Vector([1], domain="float"), "'float'"),
+            (lambda: RowVector([1.0], domain=1), "1"),
+        ],
+        ids=["identity", "ones_row", "matrix", "vector", "row-vector"],
+    )
+    def test_a_domain_that_is_not_a_domain_is_refused(self, build, text):
+        with pytest.raises(ValueError, match=f"^domain must be a Domain, not {text}$"):
+            build()
 
     def test_float_entry_rejected_in_rational_domain(self):
         with pytest.raises(DomainMismatchError):
@@ -1002,4 +1026,13 @@ class TestFloatOverflow:
 def test_untyped_matrix_is_rejected_with_one_message(check):
     message = r"^column sums are not constant \(max deviation 1\)$"
     with pytest.raises(NotTypedError, match=message):
+        check(Matrix([[1, 0], [0, 2]]))
+
+
+@pytest.mark.parametrize(
+    "check", [ensure_type_one, analyze, find_contraction_power, stationary_vector]
+)
+def test_untyped_matrix_is_not_type_one_with_the_same_message(check):
+    message = r"^column sums are not constant \(max deviation 1\)$"
+    with pytest.raises(NotTypeOneError, match=message):
         check(Matrix([[1, 0], [0, 2]]))
