@@ -105,7 +105,7 @@ class ConvergenceAnalysis(NamedTuple):
 
     @property
     def projection(self) -> Optional[Matrix]:
-        # E passed its entry-sum check when it was found
+        # E sums to one: a rational E by its exact solve, a float E by its check
         return None if self.stationary is None else _projection(self.stationary)
 
     @property
@@ -199,11 +199,9 @@ def _variation_scan(
     first = variation(m)
     history: list[Scalar] = [first.value]
     one = one_of(m.domain)
-    if strictly_less(first.value, one, m.domain):
-        return 1, history, first
     n = m.rows
     power = base = m._form
-    if p_max > 1 and min(base[0]) >= 0:
+    if not strictly_less(first.value, one, m.domain) and min(base[0]) >= 0:
         k0 = _power_walk(_column_masks(base[0], n), p_max, _masks_overlap)[0]
         if k0 is None:
             return None, history + [one] * (p_max - 1), first
@@ -441,8 +439,8 @@ def stationary_vector(m: Matrix) -> Vector:
     other row gives a system with the same row space: one solve decides.
     The system is singular exactly when the eigenvalue 1 has geometric
     multiplicity two or more, or its eigenvector has entry sum zero; both
-    raise :class:`NonUniqueFixedVectorError`, and so does a solution that
-    fails the fixed-point verification M E = E.
+    raise :class:`NonUniqueFixedVectorError`, and so does a float
+    solution that fails the fixed-point check M E = E; a rational one is exact.
     """
     _require_square(m)
     ensure_type_one(m)
@@ -454,7 +452,10 @@ def _solved_stationary(m: Matrix) -> Vector:
 
     A rational M = N / D is solved from its integer form: the system
     times D is the rows of N - D I but the last, then a row of D's, with
-    right-hand side D e_n, and goes through :func:`_integer_solve`.
+    right-hand side D e_n, and goes through :func:`_integer_solve`.  Its
+    exact solution is E with no check after it: it meets rows 1..n-1 of
+    (M - I) x = 0 and sum(x) = 1, and the last row of M - I is minus the
+    sum of the others, as the type check found every column sum exactly 1.
     """
     n = m.rows
     cells, d = m._form
@@ -473,6 +474,8 @@ def _solved_stationary(m: Matrix) -> Vector:
             "no unique fixed vector with entry sum one "
             "(eigenvalue 1 appears with multiplicity two or more)"
         )
+    if m.domain is Domain.RATIONAL:
+        return Vector._of(solution, Domain.RATIONAL)
     candidate = _fixed_vector(m, solution)
     if candidate is None:
         raise NonUniqueFixedVectorError(
@@ -481,23 +484,18 @@ def _solved_stationary(m: Matrix) -> Vector:
     return candidate
 
 
-def _fixed_vector(m: Matrix, values: list[Scalar]) -> Optional[Vector]:
-    """The values as a vector E when M E = E and its entry sum is one, else None.
+def _fixed_vector(m: Matrix, values: list[float]) -> Optional[Vector]:
+    """The float values as a vector E when M E = E and its entry sum is one, else None.
 
-    The image is :func:`core._step` of M's form and E's.  Rationals are
-    checked in integers: for E's form (X, dx), the image is (X, dx) again
-    and sum(X) = dx.  Float image entries and the entry sum are checked
-    within the tolerance; an image entry that overflows raises
-    :class:`DomainMismatchError`.
+    A float E, solved or iterated, is only close to the fixed vector, so
+    the image :func:`core._step` of M's form and E's, and the entry sum,
+    are checked within the tolerance; an image entry that overflows raises
+    :class:`DomainMismatchError`.  A rational E needs no check: it is
+    solved exactly (see :func:`_solved_stationary`).
     """
-    domain = m.domain
-    candidate = Vector._of(_finite(values, domain), domain)
-    form = candidate._form
-    image = _step(m._form, form, m.cols)
-    if domain is Domain.RATIONAL:
-        fixed = image == form and sum(form[0]) == form[1]
-    else:
-        fixed = _all_close(image[0], form[0]) and scalars_close(vsum(candidate), 1.0)
+    candidate = Vector._of(_finite(values, Domain.FLOAT), Domain.FLOAT)
+    image = _step(m._form, candidate._form, m.cols)
+    fixed = _all_close(image[0], values) and scalars_close(vsum(candidate), 1.0)
     return candidate if fixed else None
 
 
@@ -638,8 +636,7 @@ def analyze(
     whatever p_max is.  M and each power are read as one form in either
     domain: a rational one as integer numerators over one denominator, in
     lowest terms for a power, a float one as its entries over 1.0.  The
-    type check and the fixed-point check of a rational E read the same
-    integers.
+    type check and the solve of a rational E read the same integers.
 
     E comes from the solve of :func:`stationary_vector`, except for a
     float Markov matrix (no negative entry) with var(M) < 1.  There E

@@ -85,9 +85,10 @@ def _all_close(xs: Sequence[float], ys: Sequence[float]) -> bool:
 
 
 def scalars_equal(x: Scalar, y: Scalar, domain: Domain) -> bool:
-    """Equality in the domain: exact for rationals, within tolerance for floats."""
+    """Equality in the domain: exact for rationals, within tolerance for floats; ValueError for any other domain."""
     if domain is Domain.RATIONAL:
         return x == y
+    _require_domain(domain)
     return scalars_close(float(x), float(y))
 
 
@@ -100,12 +101,16 @@ def strictly_less(x: Scalar, y: Scalar, domain: Domain) -> bool:
     return x < y and not scalars_equal(x, y, domain)
 
 
+_ZEROS = {Domain.RATIONAL: Fraction(0), Domain.FLOAT: 0.0}
+_ONES = {Domain.RATIONAL: Fraction(1), Domain.FLOAT: 1.0}
+
+
 def zero_of(domain: Domain) -> Scalar:
-    return Fraction(0) if domain is Domain.RATIONAL else 0.0
+    return _ZEROS[_require_domain(domain)]
 
 
 def one_of(domain: Domain) -> Scalar:
-    return Fraction(1) if domain is Domain.RATIONAL else 1.0
+    return _ONES[_require_domain(domain)]
 
 
 # a decimal literal with an exponent, in the syntax that Fraction accepts

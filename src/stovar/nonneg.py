@@ -2,9 +2,9 @@
 
 A non-negative matrix of type a has variation at most a, with equality
 exactly when some pair of columns has disjoint positive supports.  That
-makes the {zero, positive} pattern of a matrix enough to decide whether
-the variation is strictly below the type, and pattern products soundly
-track the supports of matrix products.  This module implements the
+makes the {zero, positive} pattern of an exact matrix enough to decide
+whether the variation is strictly below the type, and pattern products
+soundly track the supports of matrix products.  This module implements the
 patterns, the strictness test, the regularity index search, and the
 sampled 3x3 Markov convergence criterion based on the third power.
 
@@ -291,19 +291,16 @@ def _typed_positive(a: Matrix) -> Scalar:
 def strict_variation_test(a: Matrix) -> bool:
     """True when the variation of a non-negative type-a matrix is below a.
 
-    Decided from the sign pattern (every column pair overlapping in a
-    positive row) and cross-checked against the direct variation
-    comparison; a disagreement would falsify the equivalence the pattern
-    route relies on and raises RuntimeError.
+    A rational matrix is decided by its exact sign pattern: every column
+    pair overlaps in a positive row.  A float one is decided by its
+    variation, compared with a within the tolerance, since its pattern
+    counts an entry at or below the tolerance as zero.
     """
     t = _typed_positive(a)
-    via_pattern = pairwise_positive_overlap(sign_pattern(a))
-    direct = strictly_less(variation(a).value, t, a.domain)
-    if via_pattern != direct:
-        raise RuntimeError(
-            "pattern overlap test disagrees with the direct variation comparison"
-        )
-    return direct
+    if a.domain is Domain.RATIONAL:
+        return pairwise_positive_overlap(sign_pattern(a))
+    _ensure_nonnegative(a)
+    return strictly_less(variation(a).value, t, a.domain)
 
 
 def variation_type_bound_check(a: Matrix) -> bool:

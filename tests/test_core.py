@@ -88,8 +88,14 @@ class TestConstruction:
             (lambda: Matrix([[1]], domain="rational"), "'rational'"),
             (lambda: Vector([1], domain="float"), "'float'"),
             (lambda: RowVector([1.0], domain=1), "1"),
+            (lambda: core.zero_of("rational"), "'rational'"),
+            (lambda: core.one_of("float"), "'float'"),
+            (lambda: core.scalars_equal(F(1, 3), F(1, 3) + F(1, 10**12), "rational"), "'rational'"),
+            (lambda: core.is_zero(0.0, None), "None"),
+            (lambda: core.strictly_less(F(1, 3), F(1, 2), "rational"), "'rational'"),
         ],
-        ids=["identity", "ones_row", "matrix", "vector", "row-vector"],
+        ids=["identity", "ones_row", "matrix", "vector", "row-vector"]
+        + ["zero_of", "one_of", "scalars_equal", "is_zero", "strictly_less"],
     )
     def test_a_domain_that_is_not_a_domain_is_refused(self, build, text):
         with pytest.raises(ValueError, match=f"^domain must be a Domain, not {text}$"):

@@ -1,6 +1,7 @@
 """Tests for sign patterns, the strictness criterion, and the 3x3 rule."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -295,6 +296,53 @@ def _cells_of(draw, rows, cols):
 
 
 @st.composite
+def _support_masks(draw):
+    """Column masks of a square support, n = 1..9, of any density, with no empty column."""
+    cells = draw(_square_cells(max_n=9))
+    n = len(cells)
+    for j in range(n):
+        if not any(row[j] for row in cells):
+            cells[draw(st.integers(0, n - 1))][j] = True
+    return SignPattern(cells)._masks
+
+
+def _one_aperiodic_closed_class(masks):
+    """Whether the digraph with an edge j -> i for bit i of column j has one closed class, aperiodic.
+
+    A class is closed when no edge leaves it, that is, when every state
+    reachable from one of its states u reaches u.  Its period is the gcd of level(u) + 1 - level(v) over
+    its edges u -> v, for the levels of a breadth-first search inside it.
+    """
+    n = len(masks)
+    successors = [[i for i in range(n) if mask >> i & 1] for mask in masks]
+    reach = []
+    for start in range(n):
+        seen, stack = {start}, [start]
+        while stack:
+            for v in successors[stack.pop()]:
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        reach.append(frozenset(seen))
+    closed = {reach[u] for u in range(n) if all(u in reach[v] for v in reach[u])}
+    if len(closed) != 1:
+        return False
+    (states,) = closed
+    root = min(states)
+    level, queue = {root: 0}, [root]
+    for u in queue:
+        for v in successors[u]:
+            if v not in level:
+                level[v] = level[u] + 1
+                queue.append(v)
+    period = 0
+    for u in states:
+        for v in successors[u]:
+            period = math.gcd(period, level[u] + 1 - level[v])
+    return period == 1
+
+
+@st.composite
 def _factor_pairs(draw, max_side=9):
     """Cells of A (m x n) and B (n x r), each side 1..max_side; some B all zero."""
     m, n, r = (draw(st.integers(1, max_side)) for _ in range(3))
@@ -342,6 +390,18 @@ class TestPatternWalk:
         assert [list(SignPattern._of(n, masks)) for masks in powers] == [
             [bool(c) for row in power for c in row] for power in expected
         ]
+
+    @given(_support_masks())
+    @settings(max_examples=500, deadline=None)
+    @example((0b1,))  # one state with a loop
+    @example((0b10, 0b01))  # a 2-cycle: one closed class, of period 2
+    @example((0b01, 0b10))  # two closed classes
+    @example((0b01, 0b01))  # a transient state into a loop
+    @example(tuple(1 << _CYCLES_4_5.index(j) for j in range(9)))  # cycles of 4 and 5
+    def test_overlap_walk_reaches_k0_exactly_for_one_aperiodic_closed_class(self, masks):
+        # the SIA criterion (Wolfowitz 1963), read on the support digraph
+        k0 = nonneg._power_walk(masks, 10**6, nonneg._masks_overlap)[0]
+        assert (k0 is not None) == _one_aperiodic_closed_class(masks)
 
     def test_cycle_stops_at_the_first_repeat(self, monkeypatch):
         # the powers of a 20-cycle are 20 distinct permutations, then P^21 = P
@@ -405,6 +465,22 @@ class TestStrictVariationTest:
     def test_positive_markov_matrix(self):
         m = Matrix([[F(1, 2), F(1, 4)], [F(1, 2), F(3, 4)]])
         assert strict_variation_test(m)
+
+    def test_float_entries_within_the_tolerance_are_decided_by_the_variation(self):
+        # var = 1 - 1.8e-9, below 1 by more than the tolerance, while the
+        # pattern counts 0.9e-9 as zero and shows two disjoint columns
+        small = 0.9e-9
+        m = Matrix([[1 - small, small], [small, 1 - small]])
+        assert not pairwise_positive_overlap(sign_pattern(m))
+        assert strict_variation_test(m)
+
+    def test_rational_input_is_decided_by_the_pattern_alone(self, monkeypatch):
+        def refused(a):
+            raise AssertionError("a rational matrix needs no variation")
+
+        monkeypatch.setattr(nonneg, "variation", refused)
+        assert strict_variation_test(K_INSTANCE)
+        assert not strict_variation_test(M_INSTANCE)
 
     def test_rejects_untyped(self):
         with pytest.raises(NotTypedError):
