@@ -287,6 +287,44 @@ class TestVariationScanMatchesNaiveScan:
     ):
         _assert_float_scan_near_naive_scan(m, p_max)
 
+    @given(_random_support_markov(), st.data(), st.integers(1, 40))
+    @settings(max_examples=150, deadline=None)
+    def test_shifted_markov_matrices_match_the_naive_scan_exactly(self, drawn, data, p_max):
+        # M = L + x 1^T with x summing to zero: the scan walks L's support when
+        # M's row minima sum to zero, and its first pair must be variation's
+        _, markov = drawn
+        n = markov.rows
+        shifts = st.fractions(min_value=-2, max_value=2, max_denominator=8)
+        x = data.draw(st.lists(shifts, min_size=n - 1, max_size=n - 1))
+        x.append(-sum(x))
+        m = Matrix([[v + x[i] for v in row] for i, row in enumerate(markov.row_lists())])
+        p, history, first = _variation_scan(m, p_max)
+        want_p, want_history, want_first = _naive_scan(m, p_max)
+        assert (p, first) == (want_p, want_first)
+        assert list(map(repr, history)) == list(map(repr, want_history))
+
+    def test_signed_lazy_path_squares_its_way_to_the_first_overlapping_power(self, monkeypatch):
+        # the signed twin's Markov part is the lazy path: var(M) = 1 from the
+        # masks, M^30 by 7 products and var(M^30) its only sum: not 29
+        # products and 30 variations, as a power-by-power scan needs
+        calls = self._count_calls(
+            monkeypatch, {"_step": "step", "variation": "variation", "_variation_of": "variation_of"}
+        )
+        m = _signed_twin(_lazy_path(60).row_lists(), 0)
+        p, history, first = _variation_scan(m, 64)
+        assert calls == {"step": 7, "variation": 0, "variation_of": 1}
+        assert p == 30
+        assert history == [1] * 29 + [variation(mat_pow(m, 30)).value]
+        assert first == variation(m)
+
+    def test_positive_markov_matrix_contracts_at_its_first_variation(self, monkeypatch):
+        # every row minimum is positive, so var(M) < 1 and nothing is walked
+        rows = [[F(1, 2), F(1, 3), F(1, 4)], [F(1, 4), F(1, 3), F(1, 2)], [F(1, 4), F(1, 3), F(1, 4)]]
+        calls = self._count_calls(monkeypatch)
+        p, history, first = _variation_scan(Matrix(rows), 64)
+        assert calls == {"mat_mul": 0, "variation": 1}
+        assert (p, history, first) == (1, [F(1, 4)], variation(Matrix(rows)))
+
     @pytest.mark.parametrize(
         "domain, want_p", [(Domain.RATIONAL, 30), (Domain.FLOAT, 50)], ids=["rational", "float"]
     )
@@ -359,11 +397,12 @@ class TestVariationScanMatchesNaiveScan:
 
     @pytest.mark.parametrize("domain", [Domain.RATIONAL, Domain.FLOAT], ids=lambda d: d.value)
     def test_every_power_is_formed_by_the_step(self, monkeypatch, domain):
-        # M^2 .. M^13 = M^3 are formed as forms, integer or float, never as matrices
+        # float M^2 .. M^13 = M^3 are formed as forms, never as matrices; the
+        # rational twin's row minima sum to zero, so the support walk forms none
         m = Matrix(_signed_twin(support.TAIL_CYCLE_ROWS, 0).row_lists(), domain=domain)
         calls = self._count_calls(monkeypatch, {"mat_mul": "mat_mul", "_step": "step"})
         _variation_scan(m, 2000)
-        assert calls == {"mat_mul": 0, "step": 12}
+        assert calls == {"mat_mul": 0, "step": 12 if domain is Domain.FLOAT else 0}
 
     @pytest.mark.parametrize("domain", [Domain.RATIONAL, Domain.FLOAT], ids=lambda d: d.value)
     def test_permutation_cycle_forms_one_product_per_step(self, monkeypatch, domain):
@@ -371,18 +410,21 @@ class TestVariationScanMatchesNaiveScan:
         rows = [[F(int(i == (j + 1) % n)) for j in range(n)] for i in range(n)]
         calls = self._count_calls(monkeypatch)
         p, history, first = _variation_scan(Matrix(rows), 100000)
-        # non-negative: the support walk shows every power has disjoint columns
-        assert calls == {"mat_mul": 0, "variation": 1}
+        # rational and non-negative: the support walk shows every power has
+        # disjoint columns, and the masks give var(M) = 1 with no sums
+        assert calls == {"mat_mul": 0, "variation": 0}
         assert (p, len(history), first.value) == (None, 100000, 1)
         assert all(v == 1 for v in history)
-        # the signed twin has the same variations; M^25 = M ends the numeric
-        # scan in either domain (its entries 0, 1 and ±1/4 are exact floats),
-        # which needs M's own form and a computed power to compare equal
+        # the signed twin has the same variations; the rational one is walked
+        # on its Markov part, the permutation.  M^25 = M ends the float numeric
+        # scan (its entries 0, 1 and ±1/4 are exact floats), which needs M's
+        # own form and a computed power to compare equal
         calls.update(mat_mul=0, variation=0)
         twin = Matrix(_signed_twin(rows, 0).row_lists(), domain=domain)
         p, history, first = _variation_scan(twin, 100000)
         assert p is None
-        assert calls == {"mat_mul": 24, "variation": 24}
+        products = 24 if domain is Domain.FLOAT else 0
+        assert calls == {"mat_mul": products, "variation": products}
         assert len(history) == 100000
         assert all(v == 1 for v in history)
         assert first.value == 1
@@ -396,13 +438,16 @@ class TestVariationScanMatchesNaiveScan:
         rows = [[F(int(step[j] == i)) for j in range(11)] for i in range(11)]
         calls = self._count_calls(monkeypatch)
         p, history, _ = _variation_scan(Matrix(rows, domain=domain), 64)
-        assert calls == {"mat_mul": 0, "variation": 1}
+        # a float var(M) is summed; a rational one is read from the masks
+        assert calls == {"mat_mul": 0, "variation": int(domain is Domain.FLOAT)}
         assert (p, history) == (None, [1] * 64)
         calls.update(mat_mul=0, variation=0)
         twin = _signed_twin(rows, 2)
         p, history, _ = _variation_scan(Matrix(twin.row_lists(), domain=domain), 64)
         assert p is None
-        assert calls == {"mat_mul": 10, "variation": 10}
+        # the rational twin is walked on its Markov part, the map itself
+        products = 10 if domain is Domain.FLOAT else 0
+        assert calls == {"mat_mul": products, "variation": products}
         assert history == [1] * 64
 
     @pytest.mark.parametrize("domain", [Domain.RATIONAL, Domain.FLOAT], ids=lambda d: d.value)
@@ -433,7 +478,12 @@ class TestVariationScanMatchesNaiveScan:
             calls = self._count_calls(patch)
             got = _variation_scan(m, p_max)
         assert got == want
-        assert calls["mat_mul"] == min(len(want[1]), b) - 1
+        if sum(map(min, m.row_lists())):
+            assert calls["mat_mul"] == min(len(want[1]), b) - 1
+        else:
+            # the support walk of the map: M^p alone, by squaring, or no product
+            k = want[0]
+            assert calls["mat_mul"] == (k.bit_length() + k.bit_count() - 2 if k else 0)
 
     @pytest.mark.parametrize("domain", [Domain.RATIONAL, Domain.FLOAT], ids=lambda d: d.value)
     def test_repeat_copies_each_variation_of_the_cycle_in_turn(self, monkeypatch, domain):
@@ -487,7 +537,8 @@ class TestVariationScanMatchesNaiveScan:
         m = Matrix(rows, domain=domain)
         calls = self._count_calls(monkeypatch)
         p, history, _ = _variation_scan(m, 64)
-        assert calls == {"mat_mul": 0, "variation": 1}
+        # a rational var(M) = 1 is read from the masks, a float one summed
+        assert calls == {"mat_mul": 0, "variation": int(domain is Domain.FLOAT)}
         assert (p, history) == (None, [1] * 64)
         assert all(type(v) is type(history[0]) for v in history)
 
@@ -497,8 +548,8 @@ class TestVariationScanMatchesNaiveScan:
         calls = self._count_calls(monkeypatch)
         p, history, _ = _variation_scan(m, 64)
         assert p == 4
-        # M^2, then M^4 by squaring
-        assert calls == {"mat_mul": 2, "variation": 2}
+        # M^2, then M^4 by squaring; var(M) = 1 is read from the masks
+        assert calls == {"mat_mul": 2, "variation": 1}
         assert history[1:3] == [1, 1] and history[3] < 1
         assert _naive_scan(m, 64)[1] == history
 

@@ -508,6 +508,14 @@ CONSOLE_FILES = {
     # on 32 states: var(M^16) is within 1e-9 of one, so the scan steps on from
     # the squared M^16 to M^17
     "lazy-path-float-32.csv": _lazy_path_csv(32, "0.5", "0.25", "0.75"),
+    # the lazy path on 60 states, row 0 minus 1/4 and row 1 plus 1/4: its row
+    # minima sum to zero, so the scan walks the path's support to power 30
+    "lazy-path-twin.csv": _csv(
+        [
+            [f"{int(t) + (i == 1) - (i == 0)}/4" for t in line.split(",")]
+            for i, line in enumerate(_lazy_path_csv(60, "2", "1", "3").splitlines())
+        ]
+    ),
     # saved with a UTF-8 byte-order mark, as some spreadsheet programs do
     "bom.csv": "\ufeff" + EX_M_CSV,
     # the worked example in JSON, with "p/q" strings
@@ -530,6 +538,7 @@ CONSOLE_POWERS = {
     "lazy-path.csv": 4,
     "lazy-path-float.csv": 4,
     "lazy-path-float-32.csv": 17,
+    "lazy-path-twin.csv": 30,
     "dense-float.csv": 1,
 }
 CONSOLE_COMMANDS = [
@@ -549,6 +558,7 @@ CONSOLE_COMMANDS = [
     (["analyze", "--json", "lazy-path.csv"], 0),
     (["analyze", "--json", "lazy-path-float.csv"], 0),
     (["analyze", "--json", "lazy-path-float-32.csv"], 0),
+    (["analyze", "--json", "lazy-path-twin.csv"], 0),
     (["analyze", "--json", "worked-float.csv"], 0),
     (["pattern", "--kmax", "100000", "tail-cycle-pattern.csv"], 0),
     (["variation", "--json", "markov-64.csv"], 0),
