@@ -163,30 +163,32 @@ def _variation_scan(
     Also returns the full variation report of M^1, so callers that need
     its column pair do not compute it again.
 
-    Some M first walk the support patterns of the powers of a Markov
-    matrix L (:func:`nonneg._power_walk`).  A non-negative type-1 matrix
-    has variation exactly 1 when two of its columns have disjoint
-    supports, and below 1 otherwise; the support P of L has cell (i, j)
-    set exactly when L[i][j] != 0, with no tolerance floor, so the
-    support of L^k is P^k.  Every power before the first one k0 whose
-    columns overlap pairwise has variation 1 and is reported as exactly
-    1, with no variation computed or repeat looked for.  With no such k0
-    up to p_max, or once a pattern equals an earlier one, the scan ends
-    inconclusive and forms no product.  Without the walk, k0 is 1.
+    One rule decides, in both domains, whether M first walks the support
+    patterns of the powers of its Markov part (:func:`nonneg._power_walk`).
+    With x the row minima of M's form, L = M - x 1^T is Markov when it
+    is found without rounding: for a rational M when x sums to 0, for a
+    float M only when every x_i is 0, so that L = M.  A float M is never
+    shifted: its column sums are 1 only within the tolerance, and a
+    shift would round.  Then M^k = L^k + s 1^T for some vector s, and
+    var reads only differences of columns, so var(M^k) = var(L^k) for
+    every k.  A non-negative type-1 matrix has variation exactly 1 when
+    two of its columns have disjoint supports, and below 1 otherwise;
+    the support P of L has cell (i, j) set exactly when L[i][j] != 0,
+    with no tolerance floor, so the support of L^k is P^k.
 
-    For a rational M, L = M - x 1^T with x the row minima of M, walked
-    when x sums to 0.  Then L is Markov, M^k = L^k + s 1^T for some
-    vector s, and var reads only differences of columns, so var(M^k) =
-    var(L^k) for every k.  var(M) = 1 is then reported with the first
-    pair of disjoint columns, found from the masks with no sum; with no
-    such pair, var(M) is summed and is below 1.  A non-negative M with var(M) = 1
-    has a zero in every row, so there L = M.  When x sums to more than
-    0, var(M) <= 1 - sum(x) < 1; when less, M is scanned numerically.
-    A float M is walked only when it has no negative entry and var(M)
-    is not below one, with L = M: a signed float M is type 1 only
-    within the tolerance, and shifting it would round its variations
-    differently.  A float product can only lose support, by underflow,
-    so columns disjoint in P^k are disjoint in the computed power too.
+    When two columns of P are disjoint, var(M) = 1 is reported with the
+    first such pair, read from the masks with no sum, and so is every
+    power before the first one k0 whose columns overlap pairwise, with no
+    variation computed or repeat looked for; k0 >= 2.  With no such k0
+    up to p_max, or once a pattern equals an earlier one, the scan ends
+    inconclusive and forms no product.  Otherwise var(M) is summed and
+    k0 is 1.  With L found, or with x summing to more than 0 (var(M) <=
+    1 - sum(x)), var(M) is then below 1, for a float M up to rounding;
+    any other M is scanned numerically.  For a float M, each 1 is the
+    value its variation has for the type-1 matrix that the tolerance
+    admits, so the first disjoint pair is that matrix's first widest
+    pair.  A float product can only lose support, by underflow, so
+    columns disjoint in P^k are disjoint in the computed power too.
 
     M and its powers are read as forms (``Matrix._form``): integer
     numerators over one denominator for a rational M, the entries over 1.0
@@ -211,26 +213,21 @@ def _variation_scan(
     one = one_of(m.domain)
     n = m.rows
     power = base = m._form
-    cells, walk = base[0], None
-    if m.domain is Domain.RATIONAL:
-        lows = list(map(min, _row_slices(cells, n)))
-        if not sum(lows):
-            # L's support: the cells above their row's minimum
-            masks = _column_masks(list(map(ne, cells, [r for r in lows for _ in range(n)])), n)
-            pairs = combinations(range(n), 2)
-            pair = next((p for p in pairs if not masks[p[0]] & masks[p[1]]), None)
-            walk = pair and masks
-    first = VariationReport(one, pair[0] + 1, pair[1] + 1) if walk else variation(m)
+    cells, pair = base[0], None
+    lows = list(map(min, _row_slices(cells, n)))
+    # L = M - lows 1^T is Markov when the lows sum to zero; a float M only when L = M
+    if not (sum(lows) if m.domain is Domain.RATIONAL else any(lows)):
+        # L's support: the cells above their row's minimum
+        masks = _column_masks(list(map(ne, cells, [r for r in lows for _ in range(n)])), n)
+        pair = next((p for p in combinations(range(n), 2) if not masks[p[0]] & masks[p[1]]), None)
+    first = VariationReport(one, pair[0] + 1, pair[1] + 1) if pair else variation(m)
     history: list[Scalar] = [first.value]
-    if m.domain is Domain.FLOAT and not strictly_less(first.value, one, Domain.FLOAT):
-        walk = min(cells) >= 0 and _column_masks(cells, n)
-    if walk:
-        k0 = _power_walk(walk, p_max, _masks_overlap)[0]
+    if pair:
+        k0 = _power_walk(masks, p_max, _masks_overlap)[0]
         if k0 is None:
-            return None, history + [one] * (p_max - 1), first
-        if k0 > 1:
-            power = _power_by_squaring(base, k0, lambda a, b: _step(a, b, n))
-            history += [one] * (k0 - 2) + [_variation_of(power, n).value]
+            return None, [one] * p_max, first
+        power = _power_by_squaring(base, k0, lambda a, b: _step(a, b, n))
+        history += [one] * (k0 - 2) + [_variation_of(power, n).value]
     saved: list[tuple[int, tuple]] = []
     while not strictly_less(history[-1], one, m.domain):
         k = len(history)  # power is M^k
@@ -640,18 +637,21 @@ def analyze(
     continuous, so failure below a finite bound proves nothing about
     divergence (outside the fully classified 2x2 case).
 
-    Some M are scanned on a support first: a rational M whose row minima
-    sum to zero, on that of its Markov part M - x 1^T (x the row minima),
-    which has the same variation at every power; a float M with no
-    negative entry and var(M) not below one, on its own.  A power whose
-    support has two disjoint columns has variation exactly 1, so such
-    powers are reported as 1 with no variation computed, and the numeric
-    scan starts at the first power whose columns overlap pairwise.  With
-    no such power up to p_max, or once a support pattern equals an
-    earlier one, the verdict is inconclusive and no product is formed.
-    M^k0 is formed alone, by squaring.  Rational reports are the same as
-    from a full scan; a float report says 1 where the full scan gave 1
-    up to rounding, and from k0 on may differ from it in the last bits.
+    Some M are scanned on a support first: that of their Markov part
+    M - x 1^T (x the row minima), which has the same variation at every
+    power, when it is found without rounding: for a rational M whose row
+    minima sum to zero, and for a float M whose row minima are all zero,
+    which is its own Markov part.  A power whose support has two disjoint
+    columns has variation exactly 1, M itself included, so such powers
+    are reported as 1 with no variation computed, var(M) at the first
+    disjoint pair, and the numeric scan starts at the first power whose
+    columns overlap pairwise.  With no such power up to p_max, or once a
+    support pattern equals an earlier one, the verdict is inconclusive
+    and no product is formed.  M^k0 is formed alone, by squaring.
+    Rational reports are the same as from a full scan; a float report
+    says 1 at the first disjoint pair where the full scan (and
+    :func:`variation`) gave 1 up to rounding, perhaps at another pair,
+    and from k0 on may differ from it in the last bits.
 
     Once a power equals an earlier one, the later powers repeat with a
     fixed period, so the scan copies the variations up to p_max instead

@@ -69,6 +69,22 @@ M_INSTANCE = Matrix([[0, F(1, 2), 0], [0, 0, 1], [1, F(1, 2), 0]])
 TAIL_CYCLE_STEP = [(j + 1) % 10 for j in range(10)] + [11, 12, 0]
 TAIL_CYCLE_ROWS = [[int(TAIL_CYCLE_STEP[j] == i) for j in range(13)] for i in range(13)]
 
+# Float type-1 matrices with two disjoint columns, whose var(M) is exactly 1
+# in the type-1 matrix the tolerance admits.  Summed, the first one's var(M)
+# is 0.99999999865 (column sums 1 - 9e-10 and 1 - 1.8e-9), below the guard
+# band; the second one's, two diagonal blocks, is 1.0000000000000002 at
+# columns (1, 5) where sum() adds left to right (up to Python 3.11), and
+# (1, 3) is the first disjoint pair.
+TOLERANCE_EDGE_CSV = "0.9999999991,0\n0,0.9999999982\n"
+BLOCK_ROUNDED_CSV = (
+    "0.5714285714285714,0.6153846153846154,0,0,0,0\n"
+    "0.42857142857142855,0.38461538461538464,0,0,0,0\n"
+    "0,0,0.16666666666666666,0.34782608695652173,0.35,0.3684210526315789\n"
+    "0,0,0.125,0.13043478260869565,0.35,0.10526315789473684\n"
+    "0,0,0.3333333333333333,0.30434782608695654,0.1,0.21052631578947367\n"
+    "0,0,0.375,0.21739130434782608,0.2,0.3157894736842105\n"
+)
+
 
 def basis_vector(n: int, j: int, domain: Domain = Domain.RATIONAL) -> Vector:
     """Standard basis vector with a one at 0-based position j."""

@@ -25,6 +25,7 @@ from stovar import (
     NotSquareError,
     NotTypeOneError,
     NotTypedError,
+    VariationReport,
     Vector,
     Verdict,
     VsumNotOneError,
@@ -152,13 +153,17 @@ def _naive_powers(m, count):
     return powers
 
 
-def _has_disjoint_columns(m):
-    """Whether two columns of M have no row where both are nonzero."""
+def _first_disjoint_pair(m):
+    """The first 1-based pair of columns of M with no row where both are nonzero, or None."""
     cols = [[v != 0 for v in col] for col in zip(*m.row_lists())]
-    return any(
-        not any(a and b for a, b in zip(cj, ck))
-        for j, cj in enumerate(cols)
-        for ck in cols[j + 1 :]
+    return next(
+        (
+            (j + 1, k + 1)
+            for j, cj in enumerate(cols)
+            for k, ck in enumerate(cols[j + 1 :], j + 1)
+            if not any(a and b for a, b in zip(cj, ck))
+        ),
+        None,
     )
 
 
@@ -218,21 +223,27 @@ def _assert_float_scan_near_naive_scan(m, p_max):
 
     A signed M is scanned power by power, so every variation matches bit
     for bit.  A non-negative M is walked: each power M^k before the first
-    whose columns overlap pairwise, M^k0, reads exactly 1.0, and from k0 on
-    the scan squares its way up, so a variation may differ from the naive
-    one in the last bits, within the tolerance.
+    whose columns overlap pairwise, M^k0, reads exactly 1.0, M itself
+    included, and from k0 on the scan squares its way up, so a variation
+    may differ from the naive one in the last bits, within the tolerance.
+    A non-negative M with two disjoint columns (so a zero in every row)
+    reports var(M) = 1.0 with the first disjoint pair, where the naive
+    scan sums 1.0 up to rounding, perhaps at a later pair.
     """
     p, history, first = _variation_scan(m, p_max)
     want_p, want_history, want_first = _naive_scan(m, p_max)
-    assert (p, first) == (want_p, want_first)
+    assert p == want_p
     if min(m.entries) < 0:
+        assert first == want_first
         assert list(map(repr, history)) == list(map(repr, want_history))
         return
+    pair = _first_disjoint_pair(m)
+    assert first == (VariationReport(1.0, *pair) if pair else want_first)
     assert len(history) == len(want_history)
     powers = _naive_powers(m, len(history))
-    k0 = next((k for k, power in enumerate(powers, 1) if not _has_disjoint_columns(power)), None)
+    k0 = next((k for k, power in enumerate(powers, 1) if not _first_disjoint_pair(power)), None)
     for k, (got, want) in enumerate(zip(history, want_history), start=1):
-        if k > 1 and (k0 is None or k < k0):
+        if k0 is None or k < k0:
             # variation exactly 1, reported as such and not as the rounded sum
             assert repr(got) == "1.0"
             assert scalars_close(want, 1.0)
@@ -438,8 +449,8 @@ class TestVariationScanMatchesNaiveScan:
         rows = [[F(int(step[j] == i)) for j in range(11)] for i in range(11)]
         calls = self._count_calls(monkeypatch)
         p, history, _ = _variation_scan(Matrix(rows, domain=domain), 64)
-        # a float var(M) is summed; a rational one is read from the masks
-        assert calls == {"mat_mul": 0, "variation": int(domain is Domain.FLOAT)}
+        # var(M) = 1 is read from the masks in either domain
+        assert calls == {"mat_mul": 0, "variation": 0}
         assert (p, history) == (None, [1] * 64)
         calls.update(mat_mul=0, variation=0)
         twin = _signed_twin(rows, 2)
@@ -484,6 +495,34 @@ class TestVariationScanMatchesNaiveScan:
             # the support walk of the map: M^p alone, by squaring, or no product
             k = want[0]
             assert calls["mat_mul"] == (k.bit_length() + k.bit_count() - 2 if k else 0)
+
+    @given(st.data(), st.integers(1, 60))
+    @settings(max_examples=150, deadline=None)
+    def test_signed_conjugate_maps_stop_at_their_first_repeated_power(self, data, p_max):
+        # M = S Q S^-1 with Q the map j -> step[j] and S = I + (e_a - e_b) e_c^T,
+        # a, b and c distinct: S^-1 = I - (e_a - e_b) e_c^T and 1^T S = 1^T, so
+        # M is type 1, and M^k = S Q^k S^-1 repeats exactly when Q^k does.
+        # Row minima summing below zero keep M off the support walk
+        n = data.draw(st.integers(3, 8))
+        step = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        a, b, c = data.draw(st.permutations(range(n)))[:3]
+
+        def shear(sign):
+            return Matrix(
+                [[int(i == j) + sign * ((i == a) - (i == b)) * (j == c) for j in range(n)] for i in range(n)]
+            )
+
+        q = Matrix([[int(s == i) for s in step] for i in range(n)])
+        m = mat_mul(mat_mul(shear(1), q), shear(-1))
+        assume(sum(map(min, m.row_lists())) < 0)
+        want = _naive_scan(m, p_max)
+        powers = [power.entries for power in _naive_powers(m, len(want[1]))]
+        repeat = next((k for k in range(2, len(powers) + 1) if powers[k - 1] in powers[: k - 1]), inf)
+        with pytest.MonkeyPatch.context() as patch:
+            calls = self._count_calls(patch)
+            got = _variation_scan(m, p_max)
+        assert got == want
+        assert calls["mat_mul"] == min(len(want[1]), repeat) - 1
 
     @pytest.mark.parametrize("domain", [Domain.RATIONAL, Domain.FLOAT], ids=lambda d: d.value)
     def test_repeat_copies_each_variation_of_the_cycle_in_turn(self, monkeypatch, domain):
@@ -537,8 +576,8 @@ class TestVariationScanMatchesNaiveScan:
         m = Matrix(rows, domain=domain)
         calls = self._count_calls(monkeypatch)
         p, history, _ = _variation_scan(m, 64)
-        # a rational var(M) = 1 is read from the masks, a float one summed
-        assert calls == {"mat_mul": 0, "variation": int(domain is Domain.FLOAT)}
+        # var(M) = 1 is read from the masks in either domain
+        assert calls == {"mat_mul": 0, "variation": 0}
         assert (p, history) == (None, [1] * 64)
         assert all(type(v) is type(history[0]) for v in history)
 
@@ -552,6 +591,38 @@ class TestVariationScanMatchesNaiveScan:
         assert calls == {"mat_mul": 2, "variation": 1}
         assert history[1:3] == [1, 1] and history[3] < 1
         assert _naive_scan(m, 64)[1] == history
+
+    def test_float_tolerance_edge_with_disjoint_columns_stays_inconclusive(self):
+        # summed, var(M) = 0.99999999865 clears the guard band, and the solve
+        # finds no unique E; the masks give var(M) = 1, and the diagonal repeats
+        m = support.reference_csv_matrix(support.TOLERANCE_EDGE_CSV)
+        assert _variation_scan(m, 8) == (None, [1.0] * 8, VariationReport(1.0, 1, 2))
+        assert find_contraction_power(m) is None
+        assert analyze(m).verdict is Verdict.NO_CONTRACTION_FOUND
+
+    def test_float_variation_one_is_read_from_the_masks_not_summed(self):
+        # variation still sums every pair: 1.0000000000000002 at columns
+        # (1, 5) where sum() adds left to right (up to Python 3.11)
+        m = support.reference_csv_matrix(support.BLOCK_ROUNDED_CSV)
+        best, pair = support.lexicographic_widest(m.entries, m.cols)
+        assert variation(m) == VariationReport(best / 2, *pair)
+        result = analyze(m)
+        assert result.first_variation == VariationReport(1.0, 1, 3)
+        assert repr(result.variation_per_power[0]) == "1.0"
+
+    @given(_random_support_markov(), st.integers(1, 40))
+    @settings(max_examples=150, deadline=None)
+    def test_float_twin_reads_variation_one_at_the_rational_first_pair(self, drawn, p_max):
+        # two disjoint columns give var(M) = 1 at the first such pair in both
+        # domains; without them, the float var(M) is summed, and a tie between
+        # pairs may round to another pair than the rational one
+        m = drawn[1]
+        want = _variation_scan(m, p_max)[2]
+        first = _variation_scan(m.to_float(), p_max)[2]
+        if want.value == 1:
+            assert (repr(first.value), first[1:]) == ("1.0", want[1:])
+        else:
+            assert first == variation(m.to_float())
 
     @pytest.mark.parametrize("domain", [Domain.RATIONAL, Domain.FLOAT], ids=lambda d: d.value)
     def test_tail_into_a_long_cycle_stops_at_its_first_repeat(self, monkeypatch, domain):

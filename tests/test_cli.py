@@ -15,10 +15,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from support import (
+    BLOCK_ROUNDED_CSV,
     CliRunner,
     EX_M,
     EX_M_CSV,
     TAIL_CYCLE_ROWS,
+    TOLERANCE_EDGE_CSV,
     lexicographic_widest,
     reference_csv_matrix,
 )
@@ -359,6 +361,15 @@ class TestAnalyzeCommand:
         assert report["contraction_power"] is None
         assert report["variation_per_power"][1:] == ["1"] * 63
 
+    def test_float_variation_one_is_reported_at_the_first_disjoint_pair(self, runner, tmp_path):
+        # `stovar variation` sums 1.0000000000000002 at columns (1, 5) up to Python 3.11
+        path = write(tmp_path, "m.csv", BLOCK_ROUNDED_CSV)
+        result = runner.invoke(main, ["analyze", path, "--json"])
+        assert result.exit_code == 3
+        report = json.loads(result.output)
+        assert report["variation"] == {"value": "1", "decimal": 1.0, "columns": [1, 3]}
+        assert report["variation_per_power"] == ["1"] * 64
+
     def test_report_value_over_the_int_string_limit(self, runner, tmp_path):
         # a signed 8x8 type-1 matrix whose power variations pass 4300 digits
         rng = random.Random(0)
@@ -528,6 +539,11 @@ CONSOLE_FILES = {
     # float files whose first bad token repeats: each prints one error: line
     "repeated-bad-entry.csv": "x,0.5\nx,0.5\n",
     "repeated-inf.csv": "inf,0.5\ninf,0.5\n",
+    # float files with two disjoint columns: var(M) = 1 is read from the masks,
+    # not summed to 0.99999999865 (a contraction at p = 1, then no unique E)
+    # or to 1.0000000000000002 (up to Python 3.11)
+    "tolerance-edge.csv": TOLERANCE_EDGE_CSV,
+    "block-rounded.csv": BLOCK_ROUNDED_CSV,
     **WIDE_COLUMNS,
 }
 # the contraction power of each analyze --json report
@@ -540,6 +556,8 @@ CONSOLE_POWERS = {
     "lazy-path-float-32.csv": 17,
     "lazy-path-twin.csv": 30,
     "dense-float.csv": 1,
+    "tolerance-edge.csv": None,
+    "block-rounded.csv": None,
 }
 CONSOLE_COMMANDS = [
     (["analyze", "worked.csv"], 0),
@@ -581,6 +599,8 @@ CONSOLE_COMMANDS = [
     (["variation", "repeated-inf.csv"], 1),
     (["classify2x2", "1e-10000000", "1/2"], 1),
     (["analyze", "--tol", "inf", "worked.csv"], 2),
+    (["analyze", "--json", "tolerance-edge.csv"], 3),
+    (["analyze", "--json", "block-rounded.csv"], 3),
 ]
 
 
