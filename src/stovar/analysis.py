@@ -16,7 +16,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import accumulate, combinations
 from math import gcd, inf, isqrt, log, prod
-from operator import floordiv, lshift, mul, ne, sub
+from operator import floordiv, mul, ne, sub
 from typing import NamedTuple, Optional
 
 from .core import (
@@ -32,6 +32,7 @@ from .core import (
     _ensure_typed,
     _finite,
     _infer_domain,
+    _pack,
     _power_by_squaring,
     _require_count,
     _row_slices,
@@ -214,9 +215,12 @@ def _variation_scan(
     n = m.rows
     power = base = m._form
     cells, pair = base[0], None
-    lows = list(map(min, _row_slices(cells, n)))
-    # L = M - lows 1^T is Markov when the lows sum to zero; a float M only when L = M
-    if not (sum(lows) if m.domain is Domain.RATIONAL else any(lows)):
+    rows = _row_slices(cells, n)
+    lows = list(map(min, rows)) if m.domain is Domain.RATIONAL else [0.0] * n
+    # L = M - lows 1^T is Markov when the lows sum to zero; a float M only
+    # when L = M, so its row minima are read only until one is not 0 (and
+    # its masks compare with 0.0: a float against an int compares slower)
+    if not (sum(lows) or m.domain is Domain.FLOAT and any(map(min, rows))):
         # L's support: the cells above their row's minimum
         masks = _column_masks(list(map(ne, cells, [r for r in lows for _ in range(n)])), n)
         pair = next((p for p in combinations(range(n), 2) if not masks[p[0]] & masks[p[1]]), None)
@@ -327,15 +331,17 @@ def _bareiss_eliminate(aug: list[list[int]], ncols: int) -> tuple[int, int]:
     sign times ``aug[n - 1][n - 1]``.
 
     Each column is one int (Kronecker substitution; Harvey, J. Symbolic
-    Comput. 44, 2009): slot i, ``8 * size`` bits wide, holds the entry
-    of the i-th row not yet a pivot row as a signed value, and the int is
-    the sum of the slots, each shifted by its bit offset.  After t pivots
-    the entries are minors of order t + 1, so a minor of order t is at
-    most the product of the t largest row 2-norms (Hadamard), each
-    rounded up as isqrt + 1; a slot one bit wider than that bound holds
-    it with its sign.  Slots start wide enough for minors of order 4;
-    once the next minors outgrow them, every column is repacked, byte by
-    byte, wide enough for twice the next order.
+    Comput. 44, 2009), packed by :func:`core._pack`, which also packs the
+    right factor of a small integer product in :func:`core._step`: slot
+    i, ``8 * size`` bits wide, holds the entry of the i-th row not yet a
+    pivot row as a signed value, and the int is the sum of the slots, each
+    shifted by its bit offset.  After t pivots the entries are minors of
+    order t + 1, so a minor of order t is at most the product of the t
+    largest row 2-norms (Hadamard), each rounded up as isqrt + 1; a slot
+    one bit wider than that bound holds it with its sign.  Slots start
+    wide enough for minors of order 4; once the next minors outgrow them,
+    every column is repacked, byte by byte, wide enough for twice the
+    next order.
 
     The first nonzero slot of a column is found from its lowest set bit;
     a row swap exchanges two slots of every later column.  With the
@@ -384,12 +390,6 @@ def _bareiss_eliminate(aug: list[list[int]], ncols: int) -> tuple[int, int]:
         rest = [((pivot * x - p * column) >> bits) // previous for x, p in zip(rest, entries)]
         previous = pivot
     return sign, rank
-
-
-def _pack(rows: list[list[int]], size: int) -> list[int]:
-    """Each column of the rows as one int, each entry in a signed slot of ``size`` bytes."""
-    shifts = range(0, 8 * size * len(rows), 8 * size)
-    return [sum(map(lshift, column, shifts)) for column in zip(*rows)]
 
 
 def _repack(columns: list[int], slots: int, size: int, wider: int) -> list[int]:

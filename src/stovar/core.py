@@ -17,13 +17,14 @@ has its own, so setting it in one thread leaves every other unchanged.
 from __future__ import annotations
 
 import re
+import struct
 import sys
 from contextvars import ContextVar
 from enum import Enum
 from fractions import Fraction
 from itertools import compress, repeat
 from math import floor, frexp, gcd, inf, isfinite, lcm, ldexp
-from operator import add, le, mul, rshift, sub, xor
+from operator import add, le, lshift, mul, rshift, sub, xor
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
@@ -704,17 +705,49 @@ def _step(left: tuple, right: tuple, n: int) -> tuple:
 
     Integer cells are divided by the gcd of the product's numerators and
     denominator: in that lowest form the product is :func:`_over_lcm` of
-    its entries, and equal values are equal forms.  Float cells must be
-    finite, or :class:`DomainMismatchError` is raised, and come back as a
-    tuple over 1.0, the sequence type of a float value's own form.
+    its entries, and equal values are equal forms.  When n times the
+    largest |cell| of each factor is below 2**63, every product entry fits
+    a signed 64-bit slot (Kronecker substitution): each row of the right
+    factor is packed as one int (:func:`_pack`), a product row is one
+    big-int sum of n products, and :func:`_slots` reads every entry at
+    once.  Wider products sum entry by entry, since packed slots would be
+    as wide as the widest entry.  Float cells must be finite, or
+    :class:`DomainMismatchError` is raised, and come back as a tuple over
+    1.0, the sequence type of a float value's own form.
     """
     (cells, d), (factor, scale) = left, right
     cols = _column_slices(factor, len(factor) // n)
-    product = [sum(map(mul, r, c)) for r in _row_slices(cells, n) for c in cols]
+    rows = _row_slices(cells, n)
+    if isinstance(d, float) or (max(map(abs, cells)) * max(map(abs, factor)) * n).bit_length() > 63:
+        product = [sum(map(mul, r, c)) for r in rows for c in cols]
+    else:
+        packed = _pack(cols, 8)  # the rows of the right factor
+        product = _slots([sum(map(mul, r, packed)) for r in rows], len(cols))
     if isinstance(d, float):
         return tuple(_finite(product, Domain.FLOAT)), 1.0
     g = gcd(d * scale, *product)
+    if g == 1:
+        return product, d * scale
     return [v // g for v in product], d * scale // g
+
+
+def _pack(rows: list[Sequence[int]], size: int) -> list[int]:
+    """Each column of the rows as one int, each entry in a signed slot of ``size`` bytes."""
+    shifts = range(0, 8 * size * len(rows), 8 * size)
+    return [sum(map(lshift, column, shifts)) for column in zip(*rows)]
+
+
+def _slots(ints: list[int], width: int) -> list[int]:
+    """The ``width`` signed 64-bit slots of each int, lowest first, one int after another.
+
+    An int plus 2**63 in every slot holds each value plus 2**63 in its
+    slot, with no borrow between slots; flipping the top bit of every
+    slot leaves each value's two's complement, read little-endian on any
+    host.
+    """
+    offset = int.from_bytes((bytes(7) + b"\x80") * width, "little")
+    data = b"".join([((x + offset) ^ offset).to_bytes(8 * width, "little") for x in ints])
+    return list(struct.unpack(f"<{len(data) // 8}q", data))
 
 
 def _product(a: _Dense, b: _Dense, cls):
@@ -744,7 +777,9 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     integer product of the two integer forms, over the product of their
     denominators, in lowest terms; the result keeps that form, and its
     entries are the same exact fractions as a product computed in
-    ``Fraction`` arithmetic.  Float entries are summed left to right, with
+    ``Fraction`` arithmetic.  When every integer entry fits a signed
+    64-bit slot, each product row is one big-int sum over the rows of
+    ``b``, each packed as one int.  Float entries are summed left to right, with
     the same last-bit caveat as :func:`variation`; one that overflows
     raises :class:`DomainMismatchError`.
     """

@@ -165,6 +165,16 @@ class TestRoundTrip:
         assert parse_matrix(path) == m
 
 
+def _growing_signed_8x8():
+    """A signed 8x8 type-1 matrix whose power variations pass 4300 digits by M^32."""
+    rng = random.Random(0)
+    body = [
+        [F(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)) for _ in range(8)]
+        for _ in range(7)
+    ]
+    return Matrix(body + [[1 - sum(col) for col in zip(*body)]])
+
+
 def _serialize_by_entry(m, fmt="csv"):
     """Matrix file text that parses back to m, written entry by entry through Matrix.entry.
 
@@ -371,18 +381,22 @@ class TestAnalyzeCommand:
         assert report["variation_per_power"] == ["1"] * 64
 
     def test_report_value_over_the_int_string_limit(self, runner, tmp_path):
-        # a signed 8x8 type-1 matrix whose power variations pass 4300 digits
-        rng = random.Random(0)
-        body = [
-            [F(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)) for _ in range(8)]
-            for _ in range(7)
-        ]
-        rows = body + [[1 - sum(col) for col in zip(*body)]]
-        path = write(tmp_path, "m.csv", _serialize_by_entry(Matrix(rows)))
+        path = write(tmp_path, "m.csv", _serialize_by_entry(_growing_signed_8x8()))
         result = runner.invoke(main, ["analyze", path, "--pmax", "32"])
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert result.stderr.startswith("error: a report value is too long to print")
+
+    def test_wide_products_sum_entry_by_entry(self, runner, tmp_path, monkeypatch):
+        # the numerators of M^2 already pass 1600 bits, far past a 64-bit slot
+        path = write(tmp_path, "m.csv", _serialize_by_entry(_growing_signed_8x8()))
+        products, packs = [], []
+        step, pack = analysis._step, core._pack
+        monkeypatch.setattr(analysis, "_step", lambda *args: products.append(1) or step(*args))
+        monkeypatch.setattr(core, "_pack", lambda *args: packs.append(1) or pack(*args))
+        result = runner.invoke(main, ["analyze", path, "--pmax", "4"])
+        assert result.exit_code == 3
+        assert (len(products), packs) == (3, [])
 
     def test_decay_bound_too_long_to_print_fails_before_it_is_formed(self, runner, tmp_path):
         # forming (1/6)^100000000 took minutes before str rejected it

@@ -528,6 +528,91 @@ class TestKernelsMatchNaiveLoops:
 
 
 # ---------------------------------------------------------------------------
+# the packed integer product against per-entry sums
+
+# n max|A| max|B| reaches 2^63 from n = 2 at 2^31 and from n = 3 at 2^31 - 1
+_EDGE_CELLS = st.one_of(
+    st.sampled_from([0, 2**31 - 1, -(2**31 - 1), 2**31, -(2**31)]), st.integers(-9, 9)
+)
+_SLOT_VALUES = st.one_of(
+    st.sampled_from([0, 1, -1, 2**63 - 1, -(2**63 - 1), -(2**63)]),
+    st.integers(-(2**63), 2**63 - 1),
+)
+
+
+@st.composite
+def _integer_forms(draw, rows, cols):
+    """Cells of a rows-by-cols integer form, all 0 one time in eight, and a scale."""
+    zero = draw(st.integers(0, 7)) == 0
+    cells = [0] * (rows * cols) if zero else draw(
+        st.lists(_EDGE_CELLS, min_size=rows * cols, max_size=rows * cols)
+    )
+    return cells, draw(st.integers(1, 12))
+
+
+def _count_packs(monkeypatch):
+    """The list that gets one entry per call of ``core._pack`` from ``core``."""
+    calls = []
+    pack = core._pack
+
+    def counting(rows, size):
+        calls.append(size)
+        return pack(rows, size)
+
+    monkeypatch.setattr(core, "_pack", counting)
+    return calls
+
+
+class TestPackedProduct:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_step_is_the_per_entry_sums_over_their_gcd(self, data):
+        # 1-by-n, n-by-1 and n-by-n shapes are those of row_mat_mul, mat_vec and mat_mul
+        m, n, w = (data.draw(st.integers(1, 7)) for _ in range(3))
+        (a, d), (b, scale) = data.draw(_integer_forms(m, n)), data.draw(_integer_forms(n, w))
+        sums = [
+            sum(a[i * n + k] * b[k * w + j] for k in range(n)) for i in range(m) for j in range(w)
+        ]
+        g = math.gcd(d * scale, *sums)
+        assert core._step((a, d), (b, scale), n) == ([v // g for v in sums], d * scale // g)
+
+    @pytest.mark.parametrize(
+        "a, b, packed",
+        [
+            ([2**31 - 1] * 2, [-(2**31 - 1)] * 2, True),  # 2 (2^31 - 1)^2 < 2^63
+            ([2**31] * 2, [2**31] * 2, False),  # the sum is 2^63, one past a slot
+            ([-(2**31)] * 2, [2**31] * 2, False),  # -2^63 fits, but the bound reads |cells|
+            ([2**31 - 1] * 3, [2**31 - 1] * 3, False),
+            ([0, 0], [2**200, -(2**200)], True),  # a zero factor packs the wide one
+        ],
+    )
+    def test_the_slot_bound_decides_the_path(self, monkeypatch, a, b, packed):
+        calls = _count_packs(monkeypatch)
+        dot = sum(x * y for x, y in zip(a, b))
+        assert core._step((a, 1), (b, 1), len(a)) == ([dot], 1)
+        assert bool(calls) is packed
+
+    @given(st.integers(1, 7), st.integers(1, 7), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_slots_read_back_every_packed_value(self, m, w, data):
+        rows = [data.draw(st.lists(_SLOT_VALUES, min_size=w, max_size=w)) for _ in range(m)]
+        columns = [v for column in zip(*rows) for v in column]
+        assert core._slots(core._pack(rows, 8), m) == columns
+
+    def test_a_lazy_path_squaring_packs(self, monkeypatch):
+        n = 8
+        weight = {0: F(1, 2), 1: F(1, 4)}
+        rows = [[weight.get(abs(i - j), F(0)) for j in range(n)] for i in range(n)]
+        rows[0][0] = rows[n - 1][n - 1] = F(3, 4)
+        m = Matrix(rows)
+        calls = _count_packs(monkeypatch)
+        square = mat_mul(m, m)
+        assert calls == [8]
+        assert square == Matrix([[_ref_dot(r, c, F(0)) for c in _ref_columns(m)] for r in rows])
+        _assert_kept_form(square)
+
+
+# ---------------------------------------------------------------------------
 # the popcount-bounded column search against an exhaustive one
 
 _CUTOFF = core._PRUNE_FROM
