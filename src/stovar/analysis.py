@@ -32,6 +32,7 @@ from .core import (
     _ensure_typed,
     _finite,
     _infer_domain,
+    _markov_power,
     _pack,
     _power_by_squaring,
     _require_count,
@@ -195,8 +196,11 @@ def _variation_scan(
     numerators over one denominator for a rational M, the entries over 1.0
     for a float one.  Every power is :func:`core._step` of two forms and
     every variation after the first :func:`core._variation_of` a form.
-    M^k0 is formed by squaring.  Its variation is below 1 exactly for a
-    rational M, so p = k0; a float one may lie within the tolerance of 1.
+    A walked rational M forms L^k0, which has the same variation as M^k0,
+    by k0 - 1 sparse steps on packed rows (:func:`core._markov_power`); a
+    float one forms M^k0 by squaring.  Its variation is below 1 exactly
+    for a rational M, so p = k0; a float one may lie within the tolerance
+    of 1.
 
     Otherwise each new power M^k, k >= k0, is compared by value with the
     saved M^j, k0 <= j < k, with j <= n or j a power of two.  When it equals
@@ -221,8 +225,9 @@ def _variation_scan(
     # when L = M, so its row minima are read only until one is not 0 (and
     # its masks compare with 0.0: a float against an int compares slower)
     if not (sum(lows) or m.domain is Domain.FLOAT and any(map(min, rows))):
+        spread = [r for r in lows for _ in range(n)]
         # L's support: the cells above their row's minimum
-        masks = _column_masks(list(map(ne, cells, [r for r in lows for _ in range(n)])), n)
+        masks = _column_masks(list(map(ne, cells, spread)), n)
         pair = next((p for p in combinations(range(n), 2) if not masks[p[0]] & masks[p[1]]), None)
     first = VariationReport(one, pair[0] + 1, pair[1] + 1) if pair else variation(m)
     history: list[Scalar] = [first.value]
@@ -230,7 +235,11 @@ def _variation_scan(
         k0 = _power_walk(masks, p_max, _masks_overlap)[0]
         if k0 is None:
             return None, [one] * p_max, first
-        power = _power_by_squaring(base, k0, lambda a, b: _step(a, b, n))
+        if m.domain is Domain.RATIONAL:
+            # var(L^k0) = var(M^k0) < 1 exactly, so the loop below does not run
+            power = _markov_power(list(map(sub, cells, spread)), base[1], n, k0)
+        else:
+            power = _power_by_squaring(base, k0, lambda a, b: _step(a, b, n))
         history += [one] * (k0 - 2) + [_variation_of(power, n).value]
     saved: list[tuple[int, tuple]] = []
     while not strictly_less(history[-1], one, m.domain):
@@ -647,7 +656,9 @@ def analyze(
     disjoint pair, and the numeric scan starts at the first power whose
     columns overlap pairwise.  With no such power up to p_max, or once a
     support pattern equals an earlier one, the verdict is inconclusive
-    and no product is formed.  M^k0 is formed alone, by squaring.
+    and no product is formed.  The power at the first overlap is formed
+    alone: for a rational M as its Markov part's power L^k0, by k0 - 1
+    products with the nonzeros of L; for a float one M^k0, by squaring.
     Rational reports are the same as from a full scan; a float report
     says 1 at the first disjoint pair where the full scan (and
     :func:`variation`) gave 1 up to rounding, perhaps at another pair,

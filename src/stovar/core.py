@@ -737,17 +737,42 @@ def _pack(rows: list[Sequence[int]], size: int) -> list[int]:
     return [sum(map(lshift, column, shifts)) for column in zip(*rows)]
 
 
-def _slots(ints: list[int], width: int) -> list[int]:
-    """The ``width`` signed 64-bit slots of each int, lowest first, one int after another.
+def _slots(ints: list[int], width: int, size: int = 8) -> list[int]:
+    """The ``width`` signed slots of ``size`` bytes of each int, lowest first, one int after another.
 
-    An int plus 2**63 in every slot holds each value plus 2**63 in its
-    slot, with no borrow between slots; flipping the top bit of every
-    slot leaves each value's two's complement, read little-endian on any
-    host.
+    An int plus 2**(8 size - 1) in every slot holds each value plus that
+    offset in its slot, with no borrow between slots; flipping the top
+    bit of every slot leaves each value's two's complement, read
+    little-endian on any host: 8-byte slots all at once, wider ones one
+    by one.
     """
-    offset = int.from_bytes((bytes(7) + b"\x80") * width, "little")
-    data = b"".join([((x + offset) ^ offset).to_bytes(8 * width, "little") for x in ints])
-    return list(struct.unpack(f"<{len(data) // 8}q", data))
+    offset = int.from_bytes((bytes(size - 1) + b"\x80") * width, "little")
+    data = b"".join([((x + offset) ^ offset).to_bytes(size * width, "little") for x in ints])
+    if size == 8:
+        return list(struct.unpack(f"<{len(data) // 8}q", data))
+    return [int.from_bytes(data[i : i + size], "little", signed=True) for i in range(0, len(data), size)]
+
+
+def _markov_power(cells: list[int], d: int, n: int, k: int) -> tuple[list[int], int]:
+    """The form (cells, d**k) of L^k, k >= 1, for an n-by-n L with no negative cell and every column sum d.
+
+    Every column of L^k sums to d**k, so no cell of a power exceeds it,
+    and one slot width, the bytes of d**k plus a sign bit (8 at least),
+    holds every cell of every power: a product row never carries into the
+    next slot, and the rows of each power stay packed from step to step.
+    Row i of L P is the sum, over the nonzero cells L_ij of row i, of
+    L_ij times the packed row j of P: one C-level ``sum`` of big-int
+    products per row, and no bound, gcd or decode until L^k is read by
+    :func:`_slots`.  The cells are not divided by their gcd.
+    """
+    top = d**k
+    size = max(8, top.bit_length() // 8 + 1)
+    rows = _row_slices(cells, n)
+    weights = [list(filter(None, row)) for row in rows]
+    power = _pack(_column_slices(cells, n), size)  # the rows of L
+    for _ in range(k - 1):
+        power = [sum(map(mul, w, compress(power, row))) for w, row in zip(weights, rows)]
+    return _slots(power, n, size), top
 
 
 def _product(a: _Dense, b: _Dense, cls):

@@ -69,6 +69,31 @@ M_INSTANCE = Matrix([[0, F(1, 2), 0], [0, 0, 1], [1, F(1, 2), 0]])
 TAIL_CYCLE_STEP = [(j + 1) % 10 for j in range(10)] + [11, 12, 0]
 TAIL_CYCLE_ROWS = [[int(TAIL_CYCLE_STEP[j] == i) for j in range(13)] for i in range(13)]
 
+
+def block_tail_rows(block: int, tail: int) -> list[list[Fraction]]:
+    """A dense block of states fed by a lazy path of ``tail`` states, each column over its sum.
+
+    Block column j puts weight (7 i + 3 j) % 9 + 1 on every block state i.
+    Tail state j keeps weight 2 (3 at the far end) and steps to j - 1 and
+    j + 1 with weight 1, the first tail state into the last block state.
+    Every row has a zero, so M is its own Markov part, and the columns
+    first overlap pairwise when the far end reaches the block, at power
+    ``tail``.
+    """
+    n = block + tail
+    weights = [[0] * n for _ in range(n)]
+    for j in range(block):
+        for i in range(block):
+            weights[i][j] = (7 * i + 3 * j) % 9 + 1
+    for j in range(block, n):
+        weights[j][j] = 3 if j == n - 1 else 2
+        weights[j - 1][j] = 1
+        if j + 1 < n:
+            weights[j + 1][j] = 1
+    sums = [sum(col) for col in zip(*weights)]
+    return [[F(w, t) for w, t in zip(row, sums)] for row in weights]
+
+
 # Float type-1 matrices with two disjoint columns, whose var(M) is exactly 1
 # in the type-1 matrix the tolerance admits.  Summed, the first one's var(M)
 # is 0.99999999865 (column sums 1 - 9e-10 and 1 - 1.8e-9), below the guard

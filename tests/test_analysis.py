@@ -316,17 +316,77 @@ class TestVariationScanMatchesNaiveScan:
 
     def test_signed_lazy_path_squares_its_way_to_the_first_overlapping_power(self, monkeypatch):
         # the signed twin's Markov part is the lazy path: var(M) = 1 from the
-        # masks, M^30 by 7 products and var(M^30) its only sum: not 29
-        # products and 30 variations, as a power-by-power scan needs
+        # masks, L^30 by 29 sparse steps on packed rows (no product of two
+        # forms) and var(L^30) = var(M^30) its only sum: not 30 variations,
+        # as a power-by-power scan needs
         calls = self._count_calls(
             monkeypatch, {"_step": "step", "variation": "variation", "_variation_of": "variation_of"}
         )
         m = _signed_twin(_lazy_path(60).row_lists(), 0)
         p, history, first = _variation_scan(m, 64)
-        assert calls == {"step": 7, "variation": 0, "variation_of": 1}
+        assert calls == {"step": 0, "variation": 0, "variation_of": 1}
         assert p == 30
         assert history == [1] * 29 + [variation(mat_pow(m, 30)).value]
         assert first == variation(m)
+
+    @given(
+        st.one_of(
+            _random_support_markov().map(lambda drawn: drawn[1]),
+            _late_overlap_markov,
+            st.builds(support.block_tail_rows, st.integers(1, 8), st.integers(2, 5)).map(Matrix),
+            st.builds(support.block_tail_rows, st.integers(16, 20), st.just(4)).map(Matrix),
+        ),
+        st.data(),
+        st.integers(1, 40),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_walked_rational_powers_match_the_naive_scan(self, markov, data, p_max):
+        # M = L + x 1^T, x summing to zero: a walked M reaches var(M^k0)
+        # by k0 - 1 sparse steps on L, sparse or a dense block fed by a tail
+        n = markov.rows
+        x = data.draw(st.lists(st.fractions(-2, 2, max_denominator=8), min_size=n - 1, max_size=n - 1))
+        x.append(-sum(x))
+        m = Matrix([[v + x[i] for v in row] for i, row in enumerate(markov.row_lists())])
+        with pytest.MonkeyPatch.context() as patch:
+            calls = self._count_calls(patch, {"_step": "step", "_markov_power": "chain"})
+            p, history, first = _variation_scan(m, p_max)
+        assert (p, history, first) == _naive_scan(m, p_max)
+        # walked when every row of L = markov has a zero, and var(M) = 1
+        if p is None or p == 1 or any(map(min, markov.row_lists())):
+            assert calls["chain"] == 0
+            return
+        assert calls == {"step": 0, "chain": 1}
+
+    def test_rational_lazy_path_takes_sparse_steps_to_the_first_overlapping_power(self, monkeypatch):
+        # k0 = 30: L^30 by 29 steps on the 178 nonzeros of L = M, no product of two forms
+        calls = self._count_calls(monkeypatch, {"_step": "step", "_markov_power": "chain"})
+        p, history, _ = _variation_scan(_lazy_path(60), 64)
+        assert calls == {"step": 0, "chain": 1}
+        assert p == 30 and history[:29] == [1] * 29
+
+    def test_dense_block_fed_by_a_lazy_tail_gives_the_variation_of_the_squared_power(self):
+        # k0 = 16 on 40 states, with 623 nonzeros in L = M
+        m = Matrix(support.block_tail_rows(24, 16))
+        power = core._power_by_squaring(m._form, 16, lambda a, b: core._step(a, b, 40))
+        p, history, _ = _variation_scan(m, 64)
+        assert p == 16 and history[:15] == [1] * 15
+        assert history[-1] == core._variation_of(power, 40).value
+
+    def test_wide_slots_give_the_variation_of_the_squared_power(self, monkeypatch):
+        # on 80 states, k0 = 40 and d^k0 = 4^40 = 2^80: slots of 11 bytes
+        m = _lazy_path(80)
+        power = core._power_by_squaring(m._form, 40, lambda a, b: core._step(a, b, 80))
+        want = [1] * 39 + [core._variation_of(power, 80).value]
+        sizes = []
+        slots = core._slots
+
+        def recording(ints, width, size=8):
+            sizes.append(size)
+            return slots(ints, width, size)
+
+        monkeypatch.setattr(core, "_slots", recording)
+        assert analyze(m).variation_per_power == tuple(want)
+        assert sizes == [11]
 
     def test_positive_markov_matrix_contracts_at_its_first_variation(self, monkeypatch):
         # every row minimum is positive, so var(M) < 1 and nothing is walked
@@ -342,7 +402,8 @@ class TestVariationScanMatchesNaiveScan:
     def test_lazy_path_squares_its_way_to_the_first_overlapping_power(
         self, monkeypatch, domain, want_p
     ):
-        # k0 = 30: M^2, M^4, M^8, M^16 and three more products, not 29; a
+        # k0 = 30: a float M^30 by M^2, M^4, M^8, M^16 and three more
+        # products, not 29 (a rational L^30 by sparse steps, no product); a
         # float var(M^30) is within the tolerance of 1, and the scan steps on
         calls = self._count_calls(monkeypatch, {"_step": "step"})
         m = _lazy_path(60)
@@ -492,9 +553,9 @@ class TestVariationScanMatchesNaiveScan:
         if sum(map(min, m.row_lists())):
             assert calls["mat_mul"] == min(len(want[1]), b) - 1
         else:
-            # the support walk of the map: M^p alone, by squaring, or no product
-            k = want[0]
-            assert calls["mat_mul"] == (k.bit_length() + k.bit_count() - 2 if k else 0)
+            # the support walk of the map: L^p alone, by sparse steps on L, or
+            # no product; neither takes a product of two forms
+            assert calls["mat_mul"] == 0
 
     @given(st.data(), st.integers(1, 60))
     @settings(max_examples=150, deadline=None)
@@ -587,8 +648,9 @@ class TestVariationScanMatchesNaiveScan:
         calls = self._count_calls(monkeypatch)
         p, history, _ = _variation_scan(m, 64)
         assert p == 4
-        # M^2, then M^4 by squaring; var(M) = 1 is read from the masks
-        assert calls == {"mat_mul": 2, "variation": 1}
+        # L^4 = M^4 by 3 sparse steps on packed rows, not by products of two
+        # forms; var(M) = 1 is read from the masks
+        assert calls == {"mat_mul": 0, "variation": 1}
         assert history[1:3] == [1, 1] and history[3] < 1
         assert _naive_scan(m, 64)[1] == history
 

@@ -21,6 +21,7 @@ from support import (
     EX_M_CSV,
     TAIL_CYCLE_ROWS,
     TOLERANCE_EDGE_CSV,
+    block_tail_rows,
     lexicographic_widest,
     reference_csv_matrix,
 )
@@ -541,6 +542,9 @@ CONSOLE_FILES = {
             for i, line in enumerate(_lazy_path_csv(60, "2", "1", "3").splitlines())
         ]
     ),
+    # a dense block of 24 states fed by a lazy path of 16: the scan walks to
+    # power 16 and takes 15 steps on a dense L, where the lazy path's is sparse
+    "block-tail.csv": _csv([list(map(str, row)) for row in block_tail_rows(24, 16)]),
     # saved with a UTF-8 byte-order mark, as some spreadsheet programs do
     "bom.csv": "\ufeff" + EX_M_CSV,
     # the worked example in JSON, with "p/q" strings
@@ -569,6 +573,7 @@ CONSOLE_POWERS = {
     "lazy-path-float.csv": 4,
     "lazy-path-float-32.csv": 17,
     "lazy-path-twin.csv": 30,
+    "block-tail.csv": 16,
     "dense-float.csv": 1,
     "tolerance-edge.csv": None,
     "block-rounded.csv": None,
@@ -591,6 +596,7 @@ CONSOLE_COMMANDS = [
     (["analyze", "--json", "lazy-path-float.csv"], 0),
     (["analyze", "--json", "lazy-path-float-32.csv"], 0),
     (["analyze", "--json", "lazy-path-twin.csv"], 0),
+    (["analyze", "--json", "block-tail.csv"], 0),
     (["analyze", "--json", "worked-float.csv"], 0),
     (["pattern", "--kmax", "100000", "tail-cycle-pattern.csv"], 0),
     (["variation", "--json", "markov-64.csv"], 0),

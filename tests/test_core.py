@@ -9,7 +9,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import support
@@ -610,6 +610,85 @@ class TestPackedProduct:
         assert calls == [8]
         assert square == Matrix([[_ref_dot(r, c, F(0)) for c in _ref_columns(m)] for r in rows])
         _assert_kept_form(square)
+
+
+def _root_below(bound, k):
+    """The largest d with d**k < bound."""
+    d = round(bound ** (1 / k))
+    while d**k >= bound:
+        d -= 1
+    while (d + 1) ** k < bound:
+        d += 1
+    return d
+
+
+@st.composite
+def _column_sum_forms(draw):
+    """(cells, d, n, k): an n-by-n L of non-negative integers, every column summing to d.
+
+    n <= 8 and 1 <= k <= 24.  Each row is all zero, has one nonzero (in a
+    drawn column), or is free, and the last row is free when no other is.
+    d is small, or one of the two integers around the k-th root of 2**63
+    or 2**64, so d**k falls on either side of each bound.
+    """
+    n, k = draw(st.integers(1, 8)), draw(st.integers(1, 24))
+    roots = [r + step for r in (_root_below(2**63, k), _root_below(2**64, k)) for step in (0, 1)]
+    d = draw(st.one_of(st.sampled_from(roots), st.integers(1, 40)))
+    kinds = draw(st.lists(st.sampled_from(["zero", "single", "free"]), min_size=n, max_size=n))
+    if "free" not in kinds:
+        kinds[-1] = "free"
+    owners = {i: draw(st.integers(0, n - 1)) for i, kind in enumerate(kinds) if kind == "single"}
+    free = [i for i, kind in enumerate(kinds) if kind == "free"]
+    cells = [0] * (n * n)
+    for j in range(n):
+        singles = [i for i, owner in owners.items() if owner == j]
+        assume(len(singles) <= d)
+        rows = singles + [i for i in free if draw(st.booleans())] or free[:1]
+        rest = d - len(singles)  # each single row holds 1 before the split
+        cuts = sorted(draw(st.lists(st.integers(0, rest), min_size=len(rows) - 1, max_size=len(rows) - 1)))
+        for place, (i, a, b) in enumerate(zip(rows, [0] + cuts, cuts + [rest])):
+            cells[i * n + j] = b - a + (place < len(singles))
+    return cells, d, n, k
+
+
+def _integer_power(cells, n, k):
+    """L^k of the n-by-n integer cells, one row-by-column sum per entry."""
+    rows = [cells[i * n : (i + 1) * n] for i in range(n)]
+    power = rows
+    for _ in range(k - 1):
+        power = [[sum(p[t] * rows[t][j] for t in range(n)) for j in range(n)] for p in power]
+    return [v for row in power for v in row]
+
+
+# row 1 is all zero and row 2 has one nonzero; d**2 just below and above 2**63 and 2**64
+_EDGE_COLUMN_SUMS = [
+    ([d, 0, d, 0, 0, 0, 0, d, 0], d, 3, 2) for d in (3037000499, 3037000500, 2**32 - 1, 2**32)
+]
+
+
+class TestMarkovPower:
+    @given(_column_sum_forms())
+    @example(_EDGE_COLUMN_SUMS[0])
+    @example(_EDGE_COLUMN_SUMS[1])
+    @example(_EDGE_COLUMN_SUMS[2])
+    @example(_EDGE_COLUMN_SUMS[3])
+    @settings(max_examples=300, deadline=None)
+    def test_power_is_the_integer_power_over_d_to_the_k(self, drawn):
+        cells, d, n, k = drawn
+        assert core._markov_power(cells, d, n, k) == (_integer_power(cells, n, k), d**k)
+
+    def test_slots_widen_past_eight_bytes_with_d_to_the_k(self, monkeypatch):
+        sizes = []
+        slots = core._slots
+
+        def recording(ints, width, size=8):
+            sizes.append(size)
+            return slots(ints, width, size)
+
+        monkeypatch.setattr(core, "_slots", recording)
+        for cells, d, n, k in _EDGE_COLUMN_SUMS:
+            core._markov_power(cells, d, n, k)
+        assert sizes == [8, 9, 9, 9]
 
 
 # ---------------------------------------------------------------------------
