@@ -194,13 +194,13 @@ def _variation_scan(
 
     M and its powers are read as forms (``Matrix._form``): integer
     numerators over one denominator for a rational M, the entries over 1.0
-    for a float one.  Every power is :func:`core._step` of two forms and
-    every variation after the first :func:`core._variation_of` a form.
-    A walked rational M forms L^k0, which has the same variation as M^k0,
-    by k0 - 1 sparse steps on packed rows (:func:`core._markov_power`); a
-    float one forms M^k0 by squaring.  Its variation is below 1 exactly
-    for a rational M, so p = k0; a float one may lie within the tolerance
-    of 1.
+    for a float one.  Every variation after the first is
+    :func:`core._variation_of` of a form.  A walked rational M forms L^k0,
+    which has the same variation as M^k0, by k0 - 1 sparse steps on packed
+    rows (:func:`core._markov_power`); every other power is
+    :func:`core._step` of two forms, and a walked float M forms M^k0 by
+    squaring.  Its variation is below 1 exactly for a rational M, so
+    p = k0; a float one may lie within the tolerance of 1.
 
     Otherwise each new power M^k, k >= k0, is compared by value with the
     saved M^j, k0 <= j < k, with j <= n or j a power of two.  When it equals
@@ -340,14 +340,13 @@ def _bareiss_eliminate(aug: list[list[int]], ncols: int) -> tuple[int, int]:
     sign times ``aug[n - 1][n - 1]``.
 
     Each column is one int (Kronecker substitution; Harvey, J. Symbolic
-    Comput. 44, 2009), packed by :func:`core._pack`, which also packs the
-    right factor of a small integer product in :func:`core._step`: slot
-    i, ``8 * size`` bits wide, holds the entry of the i-th row not yet a
-    pivot row as a signed value, and the int is the sum of the slots, each
-    shifted by its bit offset.  After t pivots the entries are minors of
-    order t + 1, so a minor of order t is at most the product of the t
-    largest row 2-norms (Hadamard), each rounded up as isqrt + 1; a slot
-    one bit wider than that bound holds it with its sign.  Slots start
+    Comput. 44, 2009), packed by :func:`core._pack`: slot i, ``8 * size``
+    bits wide, holds the entry of the i-th row not yet a pivot row as a
+    signed value, and the int is the sum of the slots, each shifted by its
+    bit offset.  After t pivots the entries are minors of order t + 1, so
+    a minor of order t is at most the product of the t largest row
+    2-norms (Hadamard), each rounded up as isqrt + 1; a slot one bit wider
+    than that bound holds it with its sign.  Slots start
     wide enough for minors of order 4; once the next minors outgrow them,
     every column is repacked, byte by byte, wide enough for twice the
     next order.
@@ -671,8 +670,10 @@ def analyze(
     checkpoint inside it, and at most n + log2(p_max) powers are kept,
     whatever p_max is.  M and each power are read as one form in either
     domain: a rational one as integer numerators over one denominator, in
-    lowest terms for a power, a float one as its entries over 1.0.  The
-    type check and the solve of a rational E read the same integers.
+    lowest terms for a product of two forms (a walked M's L^k0, read only
+    for its variation, is not reduced), a float one as its entries over
+    1.0.  The type check and the solve of a rational E read the same
+    integers.
 
     E comes from the solve of :func:`stationary_vector`, except for a
     float Markov matrix (no negative entry) with var(M) < 1.  There E

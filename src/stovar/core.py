@@ -116,8 +116,7 @@ def one_of(domain: Domain) -> Scalar:
 
 # a decimal literal with an exponent, in the syntax that Fraction accepts
 _EXPONENT_LITERAL = re.compile(
-    r"\s*[-+]?(?=\d|\.\d)(?P<mantissa>\d*(?:_\d+)*(?:\.(?:\d+(?:_\d+)*)?)?)"
-    r"[eE](?P<exponent>[-+]?\d+(?:_\d+)*)\s*"
+    r"\s*[-+]?(?=\d|\.\d)(?P<mantissa>\d*(?:\.\d*)?)[eE](?P<exponent>[-+]?\d+)\s*"
 )
 
 # an ASCII p/q; int alone would also take "_", "+", spaces, a signed q and other digits
@@ -127,21 +126,26 @@ _RATIO = re.compile(r"(-?[0-9]+)/([0-9]+)")
 def _exact(token: ScalarLike) -> Fraction:
     """``Fraction(token)``, an ASCII ``p/q`` from its ints and a huge exponent decided first.
 
-    ``Fraction`` builds ``10**e`` for an exponent e before anything can
-    look at the value.  A nonzero mantissa times ``10**e`` with |e| above
-    the int-string limit plus the token's length has a reduced numerator
-    or denominator longer than that limit, which ``str`` cannot print, so
-    such a token raises :class:`MatrixParseError` at once; a zero mantissa
-    gives 0.  With the limit off (0) every exponent is converted.
+    A string token that holds ``_`` raises the ``ValueError`` of Python
+    3.10, whose ``Fraction`` reads no digit-group underscores, on every
+    version, so a file reads the same on each.  ``Fraction`` builds
+    ``10**e`` for an exponent e before anything can look at the value.
+    A nonzero mantissa times ``10**e`` with |e| above the int-string limit
+    plus the token's length has a reduced numerator or denominator longer
+    than that limit, which ``str`` cannot print, so such a token raises
+    :class:`MatrixParseError` at once; a zero mantissa gives 0.  With the
+    limit off (0) every exponent is converted.
     """
     ratio = isinstance(token, str) and _RATIO.fullmatch(token)
     if ratio:
         return Fraction(int(ratio[1]), int(ratio[2]))
+    if isinstance(token, str) and "_" in token:
+        raise ValueError(f"Invalid literal for Fraction: {token!r}")
     limit = sys.get_int_max_str_digits()
     match = limit and isinstance(token, str) and _EXPONENT_LITERAL.fullmatch(token)
     if not match or abs(int(match["exponent"])) <= limit + len(token):
         return Fraction(token)
-    if match["mantissa"].strip("0._"):
+    if match["mantissa"].strip("0."):
         raise MatrixParseError(f"entry too long to print: its exponent gives over {limit} digits")
     return Fraction(0)
 
@@ -705,24 +709,13 @@ def _step(left: tuple, right: tuple, n: int) -> tuple:
 
     Integer cells are divided by the gcd of the product's numerators and
     denominator: in that lowest form the product is :func:`_over_lcm` of
-    its entries, and equal values are equal forms.  When n times the
-    largest |cell| of each factor is below 2**63, every product entry fits
-    a signed 64-bit slot (Kronecker substitution): each row of the right
-    factor is packed as one int (:func:`_pack`), a product row is one
-    big-int sum of n products, and :func:`_slots` reads every entry at
-    once.  Wider products sum entry by entry, since packed slots would be
-    as wide as the widest entry.  Float cells must be finite, or
-    :class:`DomainMismatchError` is raised, and come back as a tuple over
-    1.0, the sequence type of a float value's own form.
+    its entries, and equal values are equal forms.  Float cells must be
+    finite, or :class:`DomainMismatchError` is raised, and come back as a
+    tuple over 1.0, the sequence type of a float value's own form.
     """
     (cells, d), (factor, scale) = left, right
     cols = _column_slices(factor, len(factor) // n)
-    rows = _row_slices(cells, n)
-    if isinstance(d, float) or (max(map(abs, cells)) * max(map(abs, factor)) * n).bit_length() > 63:
-        product = [sum(map(mul, r, c)) for r in rows for c in cols]
-    else:
-        packed = _pack(cols, 8)  # the rows of the right factor
-        product = _slots([sum(map(mul, r, packed)) for r in rows], len(cols))
+    product = [sum(map(mul, r, c)) for r in _row_slices(cells, n) for c in cols]
     if isinstance(d, float):
         return tuple(_finite(product, Domain.FLOAT)), 1.0
     g = gcd(d * scale, *product)
@@ -732,38 +725,35 @@ def _step(left: tuple, right: tuple, n: int) -> tuple:
 
 
 def _pack(rows: list[Sequence[int]], size: int) -> list[int]:
-    """Each column of the rows as one int, each entry in a signed slot of ``size`` bytes."""
+    """Each column of the rows as one int: its entries shifted to slots of ``size`` bytes, summed."""
     shifts = range(0, 8 * size * len(rows), 8 * size)
     return [sum(map(lshift, column, shifts)) for column in zip(*rows)]
 
 
 def _slots(ints: list[int], width: int, size: int = 8) -> list[int]:
-    """The ``width`` signed slots of ``size`` bytes of each int, lowest first, one int after another.
+    """The ``width`` unsigned slots of ``size`` bytes of each int, lowest first, int after int.
 
-    An int plus 2**(8 size - 1) in every slot holds each value plus that
-    offset in its slot, with no borrow between slots; flipping the top
-    bit of every slot leaves each value's two's complement, read
-    little-endian on any host: 8-byte slots all at once, wider ones one
-    by one.
+    Read little-endian on any host: 8-byte slots all at once, wider ones
+    one by one.
     """
-    offset = int.from_bytes((bytes(size - 1) + b"\x80") * width, "little")
-    data = b"".join([((x + offset) ^ offset).to_bytes(size * width, "little") for x in ints])
+    data = b"".join([x.to_bytes(size * width, "little") for x in ints])
     if size == 8:
-        return list(struct.unpack(f"<{len(data) // 8}q", data))
-    return [int.from_bytes(data[i : i + size], "little", signed=True) for i in range(0, len(data), size)]
+        return list(struct.unpack(f"<{len(data) // 8}Q", data))
+    return [int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
 
 
 def _markov_power(cells: list[int], d: int, n: int, k: int) -> tuple[list[int], int]:
     """The form (cells, d**k) of L^k, k >= 1, for an n-by-n L with no negative cell and every column sum d.
 
     Every column of L^k sums to d**k, so no cell of a power exceeds it,
-    and one slot width, the bytes of d**k plus a sign bit (8 at least),
-    holds every cell of every power: a product row never carries into the
-    next slot, and the rows of each power stay packed from step to step.
-    Row i of L P is the sum, over the nonzero cells L_ij of row i, of
-    L_ij times the packed row j of P: one C-level ``sum`` of big-int
-    products per row, and no bound, gcd or decode until L^k is read by
-    :func:`_slots`.  The cells are not divided by their gcd.
+    and one slot width, the fewest whole bytes with more bits than d**k
+    (8 at least), holds every cell of every power: a product row never
+    carries into the next slot, and the rows of each power stay packed
+    from step to step.  Row i of L P is the sum, over the nonzero cells
+    L_ij of row i, of L_ij times the packed row j of P: one C-level
+    ``sum`` of big-int products per row, and no bound, gcd or decode until
+    L^k is read by :func:`_slots`.  The cells are not divided by their
+    gcd.
     """
     top = d**k
     size = max(8, top.bit_length() // 8 + 1)
@@ -802,9 +792,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     integer product of the two integer forms, over the product of their
     denominators, in lowest terms; the result keeps that form, and its
     entries are the same exact fractions as a product computed in
-    ``Fraction`` arithmetic.  When every integer entry fits a signed
-    64-bit slot, each product row is one big-int sum over the rows of
-    ``b``, each packed as one int.  Float entries are summed left to right, with
+    ``Fraction`` arithmetic.  Float entries are summed left to right, with
     the same last-bit caveat as :func:`variation`; one that overflows
     raises :class:`DomainMismatchError`.
     """

@@ -94,6 +94,26 @@ def block_tail_rows(block: int, tail: int) -> list[list[Fraction]]:
     return [[F(w, t) for w, t in zip(row, sums)] for row in weights]
 
 
+def lazy_path_shear_rows(n: int = 16) -> list[list[Fraction]]:
+    """S Q S^-1 for Q the lazy path on n states and S = I + (e_1 - e_6) e_10^T.
+
+    Q stays with 1/2 (3/4 at the ends) and moves with 1/4.  S^-1 = I -
+    (e_1 - e_6) e_10^T and 1^T S = 1^T, so M is type 1.  At n = 16 its row
+    minima sum to -3/4 (c = 7/4) and no two columns of L = M - r 1^T are
+    disjoint, so the scan steps power by power, from M on, to p = 32.
+    """
+    q = [[{0: F(1, 2), 1: F(1, 4)}.get(abs(i - j), F(0)) for j in range(n)] for i in range(n)]
+    q[0][0] = q[n - 1][n - 1] = F(3, 4)
+    u = [(i == 0) - (i == 5) for i in range(n)]
+
+    def times(a, b):
+        return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+    s = [[int(i == j) + u[i] * (j == 9) for j in range(n)] for i in range(n)]
+    s_inv = [[int(i == j) - u[i] * (j == 9) for j in range(n)] for i in range(n)]
+    return times(times(s, q), s_inv)
+
+
 # Float type-1 matrices with two disjoint columns, whose var(M) is exactly 1
 # in the type-1 matrix the tolerance admits.  Summed, the first one's var(M)
 # is 0.99999999865 (column sums 1 - 9e-10 and 1 - 1.8e-9), below the guard
@@ -339,17 +359,23 @@ def lexicographic_widest(entries, n):
 
 
 _REFERENCE_EXPONENT = re.compile(
-    r"\s*[-+]?(?=\d|\.\d)(?P<mantissa>\d*(?:_\d+)*(?:\.(?:\d+(?:_\d+)*)?)?)"
-    r"[eE](?P<exponent>[-+]?\d+(?:_\d+)*)\s*"
+    r"\s*[-+]?(?=\d|\.\d)(?P<mantissa>\d*(?:\.\d*)?)[eE](?P<exponent>[-+]?\d+)\s*"
 )
+
+
+def _reference_fraction(token: str) -> Fraction:
+    """``Fraction(token)`` with Python 3.10's grammar: no ``_`` on any version."""
+    if "_" in token:
+        raise ValueError(f"Invalid literal for Fraction: {token!r}")
+    return Fraction(token)
 
 
 def _reference_exact(token: str) -> Fraction:
     limit = sys.get_int_max_str_digits()
     match = limit and _REFERENCE_EXPONENT.fullmatch(token)
     if not match or abs(int(match["exponent"])) <= limit + len(token):
-        return Fraction(token)
-    if match["mantissa"].strip("0._"):
+        return _reference_fraction(token)
+    if match["mantissa"].strip("0."):
         raise MatrixParseError(f"entry too long to print: its exponent gives over {limit} digits")
     return Fraction(0)
 
@@ -357,7 +383,7 @@ def _reference_exact(token: str) -> Fraction:
 def _reference_fractions(tokens: list[str]) -> list[Fraction]:
     text = "".join(tokens)
     if "e" not in text and "E" not in text and max(map(len, tokens)) <= 640:
-        return list(map(Fraction, tokens))
+        return list(map(_reference_fraction, tokens))
     values = list(map(_reference_exact, tokens))
     for value in values:
         try:

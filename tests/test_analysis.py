@@ -4,6 +4,7 @@ import random
 import re
 import threading
 from fractions import Fraction
+from itertools import combinations
 from math import fsum, gcd, inf, lcm, log2, nextafter
 from pathlib import Path
 from unittest import mock
@@ -584,6 +585,21 @@ class TestVariationScanMatchesNaiveScan:
             got = _variation_scan(m, p_max)
         assert got == want
         assert calls["mat_mul"] == min(len(want[1]), repeat) - 1
+
+    def test_shear_of_the_lazy_path_steps_from_m_to_its_contraction_power(self, monkeypatch):
+        # c = 7/4 > 1 and no disjoint pair in L: every power from M^2 to M^32
+        # is a product of two forms at n = 16, the one rational scan class
+        # whose products are not walked
+        m = Matrix(support.lazy_path_shear_rows())
+        low = [min(row) for row in m.row_lists()]
+        markov = [[v - r for v in row] for row, r in zip(m.row_lists(), low)]
+        assert sum(low) == F(-3, 4)
+        assert all(any(row[a] and row[b] for row in markov) for a, b in combinations(range(16), 2))
+        calls = self._count_calls(monkeypatch)
+        p, history, first = _variation_scan(m, 64)
+        assert calls == {"mat_mul": 31, "variation": 32}
+        assert (p, first) == (32, VariationReport(F(3, 2), 1, 10))
+        assert (p, history, first) == _naive_scan(m, 64)
 
     @pytest.mark.parametrize("domain", [Domain.RATIONAL, Domain.FLOAT], ids=lambda d: d.value)
     def test_repeat_copies_each_variation_of_the_cycle_in_turn(self, monkeypatch, domain):

@@ -22,6 +22,7 @@ from support import (
     TAIL_CYCLE_ROWS,
     TOLERANCE_EDGE_CSV,
     block_tail_rows,
+    lazy_path_shear_rows,
     lexicographic_widest,
     reference_csv_matrix,
 )
@@ -545,6 +546,10 @@ CONSOLE_FILES = {
     # a dense block of 24 states fed by a lazy path of 16: the scan walks to
     # power 16 and takes 15 steps on a dense L, where the lazy path's is sparse
     "block-tail.csv": _csv([list(map(str, row)) for row in block_tail_rows(24, 16)]),
+    # the 16-state lazy path sheared by I + (e_1 - e_6) e_10^T: its row minima
+    # sum to -3/4 and no two columns of L are disjoint, so the rational scan
+    # forms every power M^2 .. M^32 as a product at n = 16
+    "shear-16.csv": _csv([[f"{4 * v}/4" for v in row] for row in lazy_path_shear_rows()]),
     # saved with a UTF-8 byte-order mark, as some spreadsheet programs do
     "bom.csv": "\ufeff" + EX_M_CSV,
     # the worked example in JSON, with "p/q" strings
@@ -574,6 +579,7 @@ CONSOLE_POWERS = {
     "lazy-path-float-32.csv": 17,
     "lazy-path-twin.csv": 30,
     "block-tail.csv": 16,
+    "shear-16.csv": 32,
     "dense-float.csv": 1,
     "tolerance-edge.csv": None,
     "block-rounded.csv": None,
@@ -597,6 +603,7 @@ CONSOLE_COMMANDS = [
     (["analyze", "--json", "lazy-path-float-32.csv"], 0),
     (["analyze", "--json", "lazy-path-twin.csv"], 0),
     (["analyze", "--json", "block-tail.csv"], 0),
+    (["analyze", "--json", "shear-16.csv"], 0),
     (["analyze", "--json", "worked-float.csv"], 0),
     (["pattern", "--kmax", "100000", "tail-cycle-pattern.csv"], 0),
     (["variation", "--json", "markov-64.csv"], 0),
@@ -956,7 +963,9 @@ class TestIntegerFormFromTheReader:
         "bad, line",
         [("1/0", "error: bad matrix entry: Fraction(1, 0)\n"),
          ("1e-5000", "error: entry too long to print: its exponent gives over "
-                     f"{sys.get_int_max_str_digits()} digits\n")],
+                     f"{sys.get_int_max_str_digits()} digits\n"),
+         # refused on every Python, as Python 3.10's Fraction refuses it
+         ("1_0/20", "error: bad matrix entry: Invalid literal for Fraction: '1_0/20'\n")],
     )
     def test_a_repeated_bad_token_names_the_same_error(self, runner, tmp_path, bad, line):
         for text in (f"{bad},1/2\n1/2,1/2\n", f"{bad},{bad}\n1/2,{bad}\n"):
