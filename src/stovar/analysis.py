@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, repeat
 from math import gcd, inf, isqrt, log, prod
 from operator import floordiv, mul, ne, sub
 from typing import NamedTuple, Optional
@@ -32,6 +32,7 @@ from .core import (
     _ensure_typed,
     _finite,
     _infer_domain,
+    _lowest,
     _markov_power,
     _pack,
     _power_by_squaring,
@@ -165,54 +166,50 @@ def _variation_scan(
     Also returns the full variation report of M^1, so callers that need
     its column pair do not compute it again.
 
-    One rule decides, in both domains, whether M first walks the support
-    patterns of the powers of its Markov part (:func:`nonneg._power_walk`).
-    With x the row minima of M's form, L = M - x 1^T is Markov when it
-    is found without rounding: for a rational M when x sums to 0, for a
-    float M only when every x_i is 0, so that L = M.  A float M is never
-    shifted: its column sums are 1 only within the tolerance, and a
-    shift would round.  Then M^k = L^k + s 1^T for some vector s, and
-    var reads only differences of columns, so var(M^k) = var(L^k) for
-    every k.  A non-negative type-1 matrix has variation exactly 1 when
-    two of its columns have disjoint supports, and below 1 otherwise;
-    the support P of L has cell (i, j) set exactly when L[i][j] != 0,
-    with no tolerance floor, so the support of L^k is P^k.
+    With x the row minima of M's form, L = M - x 1^T has no negative
+    cell and column sums c = 1 - sum(x), and M^k = L^k + s 1^T for some
+    vector s, so var(M^k) = var(L^k).  When c < 1, var(M) <= c is summed
+    and p = 1.  Otherwise the scan walks the support patterns P^k of the
+    powers of L (:func:`nonneg._power_walk`), P the cells of L that are
+    not 0, with no tolerance floor.  A float M is walked only when L = M
+    (every x_i is 0): its column sums are 1 only within the tolerance,
+    and a shift would round.  Two columns of L^k with disjoint supports
+    are as far apart as two columns of L^k can be, so var(M^k) = c^k
+    then, and below c^k otherwise.
 
-    When two columns of P are disjoint, var(M) = 1 is reported with the
-    first such pair, read from the masks with no sum, and so is every
-    power before the first one k0 whose columns overlap pairwise, with no
-    variation computed or repeat looked for; k0 >= 2.  With no such k0
-    up to p_max, or once a pattern equals an earlier one, the scan ends
-    inconclusive and forms no product.  Otherwise var(M) is summed and
-    k0 is 1.  With L found, or with x summing to more than 0 (var(M) <=
-    1 - sum(x)), var(M) is then below 1, for a float M up to rounding;
-    any other M is scanned numerically.  For a float M, each 1 is the
-    value its variation has for the type-1 matrix that the tolerance
+    When two columns of P are disjoint, var(M) = c is reported with the
+    first such pair, read from the masks with no sum, and so is c^k for
+    every power before the first one k0 whose columns overlap pairwise,
+    with no product formed; k0 >= 2.  With no such k0 up to p_max, or
+    once a pattern equals an earlier one, the scan ends inconclusive.
+    Otherwise var(M) is summed and k0 is 1.  For a float M, each 1 is
+    the value its variation has for the type-1 matrix that the tolerance
     admits, so the first disjoint pair is that matrix's first widest
-    pair.  A float product can only lose support, by underflow, so
+    pair; a float product can only lose support, by underflow, so
     columns disjoint in P^k are disjoint in the computed power too.
 
     M and its powers are read as forms (``Matrix._form``): integer
-    numerators over one denominator for a rational M, the entries over 1.0
-    for a float one.  Every variation after the first is
-    :func:`core._variation_of` of a form.  A walked rational M forms L^k0,
-    which has the same variation as M^k0, by k0 - 1 sparse steps on packed
-    rows (:func:`core._markov_power`); every other power is
-    :func:`core._step` of two forms, and a walked float M forms M^k0 by
-    squaring.  Its variation is below 1 exactly for a rational M, so
-    p = k0; a float one may lie within the tolerance of 1.
+    numerators over one denominator for a rational M, the entries over
+    1.0 for a float one; every variation after the first is
+    :func:`core._variation_of` of a form.  A walked rational M forms
+    L^k0 by k0 - 1 sparse steps (:func:`core._markov_power`), reduced by
+    :func:`core._lowest`; a walked float M forms M^k0 by squaring.  For
+    c = 1, var(M^k0) is below 1, for a float M up to rounding, so p = k0.
 
-    Otherwise each new power M^k, k >= k0, is compared by value with the
-    saved M^j, k0 <= j < k, with j <= n or j a power of two.  When it equals
-    M^j, every later power repeats with period k - j, since a product
-    depends only on the values of its factors, and no repeated variation
-    is below one: the history is filled up to p_max by copying, and the
-    scan ends inconclusive.  Exact powers stop at their first repeat: if
-    M^a = M^b with a < b, the minimal polynomial divides
-    x^a (x^(b-a) - 1), so the powers cycle from an index at most n; and
-    no power from k0 on equals one before k0.  A float rounding cycle
-    with tail t and period l is caught at a power-of-two checkpoint
-    after about 2t + l products.  At most n + log2(p_max) powers are held.
+    Otherwise the scan goes on from the power at k0 (M itself for
+    k0 = 1), each new one its :func:`core._step` with M.  As 1^T M = 1^T,
+    L^k0 M^j = M^(k0+j) - s 1^T when L^k0 = M^k0 - s 1^T: the steps see
+    M's variations, and repeat exactly when M's powers do.  Each new
+    power is compared by value with the saved ones, at k0 <= j < k with
+    j <= n or j a power of two.  When it equals the one at j, every later
+    power repeats with period k - j, since a product depends only on the
+    values of its factors; the history is filled up to p_max by copying,
+    and the scan ends inconclusive.  If M^a = M^b with a < b, the minimal
+    polynomial divides x^a (x^(b-a) - 1), so exact powers cycle from an
+    index at most n, and for k0 <= n the scan stops at their first repeat
+    from k0 on.  Any other cycle, a float rounding cycle with tail t and
+    period l say, is caught at a power-of-two checkpoint after about
+    2t + l products.  At most n + log2(p_max) powers are held.
     """
     _require_count(p_max, "p_max")
     one = one_of(m.domain)
@@ -221,29 +218,32 @@ def _variation_scan(
     cells, pair = base[0], None
     rows = _row_slices(cells, n)
     lows = list(map(min, rows)) if m.domain is Domain.RATIONAL else [0.0] * n
-    # L = M - lows 1^T is Markov when the lows sum to zero; a float M only
-    # when L = M, so its row minima are read only until one is not 0 (and
-    # its masks compare with 0.0: a float against an int compares slower)
-    if not (sum(lows) or m.domain is Domain.FLOAT and any(map(min, rows))):
+    # L = M - lows 1^T over M's scale d has column sums d + excess; a float M is
+    # walked only when L = M, so its row minima are read only until one is not 0
+    # (and its masks compare with 0.0: a float against an int compares slower)
+    excess = -sum(lows)
+    if excess >= 0 and not (m.domain is Domain.FLOAT and any(map(min, rows))):
         spread = [r for r in lows for _ in range(n)]
         # L's support: the cells above their row's minimum
         masks = _column_masks(list(map(ne, cells, spread)), n)
         pair = next((p for p in combinations(range(n), 2) if not masks[p[0]] & masks[p[1]]), None)
-    first = VariationReport(one, pair[0] + 1, pair[1] + 1) if pair else variation(m)
+    c = Fraction(base[1] + excess, base[1]) if excess > 0 else one
+    first = VariationReport(c, pair[0] + 1, pair[1] + 1) if pair else variation(m)
     history: list[Scalar] = [first.value]
     if pair:
-        k0 = _power_walk(masks, p_max, _masks_overlap)[0]
-        if k0 is None:
-            return None, [one] * p_max, first
+        k0 = _power_walk(masks, p_max, _masks_overlap)[0] or p_max + 1  # none: past p_max
+        # c^k below k0; a history of 1s needs no Fraction product
+        history = list(accumulate(repeat(c, k0 - 1), mul)) if excess else [one] * (k0 - 1)
+        if k0 > p_max:
+            return None, history, first
         if m.domain is Domain.RATIONAL:
-            # var(L^k0) = var(M^k0) < 1 exactly, so the loop below does not run
-            power = _markov_power(list(map(sub, cells, spread)), base[1], n, k0)
+            power = _lowest(*_markov_power(list(map(sub, cells, spread)), base[1], n, k0))
         else:
             power = _power_by_squaring(base, k0, lambda a, b: _step(a, b, n))
-        history += [one] * (k0 - 2) + [_variation_of(power, n).value]
+        history.append(_variation_of(power, n).value)
     saved: list[tuple[int, tuple]] = []
     while not strictly_less(history[-1], one, m.domain):
-        k = len(history)  # power is M^k
+        k = len(history)  # power is M^k, or L^k0 M^(k - k0)
         if k == p_max:
             return None, history, first
         if k <= n or not k & (k - 1):
@@ -645,19 +645,21 @@ def analyze(
     continuous, so failure below a finite bound proves nothing about
     divergence (outside the fully classified 2x2 case).
 
-    Some M are scanned on a support first: that of their Markov part
-    M - x 1^T (x the row minima), which has the same variation at every
-    power, when it is found without rounding: for a rational M whose row
-    minima sum to zero, and for a float M whose row minima are all zero,
-    which is its own Markov part.  A power whose support has two disjoint
-    columns has variation exactly 1, M itself included, so such powers
-    are reported as 1 with no variation computed, var(M) at the first
-    disjoint pair, and the numeric scan starts at the first power whose
-    columns overlap pairwise.  With no such power up to p_max, or once a
-    support pattern equals an earlier one, the verdict is inconclusive
-    and no product is formed.  The power at the first overlap is formed
-    alone: for a rational M as its Markov part's power L^k0, by k0 - 1
-    products with the nonzeros of L; for a float one M^k0, by squaring.
+    With x the row minima, L = M - x 1^T has no negative entry, column
+    sums c = 1 - sum(x), and the same variation as M at every power.
+    When c < 1, var(M) <= c < 1 and p = 1.  Otherwise M is scanned on
+    the support of L first: for a rational M always, for a float M only
+    when its row minima are all zero, so that L = M and nothing rounds.
+    A power of L whose support has two disjoint columns has variation
+    c^k exactly, M itself included, so such powers are reported as c^k
+    with no variation computed, var(M) = c at the first disjoint pair,
+    and the numeric scan starts at the first power k0 whose columns
+    overlap pairwise.  With no such power up to p_max, or once a support
+    pattern equals an earlier one, the verdict is inconclusive and no
+    product is formed.  The power at k0 is formed alone: for a rational
+    M as L^k0, by k0 - 1 products with the nonzeros of L; for a float one
+    M^k0, by squaring.  For c > 1 the scan goes on from L^k0, whose
+    products with M's powers have the variations of M's powers.
     Rational reports are the same as from a full scan; a float report
     says 1 at the first disjoint pair where the full scan (and
     :func:`variation`) gave 1 up to rounding, perhaps at another pair,
@@ -666,14 +668,13 @@ def analyze(
     Once a power equals an earlier one, the later powers repeat with a
     fixed period, so the scan copies the variations up to p_max instead
     of forming more products; the report is the same.  Exact powers stop
-    at their first repeat, a float rounding cycle at a power-of-two
-    checkpoint inside it, and at most n + log2(p_max) powers are kept,
-    whatever p_max is.  M and each power are read as one form in either
-    domain: a rational one as integer numerators over one denominator, in
-    lowest terms for a product of two forms (a walked M's L^k0, read only
-    for its variation, is not reduced), a float one as its entries over
-    1.0.  The type check and the solve of a rational E read the same
-    integers.
+    at their first repeat (from k0 on, when k0 <= n), a float rounding
+    cycle at a power-of-two checkpoint inside it, and at most
+    n + log2(p_max) powers are kept, whatever p_max is.  M and each power
+    are read as one form in either domain: a rational one as integer
+    numerators over one denominator, in lowest terms, a float one as its
+    entries over 1.0.  The type check and the solve of a rational E read
+    the same integers.
 
     E comes from the solve of :func:`stationary_vector`, except for a
     float Markov matrix (no negative entry) with var(M) < 1.  There E

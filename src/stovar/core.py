@@ -708,20 +708,26 @@ def _step(left: tuple, right: tuple, n: int) -> tuple:
     """The product of two forms (cells, scale), n the inner dimension.
 
     Integer cells are divided by the gcd of the product's numerators and
-    denominator: in that lowest form the product is :func:`_over_lcm` of
-    its entries, and equal values are equal forms.  Float cells must be
-    finite, or :class:`DomainMismatchError` is raised, and come back as a
-    tuple over 1.0, the sequence type of a float value's own form.
+    denominator (:func:`_lowest`): in that lowest form the product is
+    :func:`_over_lcm` of its entries, and equal values are equal forms.
+    Float cells must be finite, or :class:`DomainMismatchError` is
+    raised, and come back as a tuple over 1.0, the sequence type of a
+    float value's own form.
     """
     (cells, d), (factor, scale) = left, right
     cols = _column_slices(factor, len(factor) // n)
     product = [sum(map(mul, r, c)) for r in _row_slices(cells, n) for c in cols]
     if isinstance(d, float):
         return tuple(_finite(product, Domain.FLOAT)), 1.0
-    g = gcd(d * scale, *product)
+    return _lowest(product, d * scale)
+
+
+def _lowest(cells: list[int], d: int) -> tuple[list[int], int]:
+    """The integer form (cells, d) divided by the gcd of its cells and d."""
+    g = gcd(d, *cells)
     if g == 1:
-        return product, d * scale
-    return [v // g for v in product], d * scale // g
+        return cells, d
+    return [v // g for v in cells], d // g
 
 
 def _pack(rows: list[Sequence[int]], size: int) -> list[int]:
@@ -743,26 +749,26 @@ def _slots(ints: list[int], width: int, size: int = 8) -> list[int]:
 
 
 def _markov_power(cells: list[int], d: int, n: int, k: int) -> tuple[list[int], int]:
-    """The form (cells, d**k) of L^k, k >= 1, for an n-by-n L with no negative cell and every column sum d.
+    """The form (cells, d**k) of L^k, k >= 1, for an n-by-n L = cells / d with no negative cell.
 
-    Every column of L^k sums to d**k, so no cell of a power exceeds it,
-    and one slot width, the fewest whole bytes with more bits than d**k
-    (8 at least), holds every cell of every power: a product row never
-    carries into the next slot, and the rows of each power stay packed
-    from step to step.  Row i of L P is the sum, over the nonzero cells
-    L_ij of row i, of L_ij times the packed row j of P: one C-level
-    ``sum`` of big-int products per row, and no bound, gcd or decode until
-    L^k is read by :func:`_slots`.  The cells are not divided by their
-    gcd.
+    Every column of the cells sums to the same D: d for a Markov L, more
+    when L's column sums exceed 1.  Every column of the cells of L^k sums
+    to D**k, so no cell of a power exceeds it, and one slot width, the
+    fewest whole bytes with more bits than D**k (8 at least), holds every
+    cell of every power: a product row never carries into the next slot,
+    and the rows of each power stay packed from step to step.  Row i of
+    L P is the sum, over the nonzero cells L_ij of row i, of L_ij times
+    the packed row j of P: one C-level ``sum`` of big-int products per
+    row, and no bound, gcd or decode until L^k is read by
+    :func:`_slots`.  The cells are not divided by their gcd.
     """
-    top = d**k
-    size = max(8, top.bit_length() // 8 + 1)
+    size = max(8, (sum(cells[::n]) ** k).bit_length() // 8 + 1)
     rows = _row_slices(cells, n)
     weights = [list(filter(None, row)) for row in rows]
     power = _pack(_column_slices(cells, n), size)  # the rows of L
     for _ in range(k - 1):
         power = [sum(map(mul, w, compress(power, row))) for w, row in zip(weights, rows)]
-    return _slots(power, n, size), top
+    return _slots(power, n, size), d**k
 
 
 def _product(a: _Dense, b: _Dense, cls):

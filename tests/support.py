@@ -94,16 +94,25 @@ def block_tail_rows(block: int, tail: int) -> list[list[Fraction]]:
     return [[F(w, t) for w, t in zip(row, sums)] for row in weights]
 
 
+def lazy_path_rows(n: int) -> list[list[Fraction]]:
+    """The lazy path on n states: stay with 1/2 (3/4 at the ends), move with 1/4.
+
+    Columns 1 and n first share a row at power n // 2.
+    """
+    rows = [[{0: F(1, 2), 1: F(1, 4)}.get(abs(i - j), F(0)) for j in range(n)] for i in range(n)]
+    rows[0][0] = rows[n - 1][n - 1] = F(3, 4)
+    return rows
+
+
 def lazy_path_shear_rows(n: int = 16) -> list[list[Fraction]]:
     """S Q S^-1 for Q the lazy path on n states and S = I + (e_1 - e_6) e_10^T.
 
-    Q stays with 1/2 (3/4 at the ends) and moves with 1/4.  S^-1 = I -
-    (e_1 - e_6) e_10^T and 1^T S = 1^T, so M is type 1.  At n = 16 its row
-    minima sum to -3/4 (c = 7/4) and no two columns of L = M - r 1^T are
-    disjoint, so the scan steps power by power, from M on, to p = 32.
+    S^-1 = I - (e_1 - e_6) e_10^T and 1^T S = 1^T, so M is type 1.  At
+    n = 16 its row minima sum to -3/4 (c = 7/4) and no two columns of
+    L = M - r 1^T are disjoint, so the scan steps power by power, from M
+    on, to p = 32.
     """
-    q = [[{0: F(1, 2), 1: F(1, 4)}.get(abs(i - j), F(0)) for j in range(n)] for i in range(n)]
-    q[0][0] = q[n - 1][n - 1] = F(3, 4)
+    q = lazy_path_rows(n)
     u = [(i == 0) - (i == 5) for i in range(n)]
 
     def times(a, b):
@@ -112,6 +121,21 @@ def lazy_path_shear_rows(n: int = 16) -> list[list[Fraction]]:
     s = [[int(i == j) + u[i] * (j == 9) for j in range(n)] for i in range(n)]
     s_inv = [[int(i == j) - u[i] * (j == 9) for j in range(n)] for i in range(n)]
     return times(times(s, q), s_inv)
+
+
+def two_class_rows(c: Fraction, n: int = 10) -> list[list[Fraction]]:
+    """c P + (1 - c) e_1 1^T, for P two lazy paths of n states on the diagonal.
+
+    Every row of P has a zero, so the row minima are (1 - c) e_1 and
+    L = M - r 1^T is c P.  The two classes never meet: columns 1 and
+    n + 1 of every power of L are disjoint, and var(M^k) = c^k for every
+    k.  For c > 1, M has no contraction power.
+    """
+    path = lazy_path_rows(n)
+    rows = [[c * v for v in row] + [F(0)] * n for row in path]
+    rows += [[F(0)] * n + [c * v for v in row] for row in path]
+    rows[0] = [v + 1 - c for v in rows[0]]
+    return rows
 
 
 # Float type-1 matrices with two disjoint columns, whose var(M) is exactly 1

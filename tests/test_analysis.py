@@ -201,10 +201,7 @@ _late_overlap_markov = _random_support_markov(
 
 def _lazy_path(n):
     """The lazy path on n states: columns 1 and n first share a row at power n // 2."""
-    weight = {0: F(1, 2), 1: F(1, 4)}
-    rows = [[weight.get(abs(i - j), F(0)) for j in range(n)] for i in range(n)]
-    rows[0][0] = rows[n - 1][n - 1] = F(3, 4)
-    return Matrix(rows)
+    return Matrix(support.lazy_path_rows(n))
 
 
 def _signed_twin(rows, low):
@@ -217,6 +214,18 @@ def _signed_twin(rows, low):
     x = [F(0)] * len(rows)
     x[low], x[low + 1] = F(-1, 4), F(1, 4)
     return Matrix([[v + x[i] for v in row] for i, row in enumerate(rows)])
+
+
+# S Q S^-1, with Q the map 0 -> 1 -> 2 -> 0, 3 -> 0, 4 -> 3 and
+# S = I + (e_0 - e_4) e_1^T: row minima summing to -3 (c = 4), columns 1 and 2
+# of L = M - r 1^T disjoint, k0 = 2, and M^5 = M^2
+_SHEARED_CYCLE_ROWS = [
+    [1, -1, 1, 1, 0],
+    [1, -1, 0, 0, 0],
+    [0, 1, 0, 0, 0],
+    [0, 1, 0, 0, 1],
+    [-1, 1, 0, 0, 0],
+]
 
 
 def _assert_float_scan_near_naive_scan(m, p_max):
@@ -302,8 +311,9 @@ class TestVariationScanMatchesNaiveScan:
     @given(_random_support_markov(), st.data(), st.integers(1, 40))
     @settings(max_examples=150, deadline=None)
     def test_shifted_markov_matrices_match_the_naive_scan_exactly(self, drawn, data, p_max):
-        # M = L + x 1^T with x summing to zero: the scan walks L's support when
-        # M's row minima sum to zero, and its first pair must be variation's
+        # M = L + x 1^T with x summing to zero: the scan walks the support of
+        # M's Markov part when M's row minima sum to zero (M's minima sum to
+        # those of L, never below zero), and its first pair must be variation's
         _, markov = drawn
         n = markov.rows
         shifts = st.fractions(min_value=-2, max_value=2, max_denominator=8)
@@ -446,26 +456,41 @@ class TestVariationScanMatchesNaiveScan:
         ),
         st.integers(1, 40),
     )
+    @example(Matrix(_SHEARED_CYCLE_ROWS), 50)
     @settings(max_examples=150, deadline=None)
     def test_rational_powers_are_integer_numerators_in_lowest_terms(self, m, p_max):
         # each step multiplies two powers, M^a M^b = M^(a+b); a factor that
-        # no step returned is M itself (states keeps every result alive)
-        step = analysis._step
+        # no step returned is the entry power: M itself, or L^k0 = M^k0 - s 1^T
+        # after a walk to k0, and then the power is M^k - s 1^T (states keeps
+        # every result alive)
+        step, markov_power = analysis._step, analysis._markov_power
+        entry = [1]
         exponents = {}
         states = []
 
+        def walked(cells, d, n, k):
+            entry[0] = k
+            return markov_power(cells, d, n, k)
+
         def recording(left, right, n):
-            k = exponents.get(id(left), 1) + exponents.get(id(right), 1)
+            k = exponents.get(id(left), entry[0]) + exponents.get(id(right), 1)
             state = step(left, right, n)
             exponents[id(state)] = k
             states.append((k, state))
             return state
 
-        with mock.patch.object(analysis, "_step", recording):
+        with mock.patch.object(analysis, "_step", recording), mock.patch.object(
+            analysis, "_markov_power", walked
+        ):
             _variation_scan(m, p_max)
         powers = _naive_powers(m, max((k for k, _ in states), default=1))
+        k0 = entry[0]
+        rows = m.row_lists()
+        markov = Matrix([[v - min(row) for v in row] for row in rows])
+        shift = mat_pow(m, k0) - mat_pow(markov, k0)  # s 1^T
         for k, (numerators, d) in states:
-            assert (numerators, d) == core._over_lcm(powers[k - 1].entries)
+            want = powers[k - 1] - shift if k0 > 1 else powers[k - 1]
+            assert (numerators, d) == core._over_lcm(want.entries)
             assert gcd(d, *numerators) == 1
 
     @pytest.mark.parametrize("domain", [Domain.RATIONAL, Domain.FLOAT], ids=lambda d: d.value)
@@ -561,35 +586,44 @@ class TestVariationScanMatchesNaiveScan:
     @given(st.data(), st.integers(1, 60))
     @settings(max_examples=150, deadline=None)
     def test_signed_conjugate_maps_stop_at_their_first_repeated_power(self, data, p_max):
-        # M = S Q S^-1 with Q the map j -> step[j] and S = I + (e_a - e_b) e_c^T,
-        # a, b and c distinct: S^-1 = I - (e_a - e_b) e_c^T and 1^T S = 1^T, so
+        # M = S Q S^-1 with Q the map j -> step[j] and S = I + w (e_a - e_b) e_t^T,
+        # a, b and t distinct: S^-1 = I - w (e_a - e_b) e_t^T and 1^T S = 1^T, so
         # M is type 1, and M^k = S Q^k S^-1 repeats exactly when Q^k does.
-        # Row minima summing below zero keep M off the support walk
+        # Row minima summing below zero give c = 1 - sum(r) > 1: when L has a
+        # disjoint pair, var(M^k) = c^k below k0 and no product is formed there.
+        # A w off the integers gives M a denominator, and L^k0 a common factor
         n = data.draw(st.integers(3, 8))
         step = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
-        a, b, c = data.draw(st.permutations(range(n)))[:3]
+        a, b, t = data.draw(st.permutations(range(n)))[:3]
+        w = data.draw(st.sampled_from([1, F(1, 2), F(2, 3), F(3, 2)]))
 
         def shear(sign):
             return Matrix(
-                [[int(i == j) + sign * ((i == a) - (i == b)) * (j == c) for j in range(n)] for i in range(n)]
+                [[int(i == j) + sign * w * ((i == a) - (i == b)) * (j == t) for j in range(n)] for i in range(n)]
             )
 
         q = Matrix([[int(s == i) for s in step] for i in range(n)])
         m = mat_mul(mat_mul(shear(1), q), shear(-1))
-        assume(sum(map(min, m.row_lists())) < 0)
+        c = 1 - sum(map(min, m.row_lists()))
+        assume(c > 1)
         want = _naive_scan(m, p_max)
         powers = [power.entries for power in _naive_powers(m, len(want[1]))]
-        repeat = next((k for k in range(2, len(powers) + 1) if powers[k - 1] in powers[: k - 1]), inf)
+        # the first power below c^k, 1 unless L has a disjoint pair; with none
+        # in the history, no product is formed
+        k0 = next((k for k, v in enumerate(want[1], 1) if v < c**k), len(want[1]))
+        repeat = next(
+            (k for k in range(k0 + 1, len(powers) + 1) if powers[k - 1] in powers[k0 - 1 : k - 1]), inf
+        )
         with pytest.MonkeyPatch.context() as patch:
             calls = self._count_calls(patch)
             got = _variation_scan(m, p_max)
         assert got == want
-        assert calls["mat_mul"] == min(len(want[1]), repeat) - 1
+        assert calls["mat_mul"] == max(min(len(want[1]), repeat) - k0, 0)
 
     def test_shear_of_the_lazy_path_steps_from_m_to_its_contraction_power(self, monkeypatch):
-        # c = 7/4 > 1 and no disjoint pair in L: every power from M^2 to M^32
-        # is a product of two forms at n = 16, the one rational scan class
-        # whose products are not walked
+        # c = 7/4 > 1 and no disjoint pair in L: var(M) is summed and the scan
+        # starts at M (k0 = 1), so every power from M^2 to M^32 is a product
+        # of two forms at n = 16
         m = Matrix(support.lazy_path_shear_rows())
         low = [min(row) for row in m.row_lists()]
         markov = [[v - r for v in row] for row, r in zip(m.row_lists(), low)]
@@ -601,21 +635,70 @@ class TestVariationScanMatchesNaiveScan:
         assert (p, first) == (32, VariationReport(F(3, 2), 1, 10))
         assert (p, history, first) == _naive_scan(m, 64)
 
+    @given(
+        _random_support_markov(st.integers(4, 8), st.integers(2, 8)).filter(
+            lambda drawn: all(0 in row for row in drawn[1].row_lists())
+        ),
+        st.sampled_from([F(3, 2), F(7, 4), F(2)]),
+        st.data(),
+        st.integers(1, 40),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_markov_part_above_one_matches_the_naive_scan(self, drawn, c, data, p_max):
+        # M = c P + r 1^T with a zero in every row of P: r are M's row minima,
+        # summing to 1 - c < 0, and L = c P.  Below k0, var(M^k) = c^k with
+        # no product formed; from L^k0 on, the loop forms M's own variations
+        markov = drawn[1].row_lists()
+        n = len(markov)
+        r = data.draw(st.lists(st.fractions(-2, 2, max_denominator=8), min_size=n - 1, max_size=n - 1))
+        r.append(1 - c - sum(r))
+        m = Matrix([[c * v + x for v in row] for row, x in zip(markov, r)])
+        with pytest.MonkeyPatch.context() as patch:
+            calls = self._count_calls(patch, {"_step": "step", "_markov_power": "chain"})
+            got = _variation_scan(m, p_max)
+        want = _naive_scan(m, p_max)
+        assert got == want
+        p, history, _ = want
+        # the first power below c^k: 1 unless L has a disjoint pair
+        k0 = next((k for k, v in enumerate(history, 1) if v < c**k), None)
+        steps = 0 if k0 is None else len(history) - k0
+        assert calls["chain"] == int(k0 is not None and k0 > 1)
+        assert calls["step"] == steps if p is not None else calls["step"] <= steps
+
+    def test_slots_hold_the_column_sums_of_a_markov_part_above_one(self, monkeypatch):
+        # the 12-state lazy path times c = 4096, over d = 1: L's cells sum to
+        # D = 4096 in every column, and L^6's reach D^6 = 2^72, where d^6 = 1
+        # would give 8-byte slots; a carry out of a slot changes values silently
+        path = support.lazy_path_rows(12)
+        m = Matrix([[4096 * v - 4095 * (i == 0) for v in row] for i, row in enumerate(path)])
+        calls = self._count_calls(monkeypatch, {"_step": "step", "_markov_power": "chain"})
+        got = _variation_scan(m, 12)
+        assert calls == {"step": 6, "chain": 1}
+        assert got[1][:5] == [4096**k for k in range(1, 6)]
+        assert got == _naive_scan(m, 12)
+
+    @pytest.mark.parametrize("c", [F(11, 10), F(2)], ids=["c=11/10", "c=2"])
+    def test_two_classes_above_one_form_no_product(self, monkeypatch, c):
+        # L = c P, P two 10-state lazy paths that never meet: the walk ends at
+        # a repeated pattern, and var(M^k) = c^k up to p_max, with no product
+        # and no variation summed
+        m = Matrix(support.two_class_rows(c))
+        counted = {"_step": "step", "_markov_power": "chain", "variation": "variation"}
+        calls = self._count_calls(monkeypatch, counted)
+        p, history, first = _variation_scan(m, 200)
+        assert calls == {"step": 0, "chain": 0, "variation": 0}
+        assert (p, history) == (None, [c**k for k in range(1, 201)])
+        assert (p, history[:20], first) == _naive_scan(m, 20)
+
     @pytest.mark.parametrize("domain", [Domain.RATIONAL, Domain.FLOAT], ids=lambda d: d.value)
     def test_repeat_copies_each_variation_of_the_cycle_in_turn(self, monkeypatch, domain):
-        # S Q S^-1, with Q the map 0 -> 1 -> 2 -> 0, 3 -> 0, 4 -> 3 and
-        # S = I + (e_0 - e_4) e_1^T: M^5 = M^2, and the cycle's variations differ
-        rows = [
-            [1, -1, 1, 1, 0],
-            [1, -1, 0, 0, 0],
-            [0, 1, 0, 0, 0],
-            [0, 1, 0, 0, 1],
-            [-1, 1, 0, 0, 0],
-        ]
-        m = Matrix(rows, domain=domain)
+        # M^5 = M^2, and the cycle's variations differ.  The rational M is
+        # walked to k0 = 2: L^2 comes from its sparse steps, and the loop forms
+        # M^3 .. M^5 from it; the float M forms M^2 .. M^5 from M
+        m = Matrix(_SHEARED_CYCLE_ROWS, domain=domain)
         calls = self._count_calls(monkeypatch)
         got = _variation_scan(m, 50)
-        assert calls["mat_mul"] == 4
+        assert calls["mat_mul"] == (4 if domain is Domain.FLOAT else 3)
         assert got[1][:8] == [4, 2, 3, 4, 2, 3, 4, 2]
         assert got == _naive_scan(m, 50)
 

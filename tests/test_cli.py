@@ -25,6 +25,7 @@ from support import (
     lazy_path_shear_rows,
     lexicographic_widest,
     reference_csv_matrix,
+    two_class_rows,
 )
 from stovar import (
     DEFAULT_TOLERANCE,
@@ -550,6 +551,9 @@ CONSOLE_FILES = {
     # sum to -3/4 and no two columns of L are disjoint, so the rational scan
     # forms every power M^2 .. M^32 as a product at n = 16
     "shear-16.csv": _csv([[f"{4 * v}/4" for v in row] for row in lazy_path_shear_rows()]),
+    # twice two 10-state lazy paths, minus 1 in row 1: c = 2, and the two
+    # classes never meet, so var(M^k) = 2^k at every power, from the walk alone
+    "two-class.csv": _csv([list(map(str, row)) for row in two_class_rows(F(2))]),
     # saved with a UTF-8 byte-order mark, as some spreadsheet programs do
     "bom.csv": "\ufeff" + EX_M_CSV,
     # the worked example in JSON, with "p/q" strings
@@ -580,6 +584,7 @@ CONSOLE_POWERS = {
     "lazy-path-twin.csv": 30,
     "block-tail.csv": 16,
     "shear-16.csv": 32,
+    "two-class.csv": None,
     "dense-float.csv": 1,
     "tolerance-edge.csv": None,
     "block-rounded.csv": None,
@@ -604,6 +609,7 @@ CONSOLE_COMMANDS = [
     (["analyze", "--json", "lazy-path-twin.csv"], 0),
     (["analyze", "--json", "block-tail.csv"], 0),
     (["analyze", "--json", "shear-16.csv"], 0),
+    (["analyze", "--json", "--pmax", "200", "two-class.csv"], 3),
     (["analyze", "--json", "worked-float.csv"], 0),
     (["pattern", "--kmax", "100000", "tail-cycle-pattern.csv"], 0),
     (["variation", "--json", "markov-64.csv"], 0),

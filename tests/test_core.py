@@ -615,16 +615,17 @@ def _root_below(bound, k):
 
 @st.composite
 def _column_sum_forms(draw):
-    """(cells, d, n, k): an n-by-n L of non-negative integers, every column summing to d.
+    """(cells, d, n, k): L = cells / d, n-by-n, every column of the cells summing to D >= d.
 
     n <= 8 and 1 <= k <= 24.  Each row is all zero, has one nonzero (in a
     drawn column), or is free, and the last row is free when no other is.
-    d is small, or one of the two integers around the k-th root of 2**63
-    or 2**64, so d**k falls on either side of each bound.
+    D is small, or one of the two integers around the k-th root of 2**63
+    or 2**64, so D**k falls on either side of each bound.  d is D (a
+    Markov L) or at most D (column sums of L at least 1).
     """
     n, k = draw(st.integers(1, 8)), draw(st.integers(1, 24))
     roots = [r + step for r in (_root_below(2**63, k), _root_below(2**64, k)) for step in (0, 1)]
-    d = draw(st.one_of(st.sampled_from(roots), st.integers(1, 40)))
+    total = draw(st.one_of(st.sampled_from(roots), st.integers(1, 40)))
     kinds = draw(st.lists(st.sampled_from(["zero", "single", "free"]), min_size=n, max_size=n))
     if "free" not in kinds:
         kinds[-1] = "free"
@@ -633,13 +634,13 @@ def _column_sum_forms(draw):
     cells = [0] * (n * n)
     for j in range(n):
         singles = [i for i, owner in owners.items() if owner == j]
-        assume(len(singles) <= d)
+        assume(len(singles) <= total)
         rows = singles + [i for i in free if draw(st.booleans())] or free[:1]
-        rest = d - len(singles)  # each single row holds 1 before the split
+        rest = total - len(singles)  # each single row holds 1 before the split
         cuts = sorted(draw(st.lists(st.integers(0, rest), min_size=len(rows) - 1, max_size=len(rows) - 1)))
         for place, (i, a, b) in enumerate(zip(rows, [0] + cuts, cuts + [rest])):
             cells[i * n + j] = b - a + (place < len(singles))
-    return cells, d, n, k
+    return cells, draw(st.one_of(st.just(total), st.integers(1, total))), n, k
 
 
 def _integer_power(cells, n, k):
